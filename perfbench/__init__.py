@@ -1,0 +1,1 @@
+"""Repository benchmark: workloads, outside-in tracing and metrics (see README.md)."""
