@@ -12,6 +12,7 @@ import numpy as np
 from ..core.eclmst import ecl_mst
 from ..core.result import MstResult
 from ..graph.csr import CSRGraph
+from ..graph.properties import components
 
 __all__ = ["single_linkage_labels"]
 
@@ -47,19 +48,5 @@ def single_linkage_labels(
     cuts = max(0, min(u.size, result.num_mst_edges - (n - k)))
     # Keep all MSF edges except the `cuts` heaviest.
     keep = np.argsort(w, kind="stable")[: u.size - cuts] if cuts else np.arange(u.size)
-
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = int(parent[x])
-        return x
-
-    for i in keep:
-        a, b = find(int(u[i])), find(int(v[i]))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    roots = np.array([find(i) for i in range(n)])
-    _, labels = np.unique(roots, return_inverse=True)
+    _, labels = components(n, u[keep], v[keep])
     return labels

@@ -4,7 +4,9 @@ The paper: *"The ECL-MST implementation verifies the solution at the
 end of each run by comparing it to the solution of a serial
 implementation of Kruskal's algorithm."*  Because the ``weight:edge-ID``
 keys are unique, the MSF is *unique*, so verification can require the
-exact same edge set, not merely the same total weight.
+exact same edge set, not merely the same total weight.  The serial
+Kruskal here is SciPy's compiled one, run on the packed-key ranks; it
+shares no code with the union engine under test.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from ..errors import VerificationError
 from ..graph.csr import CSRGraph
+from ..graph.properties import spanning_forest
 from ..gpusim.atomics import pack_keys
 from .result import MstResult
 
@@ -22,28 +25,13 @@ __all__ = ["reference_mst_mask", "verify_mst", "VerificationError"]
 def reference_mst_mask(graph: CSRGraph) -> np.ndarray:
     """Boolean per-edge-ID mask of the unique MSF, by serial Kruskal.
 
-    Edges are processed in increasing packed-key order (weight, then
-    edge ID — the same deterministic tie-break ECL-MST's atomicMin
-    uses) with a path-compressed union-find.
+    Edges are ranked by packed key (weight, then edge ID — the same
+    deterministic tie-break ECL-MST's atomicMin uses).
     """
     u, v, w, eid = graph.undirected_edges()
     order = np.argsort(pack_keys(w, eid), kind="stable")
-    parent = np.arange(graph.num_vertices, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = int(parent[root])
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
     mask = np.zeros(graph.num_edges, dtype=bool)
-    for i in order:
-        ra, rb = find(int(u[i])), find(int(v[i]))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            mask[eid[i]] = True
+    mask[eid] = spanning_forest(graph.num_vertices, u, v, order)
     return mask
 
 

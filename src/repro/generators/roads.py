@@ -8,7 +8,9 @@ reproduce those properties by construction:
 1. scatter ``n`` points uniformly in the unit square,
 2. Delaunay-triangulate them (planar candidate edge set),
 3. take the *Euclidean MST* of the triangulation as the backbone —
-   always connected, maximum degree ≤ 6,
+   always connected, maximum degree ≤ 6 (the standard EMST
+   construction: an ordinary MSF over the Delaunay edges ranked by
+   (length, index)),
 4. add the shortest remaining triangulation edges (with a little
    jitter so the selection isn't purely radial) until the target
    average degree is met,
@@ -25,6 +27,7 @@ from scipy.spatial import Delaunay
 
 from ..graph.build import from_edge_arrays
 from ..graph.csr import CSRGraph
+from ..graph.properties import spanning_forest
 
 __all__ = ["road_network"]
 
@@ -43,30 +46,10 @@ def _delaunay_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _euclidean_mst_mask(
     points: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Kruskal over the candidate edges by length; True = backbone edge."""
+    """MSF of the candidate edges by (length, index); True = backbone edge."""
     lengths = np.linalg.norm(points[lo] - points[hi], axis=1)
     order = np.argsort(lengths, kind="stable")
-    parent = np.arange(points.shape[0], dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = int(parent[root])
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
-    mask = np.zeros(lo.size, dtype=bool)
-    remaining = points.shape[0] - 1
-    for i in order:
-        if remaining == 0:
-            break
-        ra, rb = find(int(lo[i])), find(int(hi[i]))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            mask[i] = True
-            remaining -= 1
-    return mask
+    return spanning_forest(points.shape[0], lo, hi, order)
 
 
 def road_network(

@@ -56,6 +56,28 @@ class TestClustering:
         with pytest.raises(ValueError):
             single_linkage_labels(triangle, k=0)
 
+    @pytest.mark.parametrize(
+        "k, expected",
+        [
+            (1, [0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (2, [0, 0, 1, 1, 0, 0, 0, 1, 0]),
+            (3, [0, 1, 2, 2, 0, 1, 1, 2, 0]),
+            (4, [0, 1, 2, 3, 0, 1, 1, 2, 0]),
+            (9, [0, 1, 2, 3, 4, 5, 6, 7, 8]),
+        ],
+    )
+    def test_exact_labels_pinned(self, k, expected):
+        # Clusters interleave vertex IDs, so the label *numbering* (by
+        # each cluster's lowest vertex) is pinned, not just the partition.
+        g = make_graph(
+            9,
+            [(0, 4, 3), (4, 8, 5), (1, 5, 2), (5, 6, 4), (2, 7, 1), (3, 7, 6),
+             (0, 1, 40), (6, 2, 50), (3, 8, 45), (1, 2, 60)],
+        )
+        labels = single_linkage_labels(g, k)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == expected
+
     def test_monotone_cluster_counts(self, medium_graph):
         n_cc, _ = connected_components(medium_graph)
         prev = None

@@ -154,7 +154,41 @@ class TestScaleFree:
         assert g.degrees().max() > 20
 
 
+# graph_fingerprint digests of every suite input at scale 0.05, seed 7.
+# Any change to a generator's output (topology or weights) shows here,
+# including the road backbone's tie-break on equal lengths.
+SUITE_DIGESTS = {
+    "2d-2e20.sym": "f56090e6250cf079",
+    "amazon0601": "4e6f939dc1c3558a",
+    "as-skitter": "f9496c28eaad963e",
+    "citationCiteseer": "bbfbbedac253a2e4",
+    "cit-Patents": "857a2f4109a90505",
+    "coPapersDBLP": "aef8f8602a20e5b1",
+    "delaunay_n24": "05019e3d1ea8fb7a",
+    "europe_osm": "94c36654482a1d1e",
+    "in-2004": "364ca8d0d94ae045",
+    "internet": "d0ea2557393de3a5",
+    "kron_g500-logn21": "3977e094bf60d5ec",
+    "r4-2e23.sym": "016e0dba0a31638d",
+    "rmat16.sym": "d7bf927607a841f8",
+    "rmat22.sym": "28a0843f43660a96",
+    "soc-LiveJournal1": "c5eae662eab8f504",
+    "USA-road-d.NY": "153e37d9c80317e1",
+    "USA-road-d.USA": "a2be8b42dbbb15df",
+}
+
+
 class TestSuite:
+    def test_digests_cover_the_suite(self):
+        assert set(SUITE_DIGESTS) == set(suite.INPUT_NAMES)
+
+    @pytest.mark.parametrize("name", suite.INPUT_NAMES)
+    def test_output_is_pinned(self, name):
+        from repro.obs.profile import graph_fingerprint
+
+        g = suite.build(name, scale=0.05, seed=7)
+        assert graph_fingerprint(g)["digest"] == SUITE_DIGESTS[name]
+
     def test_all_seventeen_inputs_present(self):
         assert len(suite.SUITE) == 17
         assert set(suite.PAPER_TABLE2) == set(suite.SUITE)

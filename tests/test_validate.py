@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.baselines import kruskal_serial_mst
 from repro.core.eclmst import ecl_mst
 from repro.core.validate import MsfValidationError, validate_msf
+from repro.core.verify import reference_mst_mask
+from repro.generators import suite
 from repro.graph.build import build_csr
+from repro.graph.properties import connected_components
 
 from helpers import make_graph
 
@@ -56,6 +60,37 @@ class TestRejectsInvalid:
         with pytest.raises(MsfValidationError, match="non-minimal"):
             validate_msf(r)
 
+    def test_longer_mask_rejected(self, triangle):
+        r = ecl_mst(triangle)
+        r.in_mst = np.append(r.in_mst, True)  # names an edge that is not there
+        with pytest.raises(MsfValidationError, match="malformed mask"):
+            validate_msf(r)
+
+    def test_shorter_mask_rejected(self, paper_figure1):
+        r = ecl_mst(paper_figure1)
+        r.in_mst = r.in_mst[:-1]
+        with pytest.raises(MsfValidationError, match="malformed mask"):
+            validate_msf(r)
+
+    def test_cycle_names_first_closing_edge(self, two_components):
+        r = ecl_mst(two_components)
+        r.in_mst[:] = True
+        r.num_mst_edges = two_components.num_edges
+        # Edges by ID: (0,1), (0,2), (1,2), ... — (1, 2) closes the first loop.
+        with pytest.raises(MsfValidationError, match=r"\(1, 2\) closes a loop"):
+            validate_msf(r)
+
+    def test_non_minimal_names_lightest_differing_edge(self):
+        g = make_graph(4, [(0, 1, 1), (1, 2, 2), (0, 2, 30), (2, 3, 40), (1, 3, 50)])
+        u, v, w, eid = g.undirected_edges()
+        r = ecl_mst(g)
+        # Swap in both heavy edges: (1, 2, w=2) is the lightest difference.
+        mask = np.zeros(g.num_edges, dtype=bool)
+        mask[eid[(w == 1) | (w == 30) | (w == 50)]] = True
+        r.in_mst, r.num_mst_edges, r.total_weight = mask, 3, 81
+        with pytest.raises(MsfValidationError, match=r"skipped edge \(1, 2, w=2\)"):
+            validate_msf(r)
+
     def test_wrong_weight_detected(self, medium_graph):
         r = ecl_mst(medium_graph)
         r.total_weight += 5
@@ -88,3 +123,16 @@ def test_property_every_result_validates(n, m, seed):
         rng.integers(1, 500, m),
     )
     validate_msf(ecl_mst(g))
+
+
+@pytest.mark.parametrize("name", suite.INPUT_NAMES)
+def test_suite_references_agree(name):
+    """Three independent checks agree on every suite input: the compiled
+    reference equals the "PBBS Ser." Python Kruskal, ECL-MST validates,
+    and the component count is |V| - |MSF|."""
+    g = suite.build(name, scale=0.05, seed=7)
+    ref = reference_mst_mask(g)
+    assert np.array_equal(ref, kruskal_serial_mst(g).in_mst)
+    validate_msf(ecl_mst(g))
+    count, _ = connected_components(g)
+    assert count == g.num_vertices - int(np.count_nonzero(ref))
