@@ -1,9 +1,9 @@
 """Per-run scratch-array arena.
 
 The kernels allocate the same short-lived arrays every round — cross
-masks, packed atomicMin keys, conflict-resolution tables — and at
-service rates (many solver executions per request, PR 4/8) the
-allocator churn shows up as real host wall-clock.  A
+masks, packed atomicMin keys, endpoint tag columns — and at service
+rates (many solver executions per request) the allocator churn shows
+up as real host wall-clock.  A
 :class:`ScratchArena` hands out named, capacity-doubling buffers that
 live for one run (one :class:`~repro.core.kernels.MstState`), so each
 round reuses the previous round's memory.
@@ -38,28 +38,21 @@ class ScratchArena:
         dtype: np.dtype | type = np.int64,
         *,
         fill=None,
-        fill_new=None,
     ) -> np.ndarray:
         """A length-``size`` scratch view named ``name``.
 
         Grows (never shrinks) the backing buffer; a grown buffer at
         least doubles so repeated near-miss sizes don't reallocate
         every round.  ``fill`` initializes the view on every call;
-        ``fill_new`` initializes the whole backing buffer only when it
-        was (re)allocated — for sentinel tables whose users restore
-        the fill invariant themselves after each use.  Otherwise
-        contents are whatever the last user left behind.
+        otherwise contents are whatever the last user left behind.
         """
         size = int(size)
         dt = np.dtype(dtype)
         self.requests += 1
         buf = self._buffers.get(name)
-        fresh = buf is None or buf.dtype != dt or buf.size < size
-        if fresh:
+        if buf is None or buf.dtype != dt or buf.size < size:
             cap = size if buf is None else max(size, 2 * buf.size)
             buf = np.empty(cap, dtype=dt)
-            if fill_new is not None:
-                buf.fill(fill_new)
             self._buffers[name] = buf
         else:
             self.reuses += 1

@@ -54,13 +54,6 @@ def _check_deadline(deadline: float | None, rounds: int) -> None:
         )
 
 
-def _edge_weight_table(graph: CSRGraph) -> np.ndarray:
-    """weight per undirected edge ID (for the final tally)."""
-    table = np.zeros(graph.num_edges, dtype=np.int64)
-    table[graph.edge_ids] = graph.weights
-    return table
-
-
 def _run_data_driven_loop(
     state: MstState,
     weight_of_edge: np.ndarray,
@@ -378,7 +371,7 @@ def ecl_mst(
             state = MstState.create(graph, config, device)
             if injector is not None:
                 injector.bind_state(state)
-            weight_of_edge = _edge_weight_table(graph)
+            weight_of_edge = graph.edge_weight_table()
 
         guard = None
         if resilience is not None:
@@ -435,7 +428,7 @@ def ecl_mst(
                 resilience_fallback=degraded,
             )
 
-    total_weight = int(weight_of_edge[sel].sum()) if sel.any() else 0
+    total_weight = int(weight_of_edge[sel].sum(dtype=np.int64))
     # Host<->device traffic for the "memcpy" rows: CSR down, edge mask up.
     graph_bytes = (
         4.0 * (graph.num_vertices + 1) + 8.0 * graph.num_directed_edges

@@ -23,7 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dsu.vectorized import compress_halving_many, find_many, resolve_roots
+from ..dsu.vectorized import (
+    compress_halving_many,
+    find_many_columns,
+    resolve_roots,
+)
 from ..errors import InvariantViolation
 from ..graph.csr import CSRGraph
 from ..gpusim.atomics import KEY_INFINITY, atomic_min_u64, pack_keys
@@ -53,8 +57,8 @@ class MstState:
     in_mst: np.ndarray
     wl: Worklist = field(default_factory=Worklist)
     # Per-run scratch buffer pool: round-local arrays (cross masks,
-    # packed keys, conflict tables) reuse the previous round's storage
-    # instead of churning the allocator.
+    # packed keys) reuse the previous round's storage instead of
+    # churning the allocator.
     arena: ScratchArena = field(default_factory=ScratchArena)
     # Representatives computed by the most recent k1/k2, reused by the
     # next kernel in the same round (the real code re-derives them from
@@ -124,20 +128,24 @@ class MstState:
         return self._vcount
 
     # ------------------------------------------------------------------
-    def find_entries(self, xs: np.ndarray) -> tuple[np.ndarray, int, int]:
-        """Resolve representatives for worklist endpoints.
+    def find_entries(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """Resolve representatives for both worklist endpoint columns.
 
-        Returns ``(roots, loads, writes)``.  Under implicit path
+        Returns ``(p, q, loads, writes)``.  Under implicit path
         compression the entries already sit at (or one hop from) their
-        roots, so a plain read-only find is cheapest; the de-optimized
-        variant uses explicit GPU path halving, which costs extra loads
-        and compression writes.
+        roots, so a plain read-only find is cheapest, and one
+        root/depth table serves both columns; the de-optimized variant
+        uses explicit GPU path halving, which costs extra loads and
+        compression writes.
         """
         if self.config.implicit_path_compression:
-            roots, loads = find_many(self.parent, xs)
-            return roots, loads, 0
-        roots, loads, writes = compress_halving_many(self.parent, xs)
-        return roots, loads, writes
+            (p, lp), (q, lq) = find_many_columns(self.parent, xs, ys)
+            return p, q, lp + lq, 0
+        p, lp, wp = compress_halving_many(self.parent, xs)
+        q, lq, wq = compress_halving_many(self.parent, ys)
+        return p, q, lp + lq, wp + wq
 
 
 # ----------------------------------------------------------------------
@@ -224,9 +232,7 @@ def kernel_init_populate(
     if phase == 2:
         # Filtering: replace endpoints by representatives and drop the
         # edges that have become internal to a component (cycles).
-        p, lp, _ = state.find_entries(v_sel)
-        q, lq, _ = state.find_entries(n_sel)
-        find_loads = lp + lq
+        p, q, find_loads, _ = state.find_entries(v_sel, n_sel)
         keep = np.flatnonzero(p != q)
         if cfg.implicit_path_compression:
             v_sel, n_sel = p[keep], q[keep]
@@ -293,9 +299,7 @@ def kernel1_reserve(state: MstState) -> int:
     cfg, dev = state.config, state.device
     wl = state.wl.front
 
-    p, loads_v, writes_v = state.find_entries(wl.v)
-    q, loads_n, writes_n = state.find_entries(wl.n)
-    loads = loads_v + loads_n
+    p, q, loads, writes = state.find_entries(wl.v, wl.n)
 
     cross = np.not_equal(
         p, q, out=state.arena.take("k1.cross", p.size, np.bool_)
@@ -374,7 +378,7 @@ def kernel1_reserve(state: MstState) -> int:
     bytes_ = (
         eb * n_items  # worklist reads
         + costs.FIND_JUMP_BYTES * loads  # parent chasing
-        + costs.FIND_JUMP_BYTES * (writes_v + writes_n)  # halving writes
+        + costs.FIND_JUMP_BYTES * writes  # halving writes
         + 2 * costs.SCATTER_ACCESS_BYTES * survivors  # minEdge guard loads
         + costs.SCATTER_ACCESS_BYTES * executed  # atomicMin stores
         + web * appends  # worklist writes
@@ -457,210 +461,59 @@ def _union_scalar(
     return cas_attempts, union_loads, added, mirror_dups
 
 
-_NO_WRITER = np.iinfo(np.int64).max
-
-
-def _winner_components(
-    state: "MstState", ra: np.ndarray, rb: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Label each pending winner with its root-pair-graph component.
-
-    Blocking can only propagate along chains of winners that share
-    roots (transitively): a winner's eventual link always targets a
-    root inside its connected component of the pending root-pair
-    graph.  The labels are computed *once* per union call — links
-    never leave their component, so a winner's label stays valid for
-    every later wave even as its resolved roots move.
-
-    The label graph is compacted to the pending roots through a dirty
-    arena mark/map table pair (no sort, no ``unique``) so scipy's
-    component run scales with the winner count, not ``|V|``.  The
-    mark table's all-``False`` invariant is restored before returning,
-    which is what makes it reusable without a per-call memset.
-    """
-    # Deferred import: keeps scipy off the package-import path.
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    mark = state.arena.take(
-        "k2.mark", state.graph.num_vertices, np.bool_, fill_new=False
-    )
-    mark[ra] = True
-    mark[rb] = True
-    nodes = np.flatnonzero(mark)
-    mark[nodes] = False
-    cmap = state.arena.take("k2.cmap", state.graph.num_vertices)
-    cmap[nodes] = np.arange(nodes.size, dtype=np.int64)
-    ia = cmap[ra]
-    ib = cmap[rb]
-    g = coo_matrix(
-        (np.ones(ra.size, dtype=np.int8), (ia, ib)),
-        shape=(nodes.size, nodes.size),
-    )
-    ncomp, labels = connected_components(g, directed=False)
-    return labels[ia], int(ncomp)
-
-
-def _union_batched(
+def _union_overlay(
     state: MstState,
     p: np.ndarray,
     q: np.ndarray,
     eids: np.ndarray,
     win_idx: np.ndarray,
 ) -> tuple[int, int, int, int]:
-    """Vectorized union engine, bit-identical to :func:`_union_scalar`.
+    """Exact union engine, bit-identical to :func:`_union_scalar`.
 
-    The scalar loop serializes winners in worklist order: winner ``i``
-    resolves both roots *after* winners ``< i`` have applied their
-    links, and the cost model charges its actual pointer walks.  The
-    batched engine reproduces that serialization exactly with
-    per-component prefix-commit waves:
-
-    * resolve all pending winners' roots at once (batched pointer
-      jumping with per-lane hop counts);
-    * a winner is *blocked* when an earlier pending winner's tentative
-      link rewrites one of its resolved roots (``first`` maps each
-      would-be-overwritten root to the earliest such writer);
-    * every link — tentative or eventual — stays inside the connected
-      component of the pending winner-root graph that spawned it, so
-      blocking cannot cross components.  Each component therefore
-      commits its winners up to its own first blocked one, all in one
-      conflict-free scatter (a duplicate target root would have
-      blocked), and defers the rest to the next wave, resuming each
-      deferred walk from its already-resolved root so hop counts stay
-      additive and exact.  Component labels are computed lazily, at
-      most once per call (:func:`_winner_components`) — links never
-      leave their component, so the labels survive every wave.
-
-    Why a committed winner matches the sequential loop bit for bit:
-    mid-path nodes are never roots and links only ever target
-    wave-start roots, so its resolved parent chain is untouched by
-    earlier commits (same component ⇒ it would have been blocked;
-    different component ⇒ disjoint roots).  A deferred winner's
-    *eventual* link can differ from its tentative one, which is
-    exactly why everything after a component's first blocked winner
-    waits.  Each component's earliest pending winner is never blocked,
-    so every wave drains every component by at least one winner and
-    the loop terminates.  Loads follow the scalar convention (path
-    length + 1 per endpoint): ``total hops + 2 per winner``.
+    Every link joins two *current* roots, and a vertex that is not a
+    root when the call starts never changes parent during it.  So the
+    scalar walk from ``p[i]`` is its start-of-call path, resolved for
+    all winners at once, followed by a walk over the links this call
+    has already made.  Those links live in a small overlay dict
+    (``up[hi] = lo``) that the winners walk in worklist order; ``parent``
+    receives them in one scatter at the end.  Loads follow the scalar
+    convention (path length + 1 per endpoint): resolve hops + overlay
+    hops + ``2 m``.  A corrupted ``parent`` raises from
+    :func:`resolve_roots` before anything is written.
     """
     m = int(win_idx.size)
-    if m <= 64:
-        # Batch overheads beat the loop only past a few dozen winners;
-        # the reference loop is exact by definition.
-        return _union_scalar(state, p, q, eids, win_idx)
-    parent = state.parent
-    in_mst = state.in_mst
-    # first[x]: earliest pending winner whose tentative link would
-    # overwrite root x this wave.  The table persists dirty between
-    # waves and calls; each wave sentinel-cleans just the slots it
-    # reads (its own roots) before tagging writers.
-    first = state.arena.take("k2.first", state.graph.num_vertices)
-    written = state.arena.take(
-        "k2.written", state.graph.num_vertices, np.bool_
-    )
-    grp = None
-    min_blocked = None
-    pend_eid = eids[win_idx]
-    ra, hops = resolve_roots(parent, p[win_idx], kernel="k2_union")
-    total_hops = int(hops.sum())
-    rb, hops = resolve_roots(parent, q[win_idx], kernel="k2_union")
-    total_hops += int(hops.sum())
-    added = 0
-    mirror_dups = 0
-    while True:
-        link = ra != rb
-        hi = np.maximum(ra, rb)
-        lo = np.minimum(ra, rb)
-        first[ra] = _NO_WRITER
-        first[rb] = _NO_WRITER
-        # Reverse-order assignment keeps the *first* writer per root.
-        rev = np.flatnonzero(link)[::-1]
-        first[hi[rev]] = rev
-        seq = np.arange(ra.size, dtype=np.int64)
-        blocked = (first[ra] < seq) | (first[rb] < seq)
-        if blocked.any():
-            if grp is None:
-                cut = int(np.argmax(blocked))
-                if 2 * cut >= blocked.size or blocked.size < 256:
-                    # Deferring everything past the first blocked
-                    # winner is always a legal (stricter) quarantine;
-                    # when the cut is already deep — or the tail is
-                    # tiny — it beats paying for component labels.
-                    deferred = seq >= cut
-                else:
-                    grp, ncomp = _winner_components(state, ra, rb)
-                    min_blocked = state.arena.take("k2.minblk", ncomp)
-            if grp is not None:
-                # Per-component first blocked position; the table is
-                # spot-cleaned over this wave's groups, like `first`.
-                # Once labels exist they beat the prefix cut every
-                # wave: each component stalls only on itself.
-                min_blocked[grp] = _NO_WRITER
-                bsel = np.flatnonzero(blocked)[::-1]
-                min_blocked[grp[bsel]] = seq[bsel]
-                deferred = blocked | (min_blocked[grp] < seq)
-            commit = ~deferred
-            cl = commit & link
+    ra, hops_a = resolve_roots(state.parent, p[win_idx], kernel="k2_union")
+    rb, hops_b = resolve_roots(state.parent, q[win_idx], kernel="k2_union")
+    up: dict[int, int] = {}
+    dups = []
+    hops = 0
+    for i, (a, b) in enumerate(zip(ra.tolist(), rb.tolist())):
+        while a in up:
+            a = up[a]
+            hops += 1
+        while b in up:
+            b = up[b]
+            hops += 1
+        if a < b:
+            up[b] = a
+        elif b < a:
+            up[a] = b
         else:
-            deferred = None
-            cl = link
-        # Commit in one scatter (targets are provably distinct).
-        chi = hi[cl]
-        parent[chi] = lo[cl]
-        ce = pend_eid[cl]
-        added += int(np.count_nonzero(~in_mst[ce]))
-        in_mst[ce] = True
-        if deferred is None:
-            mirror_dups += int(np.count_nonzero(~link))
-            break
-        mirror_dups += int(np.count_nonzero(commit & ~link))
-        retired = int(np.count_nonzero(commit))
-        ra = ra[deferred]
-        rb = rb[deferred]
-        pend_eid = pend_eid[deferred]
-        if grp is not None:
-            grp = grp[deferred]
-        if ra.size > 256 and retired * 16 < retired + ra.size:
-            # Straggler tail: per-wave progress has collapsed (one
-            # giant conflict component is serializing the wave loop),
-            # so each further wave pays O(pending) for few commits.
-            # Finish the tail sequentially from the already-resolved
-            # roots; ``loads - 1`` per endpoint because the batched
-            # accounting already charges the final +1 via ``2 * m``.
-            for i in range(ra.size):
-                a, la = _find_root(parent, int(ra[i]))
-                b, lb = _find_root(parent, int(rb[i]))
-                total_hops += la + lb - 2
-                if a == b:
-                    mirror_dups += 1
-                    continue
-                sa, sb = (a, b) if a < b else (b, a)
-                parent[sb] = sa
-                e = int(pend_eid[i])
-                if not in_mst[e]:
-                    in_mst[e] = True
-                    added += 1
-            break
-        # Only walks whose resolved root was just overwritten move;
-        # re-resolve exactly those, keeping hop sums additive (total
-        # resolve work stays proportional to the loads the cost model
-        # charges).  Both tables are spot-cleaned, never bulk-filled.
-        written[ra] = False
-        written[rb] = False
-        written[chi] = True
-        ta = np.flatnonzero(written[ra])
-        tb = np.flatnonzero(written[rb])
-        if ta.size or tb.size:
-            r2, hops = resolve_roots(
-                parent,
-                np.concatenate((ra[ta], rb[tb])),
-                kernel="k2_union",
-            )
-            ra[ta] = r2[: ta.size]
-            rb[tb] = r2[ta.size :]
-            total_hops += int(hops.sum())
-    return m, total_hops + 2 * m, added, mirror_dups
+            dups.append(i)
+    added = 0
+    if up:
+        n = len(up)
+        state.parent[np.fromiter(up, np.int64, n)] = np.fromiter(
+            up.values(), np.int64, n
+        )
+        ce = eids[np.delete(win_idx, dups) if dups else win_idx]
+        # Sorted, so an edge ID linked twice counts once, as in the
+        # scalar loop.
+        fresh = np.sort(ce[~state.in_mst[ce]])
+        added = int(fresh.size) - int(np.count_nonzero(fresh[1:] == fresh[:-1]))
+        state.in_mst[fresh] = True
+    loads = int(hops_a.sum()) + int(hops_b.sum()) + hops + 2 * m
+    return m, loads, added, len(dups)
 
 
 def kernel2_union(state: MstState) -> int:
@@ -687,9 +540,7 @@ def kernel2_union(state: MstState) -> int:
         loads = 0
         writes = 0
     else:
-        p, lv, wv = state.find_entries(wl.v)
-        q, ln_, wn = state.find_entries(wl.n)
-        loads, writes = lv + ln_, wv + wn
+        p, q, loads, writes = state.find_entries(wl.v, wl.n)
     state._round_p, state._round_q = p, q
 
     if state._round_val is not None and state._round_val_key is wl.eid:
@@ -703,7 +554,7 @@ def kernel2_union(state: MstState) -> int:
     # Winner edges are guaranteed acyclic (each is the unique minimum
     # of at least one of its sets), so the unions commute; we apply
     # them in worklist order, simulating the CAS retry loop.
-    union = _union_batched if cfg.engine == "vectorized" else _union_scalar
+    union = _union_overlay if cfg.engine == "vectorized" else _union_scalar
     cas_attempts, union_loads, added, mirror_dups = union(
         state, p, q, wl.eid, win_idx
     )

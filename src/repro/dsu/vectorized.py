@@ -22,9 +22,11 @@ Two evaluations give identical roots and load counts:
 :func:`find_many` picks the table for batches of at least
 ``_TABLE_LANES_PER_VERTEX`` lanes per vertex — init's filtering pass
 and k1 on dense graphs resolve many times |V| lanes against a shallow
-forest — and the lane walk otherwise.  Corrupted state (an
-out-of-range pointer or a cycle anywhere in ``parent``) always takes
-the lane walk, so only lanes that actually reach it raise.
+forest — and the lane walk otherwise; :func:`find_many_columns` lets
+one table serve both endpoint columns of such a batch.  Corrupted
+state (an out-of-range pointer or a cycle anywhere in ``parent``)
+always takes the lane walk, so only lanes that actually reach it
+raise.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ import numpy as np
 
 from ..errors import InvariantViolation
 
-__all__ = ["find_many", "compress_halving_many", "resolve_roots"]
+__all__ = [
+    "find_many",
+    "find_many_columns",
+    "compress_halving_many",
+    "resolve_roots",
+]
 
 # Batch size, in lanes per vertex, from which find_many answers from the
 # root/depth table.  The lane walk is cheapest when most lanes already
@@ -165,21 +172,38 @@ def find_many(parent: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, int]:
     every lane already sits at its root, when they may be ``xs``
     itself.
     """
-    xs = np.asarray(xs)
+    return find_many_columns(parent, xs)[0]
+
+
+def find_many_columns(
+    parent: np.ndarray, *cols: np.ndarray
+) -> list[tuple[np.ndarray, int]]:
+    """:func:`find_many` of each column, sharing one root/depth table.
+
+    The crossover counts the lanes of all columns together, so a
+    kernel resolving both endpoint columns of a worklist builds the
+    table at most once.  Roots and counts equal per-column
+    :func:`find_many` calls; on a corrupted ``parent`` the columns are
+    walked in order, so the first column that reaches the corruption
+    raises.
+    """
+    arrs = [np.asarray(c) for c in cols]
+    lanes = sum(c.size for c in arrs)
     # Negative lanes wrap differently in the two evaluations.
     if (
-        xs.size
-        and xs.size >= _TABLE_LANES_PER_VERTEX * parent.size
-        and int(xs.min()) >= 0
+        lanes
+        and lanes >= _TABLE_LANES_PER_VERTEX * parent.size
+        and all(c.size == 0 or int(c.min()) >= 0 for c in arrs)
     ):
         table = _root_depth_table(parent)
         if table is not None:
             root, depth = table
-            return root[xs], int(xs.size + int(depth[xs].sum()))
-    roots, hops = resolve_roots(parent, xs, kernel="find_many")
-    if roots.size == 0:
-        return roots, 0
-    return roots, int(roots.size + int(hops.sum()))
+            return [(root[c], int(c.size + int(depth[c].sum()))) for c in arrs]
+    out = []
+    for c in arrs:
+        roots, hops = resolve_roots(parent, c, kernel="find_many")
+        out.append((roots, int(roots.size + int(hops.sum()))))
+    return out
 
 
 def compress_halving_many(

@@ -56,6 +56,12 @@ class CSRGraph:
     edge_ids: np.ndarray
     name: str = "graph"
     _degree_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _num_edges_cache: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _edge_weight_cache: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.row_ptr = np.ascontiguousarray(self.row_ptr, dtype=INDEX_DTYPE)
@@ -87,10 +93,12 @@ class CSRGraph:
 
     @property
     def num_edges(self) -> int:
-        """Number of *undirected* edges ``|E|``."""
-        if self.edge_ids.size == 0:
-            return 0
-        return int(self.edge_ids.max()) + 1
+        """Number of *undirected* edges ``|E|`` (cached)."""
+        if self._num_edges_cache is None:
+            self._num_edges_cache = (
+                int(self.edge_ids.max()) + 1 if self.edge_ids.size else 0
+            )
+        return self._num_edges_cache
 
     # ------------------------------------------------------------------
     # Neighborhood access
@@ -100,6 +108,19 @@ class CSRGraph:
         if self._degree_cache is None:
             self._degree_cache = np.diff(self.row_ptr)
         return self._degree_cache
+
+    def edge_weight_table(self) -> np.ndarray:
+        """Weight per undirected edge ID (cached, read-only).
+
+        Kept in the 32-bit weight dtype; sum it with an int64
+        accumulator.
+        """
+        if self._edge_weight_cache is None:
+            table = np.zeros(self.num_edges, dtype=WEIGHT_DTYPE)
+            table[self.edge_ids] = self.weights
+            table.flags.writeable = False
+            self._edge_weight_cache = table
+        return self._edge_weight_cache
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbor vertex IDs of ``v`` (a view, do not mutate)."""

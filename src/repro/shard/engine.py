@@ -62,12 +62,6 @@ __all__ = ["sharded_mst", "BYTES_PER_EDGE"]
 BYTES_PER_EDGE = 16
 
 
-def _edge_weight_table(graph: CSRGraph) -> np.ndarray:
-    table = np.zeros(graph.num_edges, dtype=np.int64)
-    table[graph.edge_ids] = graph.weights
-    return table
-
-
 def _clean_resilience(resilience):
     """Per-shard copy of a ResilienceConfig without the smuggled global
     reference mask (a local run must verify against its *own* subgraph,
@@ -320,8 +314,8 @@ def sharded_mst(
             }
         )
 
-    weight_of_edge = _edge_weight_table(graph)
-    total_weight = int(weight_of_edge[sel].sum()) if sel.any() else 0
+    weight_of_edge = graph.edge_weight_table()
+    total_weight = int(weight_of_edge[sel].sum(dtype=np.int64))
     rounds_total = max((r.rounds for r in local), default=0) + (
         merge_res.rounds if merge_res is not None else 0
     )

@@ -1,4 +1,4 @@
-"""ScratchArena semantics: reuse, growth, and the two fill modes."""
+"""ScratchArena semantics: reuse, growth, and the fill option."""
 
 import numpy as np
 
@@ -38,19 +38,6 @@ def test_fill_initializes_every_call():
     v[:] = 9
     v = a.take("x", 4, fill=0)
     assert (v == 0).all()
-
-
-def test_fill_new_initializes_only_fresh_buffers():
-    a = ScratchArena()
-    v = a.take("mark", 4, np.bool_, fill_new=False)
-    assert not v.any()  # fresh allocation was filled
-    v[1] = True  # user breaks then restores the invariant...
-    v[1] = False
-    v[2] = True  # ...or doesn't
-    v = a.take("mark", 4, np.bool_, fill_new=False)
-    assert v[2]  # reuse does NOT re-fill: invariant is the caller's job
-    big = a.take("mark", 64, np.bool_, fill_new=False)
-    assert not big.any()  # growth reallocates -> whole buffer refilled
 
 
 def test_nbytes_counts_backing_not_views():

@@ -1,5 +1,5 @@
-"""Differential tests: the batched union engine is bit-identical to
-the scalar reference walk.
+"""Differential tests: the link-overlay union engine is bit-identical
+to the scalar reference walk.
 
 The vectorized engine's contract is not "same MSF" but *same
 everything*: parent forest evolution, MST bitmap, and every modeled
@@ -52,9 +52,9 @@ def test_suite_graphs_bit_identical(name):
     assert_bit_identical(suite.build(name, scale=1.0, seed=7))
 
 
-# Union-heavy inputs at a larger scale exercise the wave machinery
-# (component labeling, prefix deferral, straggler fallback) that tiny
-# graphs skip via the m <= 64 scalar shortcut.
+# Union-heavy inputs at a larger scale give the overlay walks long
+# chains of same-call links, across every worklist and compression
+# mode.
 @pytest.mark.parametrize(
     "name", ["internet", "USA-road-d.NY", "rmat16.sym", "kron_g500-logn21"]
 )
@@ -97,8 +97,8 @@ def test_random_multigraphs_bit_identical(seed):
 
 
 def test_rmat_straggler_path_bit_identical():
-    # Skewed RMAT at this size drives the giant-component serialization
-    # that triggers the batched engine's scalar-finish fallback.
+    # Skewed RMAT at this size links many winners into one hub
+    # component in a single call, so overlay walks run deep.
     assert_bit_identical(rmat(scale=13, edge_factor=8, seed=11))
 
 

@@ -1,16 +1,22 @@
 """Unit tests for the individual ECL-MST kernels (below the driver)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import EclMstConfig
 from repro.core.kernels import (
     MstState,
+    _union_overlay,
+    _union_scalar,
     kernel1_reserve,
     kernel2_union,
     kernel3_reset,
     kernel_init_populate,
 )
+from repro.errors import InvariantViolation
 from repro.gpusim.atomics import KEY_INFINITY, unpack_edge_id
 from repro.gpusim.costmodel import Device
 from repro.gpusim.spec import RTX_3080_TI
@@ -138,7 +144,7 @@ class TestFindEntries:
         state = _state(path_graph)
         state.parent[5] = 4
         before = state.parent.copy()
-        roots, loads, writes = state.find_entries(np.array([5]))
+        roots, _, loads, writes = state.find_entries(np.array([5]), np.array([3]))
         assert roots[0] == 4 and writes == 0
         assert np.array_equal(state.parent, before)
 
@@ -146,6 +152,107 @@ class TestFindEntries:
         state = _state(path_graph, implicit_path_compression=False)
         for i in range(1, 6):
             state.parent[i] = i - 1
-        roots, loads, writes = state.find_entries(np.array([5]))
+        roots, _, loads, writes = state.find_entries(np.array([5]), np.array([0]))
         assert roots[0] == 0
         assert writes > 0  # halving rewrote part of the chain
+
+
+def _forest(rng, n: int, chains: int) -> np.ndarray:
+    """A parent forest over ``n`` vertices: ``chains`` paths through a
+    random vertex order (one path is a depth-(n - 1) chain), or, for
+    ``chains == 0``, random trees with roots mixed in."""
+    order = rng.permutation(n)
+    parent = np.arange(n, dtype=np.int64)
+    if chains:
+        link = np.ones(n, dtype=bool)
+        link[0] = False
+        link[rng.choice(n, min(chains, n) - 1, replace=False)] = False
+        parent[order[link]] = order[np.flatnonzero(link) - 1]
+    else:
+        pick = (rng.random(n) * np.arange(n)).astype(np.int64)
+        attach = rng.random(n) < 0.7
+        attach[0] = False
+        parent[order[attach]] = order[pick[attach]]
+    return parent
+
+
+def _winners(rng, n: int, m: int, hub_share: float):
+    """``(p, q, eids, win_idx)``: ``m`` winners among ``m + extra`` lanes.
+
+    A ``hub_share`` of the winners pair the largest vertex ID with a
+    smaller leaf, leaves in falling ID order, so each link moves the
+    hub component's minimum and later hub walks chase ever longer
+    overlay chains.  Some winners are mirrored duplicates (same edge
+    ID, endpoints swapped) and some are ``p == q`` lanes.
+    """
+    p = rng.integers(0, n, m)
+    q = rng.integers(0, n, m)
+    hub = rng.random(m) < hub_share
+    p[hub] = n - 1
+    q[hub] = np.sort(rng.integers(0, n, int(hub.sum())))[::-1]
+    eids = rng.integers(0, 2 * m + 1, m)
+    mirror = np.flatnonzero(rng.random(m) < 0.15)
+    if mirror.size:
+        src = rng.integers(0, m, mirror.size)
+        p[mirror], q[mirror], eids[mirror] = q[src], p[src], eids[src]
+    same = rng.random(m) < 0.05
+    q[same] = p[same]
+    extra = int(rng.integers(0, 8))
+    lanes = m + extra
+    win_idx = np.sort(rng.choice(lanes, m, replace=False)).astype(np.int64)
+    pl = rng.integers(0, n, lanes)
+    ql = rng.integers(0, n, lanes)
+    el = rng.integers(0, 2 * m + 1, lanes)
+    pl[win_idx], ql[win_idx], el[win_idx] = p, q, eids
+    return pl, ql, el, win_idx
+
+
+def _union_state(parent: np.ndarray, in_mst: np.ndarray) -> SimpleNamespace:
+    return SimpleNamespace(parent=parent.copy(), in_mst=in_mst.copy())
+
+
+class TestUnionOverlay:
+    """The link-overlay union against the scalar reference loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 150),
+        m=st.sampled_from([0, 1, 63, 64, 65, 257, 600]),
+        chains=st.sampled_from([0, 1, 2, 5, 20, 150]),
+        hub_share=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_matches_scalar_loop(self, seed, n, m, chains, hub_share):
+        rng = np.random.default_rng(seed)
+        parent = _forest(rng, n, chains)
+        p, q, eids, win_idx = _winners(rng, n, m, hub_share)
+        in_mst = rng.random(2 * m + 1) < 0.2
+        ref = _union_state(parent, in_mst)
+        got = _union_state(parent, in_mst)
+        expected = _union_scalar(ref, p, q, eids, win_idx)
+        assert _union_overlay(got, p, q, eids, win_idx) == expected
+        assert np.array_equal(got.parent, ref.parent)
+        assert np.array_equal(got.in_mst, ref.in_mst)
+
+    def test_reached_cycle_raises_before_any_write(self):
+        parent = np.arange(8, dtype=np.int64)
+        parent[5], parent[6] = 6, 5  # 2-cycle ...
+        parent[7] = 5  # ... reachable from 7
+        p = np.array([0, 2, 4])
+        q = np.array([1, 3, 7])
+        eids = np.array([0, 1, 2])
+        win_idx = np.arange(3)
+        in_mst = np.zeros(3, dtype=bool)
+        ref = _union_state(parent, in_mst)
+        got = _union_state(parent, in_mst)
+        with pytest.raises(InvariantViolation) as scalar:
+            _union_scalar(ref, p, q, eids, win_idx)
+        with pytest.raises(InvariantViolation) as overlay:
+            _union_overlay(got, p, q, eids, win_idx)
+        for err in (scalar.value, overlay.value):
+            assert (err.invariant, err.kernel) == ("parent-acyclic", "k2_union")
+        # The scalar loop linked two winners before it hit the cycle;
+        # the overlay resolves every start-of-call root first.
+        assert ref.in_mst[:2].all()
+        assert np.array_equal(got.parent, parent)
+        assert not got.in_mst.any()

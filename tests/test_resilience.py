@@ -112,14 +112,13 @@ class TestZeroOverhead:
 class TestInvariants:
     def _state(self, graph):
         from repro.core.config import EclMstConfig
-        from repro.core.eclmst import _edge_weight_table
         from repro.core.kernels import MstState, kernel_init_populate
         from repro.gpusim.costmodel import Device
         from repro.gpusim.spec import RTX_3080_TI
 
         state = MstState.create(graph, EclMstConfig(), Device(RTX_3080_TI))
         kernel_init_populate(state, None, phase=0)
-        return state, _edge_weight_table(graph)
+        return state, graph.edge_weight_table()
 
     def test_clean_state_passes(self, graph):
         state, wt = self._state(graph)
