@@ -360,7 +360,6 @@ def _cmd_chaos(args) -> int:
         faults_per_trial=args.faults_per_trial,
         resilience=resilience,
         progress=progress,
-        shards=args.shards,
     )
     print(report.render())
     return 0 if report.escaped == 0 else 1
@@ -495,7 +494,6 @@ def _service_from_args(args):
             graph_cache_size=args.graph_cache_size,
             max_queue_depth=args.queue_depth,
             default_timeout_s=args.timeout,
-            shards=getattr(args, "shards", 1),
             engine=getattr(args, "engine", "vectorized"),
             # Admin endpoints imply profile retention (/profilez).
             keep_profile=getattr(args, "admin_port", None) is not None,
@@ -630,28 +628,11 @@ def _cmd_mst(args) -> int:
         g,
         EclMstConfig(engine=args.engine),
         verify=args.verify,
-        shards=args.shards,
-        shard_strategy=args.shard_strategy,
     )
     print(
         f"MSF of {args.graph}: {r.num_mst_edges} edges, "
         f"weight {r.total_weight}, {r.rounds} rounds"
     )
-    sh = r.extra.get("shard")
-    if sh:
-        print(
-            f"sharded across {sh['shards']} devices ({sh['strategy']}): "
-            f"imbalance {sh['imbalance']:.3f}, cut edges {sh['cut_edges']}, "
-            f"comms share {sh['comms_time_share']:.1%} "
-            f"of {r.modeled_seconds * 1e3:.3f} ms modeled"
-        )
-        for dev in sh["devices"]:
-            print(
-                f"  shard {dev['shard']}: {dev['vertices']} vertices, "
-                f"{dev['edges']} edges, "
-                f"local {dev['local_seconds'] * 1e3:.3f} ms, "
-                f"sent {dev['boundary_edges_sent']} boundary edges"
-            )
     if args.out:
         u, v, w = r.edges()
         with open(args.out, "w") as f:
@@ -835,19 +816,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mst.add_argument("--verify", action="store_true")
     p_mst.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     p_mst.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="simulated devices to shard across (1 = single-GPU)",
-    )
-    p_mst.add_argument(
-        "--shard-strategy",
-        choices=("contiguous", "hash"),
-        default="contiguous",
-        dest="shard_strategy",
-        help="vertex partitioner for --shards > 1",
-    )
-    p_mst.add_argument(
         "--engine",
         choices=("vectorized", "scalar"),
         default="vectorized",
@@ -895,13 +863,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         help="modeled-hardware slowdown factor for --serve",
-    )
-    p_chaos.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard the solver across N simulated devices; faults hit "
-        "one device per trial (seed-selected)",
     )
     p_chaos.add_argument(
         "-v", "--verbose", action="store_true", help="per-trial progress"
@@ -1053,13 +1014,6 @@ def _build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             help="default per-query timeout in seconds",
-        )
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=1,
-            help="default simulated-device count for queries that "
-            "don't set their own 'shards' (1 = single-GPU)",
         )
         p.add_argument(
             "--engine",

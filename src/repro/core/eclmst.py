@@ -183,8 +183,6 @@ def ecl_mst(
     fault_plan=None,
     events=None,
     deadline: float | None = None,
-    shards: int = 1,
-    shard_strategy: str = "contiguous",
 ) -> MstResult:
     """Compute the MSF of ``graph`` with ECL-MST on the simulated GPU.
 
@@ -234,16 +232,6 @@ def ecl_mst(
         propagates per-query deadlines here so a query that already
         missed its timeout stops consuming the worker.  ``None`` (the
         default) never checks and adds no overhead.
-    shards:
-        Number of simulated devices.  ``1`` (the default) is the
-        paper's single-GPU algorithm, untouched.  ``> 1`` delegates to
-        :func:`~repro.shard.engine.sharded_mst`: partitioned local
-        solves on independent devices, a link-priced boundary
-        exchange, and a merge round — same MSF, with
-        ``extra["shard"]`` carrying the per-device breakdown.
-    shard_strategy:
-        Partitioner for ``shards > 1``: ``"contiguous"`` (default) or
-        ``"hash"`` — see :mod:`repro.shard.partition`.
 
     Returns
     -------
@@ -253,22 +241,6 @@ def ecl_mst(
         ``"ecl-mst+serial-fallback"`` and ``extra["resilience"]``
         records the ladder's actions.
     """
-    if shards > 1:
-        from ..shard.engine import sharded_mst
-
-        return sharded_mst(
-            graph,
-            config,
-            shards=shards,
-            shard_strategy=shard_strategy,
-            gpu=gpu,
-            verify=verify,
-            tracer=tracer,
-            resilience=resilience,
-            fault_plan=fault_plan,
-            events=events,
-            deadline=deadline,
-        )
     config = config or EclMstConfig()
     tracer = tracer if tracer is not None else NULL_TRACER
     events = events if events is not None else get_event_log()

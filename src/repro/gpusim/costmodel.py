@@ -23,8 +23,6 @@ overheads instead of kernel launches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..obs.trace import NULL_TRACER
 from .counters import KernelCounters, RunCounters
 from .spec import CPUSpec, GPUSpec
@@ -35,37 +33,7 @@ __all__ = [
     "cpu_phase_seconds",
     "Device",
     "CpuMachine",
-    "LinkSpec",
-    "DEFAULT_LINK",
 ]
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    """An inter-device interconnect for sharded execution.
-
-    One transfer of ``b`` bytes between two devices is charged
-
-    ``t = latency_us * 1e-6 + b / (bandwidth_gbs * 1e9)``
-
-    — a fixed per-message setup cost plus a bandwidth term, the usual
-    alpha-beta model.  The default numbers approximate an NVLink-class
-    peer link (~25 GB/s effective per direction, ~5 us one-way
-    latency); a PCIe-only topology would use ~6 GB/s and ~20 us.
-    """
-
-    name: str = "nvlink"
-    latency_us: float = 5.0
-    bandwidth_gbs: float = 25.0
-
-    def transfer_seconds(self, bytes_: float) -> float:
-        """Modeled seconds to move ``bytes_`` over this link."""
-        if bytes_ <= 0:
-            return 0.0
-        return self.latency_us * 1e-6 + bytes_ / (self.bandwidth_gbs * 1e9)
-
-
-DEFAULT_LINK = LinkSpec()
 
 
 def kernel_time_terms(spec: GPUSpec, k: KernelCounters) -> dict[str, float]:

@@ -72,10 +72,6 @@ _INFO = {
     "resilience.policy.breaker_fastfail",
     "resilience.policy.degraded",
     "resilience.policy.quarantined",
-    # Sharded-run device count is configuration, not performance (cut
-    # size and comms share keep the default lower-is-better direction:
-    # a partitioner change that grows them is a real regression).
-    "shard.devices",
 }
 # Flight-recorder ring occupancy and postmortem-bundle counts describe
 # what the black box observed, never solver performance — operator
@@ -85,11 +81,6 @@ _INFO_PREFIXES = (
     "resilience.policy.",
     "obs.recorder.",
     "service.postmortem.",
-    # Per-device sharding breakdowns (vertices/edges per shard etc.)
-    # describe the partition, never gate diffs; the aggregate costs
-    # (shard.imbalance, shard.comms_*, shard.merge_seconds) keep the
-    # default lower-is-better direction and *do* gate.
-    "shard.device.",
 )
 
 
@@ -308,31 +299,6 @@ def collect_result_metrics(result) -> dict[str, float]:
     if fi:
         reg.counter("faults.planned").inc(fi.get("planned", 0))
         reg.counter("faults.injected").inc(fi.get("injected", 0))
-
-    # Sharded execution breakdown (present only for shards > 1 runs):
-    # partition quality, stage times, and per-device shares.
-    sh = (result.extra or {}).get("shard")
-    if sh:
-        reg.gauge("shard.devices").set(sh.get("shards", 0))
-        reg.gauge("shard.imbalance").set(sh.get("imbalance", 0.0))
-        reg.gauge("shard.cut_edges").set(sh.get("cut_edges", 0))
-        reg.gauge("shard.comms_seconds").set(sh.get("comms_seconds", 0.0))
-        reg.gauge("shard.merge_seconds").set(sh.get("merge_seconds", 0.0))
-        reg.gauge("shard.comms_time_share").set(
-            sh.get("comms_time_share", 0.0)
-        )
-        for dev in sh.get("devices", ()):
-            i = dev.get("shard", 0)
-            for field_name in (
-                "vertices",
-                "edges",
-                "local_seconds",
-                "exclusive_seconds",
-                "boundary_edges_sent",
-            ):
-                reg.gauge(f"shard.device.{i}.{field_name}").set(
-                    dev.get(field_name, 0)
-                )
 
     out = reg.as_dict()
     # Per-kernel modeled seconds, flat under "seconds.<kernel>".

@@ -179,8 +179,6 @@ def run_campaign(
     resilience: ResilienceConfig | None = None,
     gpu: GPUSpec = RTX_3080_TI,
     progress=None,
-    shards: int = 1,
-    shard_strategy: str = "contiguous",
 ) -> CampaignReport:
     """Inject at least ``n_faults`` faults across seeded trials.
 
@@ -189,12 +187,6 @@ def run_campaign(
     run did), with a hard cap of ``4 * ceil(n_faults /
     faults_per_trial)`` trials.  ``progress`` is an optional callable
     receiving one line per trial.
-
-    With ``shards > 1`` every run executes across that many simulated
-    devices and each trial's faults land on a single seed-selected
-    device (``plan.seed % shards``) — the "kill one GPU of the fleet"
-    drill.  The dry run shards identically, so the fault horizons match
-    the targeted device's local launch/atomic counts.
     """
     config = config or EclMstConfig()
     resilience = resilience or ResilienceConfig()
@@ -208,8 +200,7 @@ def run_campaign(
     dry_injector_plan = FaultPlan(seed=seed)
     dry = ecl_mst(
         graph, config, gpu=gpu, resilience=resilience,
-        fault_plan=dry_injector_plan, shards=shards,
-        shard_strategy=shard_strategy,
+        fault_plan=dry_injector_plan,
     )
     if not np.array_equal(dry.in_mst, reference):
         raise AssertionError(
@@ -235,8 +226,7 @@ def run_campaign(
             kinds=trial_kinds,
         )
         result = ecl_mst(
-            graph, config, gpu=gpu, resilience=resilience, fault_plan=plan,
-            shards=shards, shard_strategy=shard_strategy,
+            graph, config, gpu=gpu, resilience=resilience, fault_plan=plan
         )
         res = result.extra["resilience"]
         inj = result.extra["fault_injection"]

@@ -128,26 +128,6 @@ def render_prometheus(service) -> str:
                 lines.append(
                     f"{fail_name}{label} {_sample_value(float(b['failures']))}"
                 )
-    shard = getattr(service, "latest_shard", None)
-    if shard:
-        per_device = (
-            ("vertices", "vertices owned by the shard"),
-            ("edges", "internal edges solved on the shard"),
-            ("local_seconds", "modeled local-solve seconds"),
-            ("exclusive_seconds", "exclusive share of the critical path"),
-            ("boundary_edges_sent", "cut edges shipped to the coordinator"),
-        )
-        devices = shard.get("devices", [])
-        for field, help_text in per_device:
-            prom = sanitize_metric_name(f"shard.device.{field}")
-            lines.append(f"# HELP {prom} {help_text} (latest sharded query)")
-            lines.append(f"# TYPE {prom} gauge")
-            for dev in devices:
-                label = f'{{shard="{dev.get("shard", 0)}"}}'
-                lines.append(
-                    f"{prom}{label} "
-                    f"{_sample_value(float(dev.get(field, 0)))}"
-                )
     return "\n".join(lines) + "\n"
 
 

@@ -106,10 +106,6 @@ class ServiceConfig:
     # load testing (GPUSpec.slowed, as the perf gate's CI job uses).
     policy: PolicyConfig | None = None
     slowdown: float = 1.0
-    # Default simulated-device count for queries that don't say
-    # (Query.shards == 0 inherits this at submit time); 1 = the
-    # single-GPU paper algorithm, untouched.
-    shards: int = 1
     # Default union executor for ECL-MST queries whose config doesn't
     # name one (inherited at submit time, before any cache key is
     # computed).  Both engines are bit-identical; "scalar" keeps the
@@ -129,8 +125,6 @@ class ServiceConfig:
             raise ValueError("max_queue_depth must be >= 1")
         if self.slowdown < 1.0:
             raise ValueError("slowdown must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         from ..core.config import ENGINES
 
         if self.engine not in ENGINES:
@@ -195,8 +189,6 @@ def _build_fault_plan(query: Query, config, graph, gpu):
         config,
         gpu=gpu,
         fault_plan=FaultPlan(seed=query.fault_seed or 0),
-        shards=int(query.shards) or 1,
-        shard_strategy=query.shard_strategy,
     )
     fi = dry.extra["fault_injection"]
     return FaultPlan.generate(
@@ -288,7 +280,6 @@ def execute_query(
         mst_digest=edges_digest(result),
         metrics=collect_result_metrics(result),
         resilience=dict(result.extra.get("resilience") or {}),
-        shard=dict(result.extra.get("shard") or {}),
         result_key=result_key(fingerprint["digest"], query),
         load_seconds=load_s,
         run_seconds=run_s,
@@ -342,8 +333,6 @@ def _run_code(
             fault_plan=fault_plan,
             events=events,
             deadline=deadline,
-            shards=int(query.shards) or 1,
-            shard_strategy=query.shard_strategy,
         )
     try:
         runner = get_runner(query.code)
@@ -455,10 +444,6 @@ class MSTService:
         )
         self.started_at = time.time()
         self.latest_profile: dict | None = None
-        # Most recent executed query's shard breakdown (the /metrics
-        # per-device repro_shard_* gauges); None until a sharded query
-        # has run.
-        self.latest_shard: dict | None = None
         self._lock = threading.Lock()
         self._closed = False
         self._inflight: dict[str, concurrent.futures.Future] = {}
@@ -509,16 +494,13 @@ class MSTService:
         to a stale cached answer) without touching the queue.
         """
         now = time.perf_counter()
-        if query.shards == 0 and self.config.shards > 1:
-            # Inherit the service's device count *before* any key is
-            # computed, so dedup/caching see the resolved spec.
-            query = replace(query, shards=self.config.shards)
         if (
             query.code == "ECL-MST"
             and "engine" not in query.config
             and self.config.engine != ServiceConfig.engine
         ):
-            # Same pre-key inheritance for the union executor: only
+            # Inherit the service's union executor *before* any key is
+            # computed, so dedup/caching see the resolved spec.  Only
             # non-default service engines need injecting (an absent
             # field already resolves to the EclMstConfig default).
             query = replace(
@@ -540,19 +522,15 @@ class MSTService:
         with self._lock:
             if self._first_submit is None:
                 self._first_submit = now
-            key = None
-            try:
-                key = query.spec_key()
-            except QueryError:
-                pass  # unresolvable config: fails in the worker instead
-            if key is not None and key in self._inflight:
+            key = query.spec_key()
+            if key in self._inflight:
                 self.registry.counter("service.dedup_hits").inc()
                 if self.events.enabled:
                     self.events.emit(
                         "service.dedup", level="info", query=query.id
                     )
                 return Ticket(query, self._inflight[key], now, False, self)
-            rkey = self._spec_to_rkey.get(key) if key is not None else None
+            rkey = self._spec_to_rkey.get(key)
         if rkey is not None:
             cached = self.results.get(rkey)
             if cached is not None and self._is_fresh(rkey):
@@ -598,21 +576,19 @@ class MSTService:
         with self._lock:
             self._depth += 1
             self.registry.gauge("service.queue_depth").set(self._depth)
-            if key is not None:
-                self._inflight[key] = future
+            self._inflight[key] = future
         # Registered after the in-flight map so a fast completion still
         # cleans up: a callback added to a finished future fires
         # immediately in this thread.
         future.add_done_callback(lambda _f: self._release(key))
         return Ticket(query, future, now, True, self)
 
-    def _release(self, key: str | None) -> None:
+    def _release(self, key: str) -> None:
         with self._lock:
             self._depth -= 1
             self.registry.gauge("service.queue_depth").set(self._depth)
             self._last_done = time.perf_counter()
-            if key is not None:
-                self._inflight.pop(key, None)
+            self._inflight.pop(key, None)
         self._slots.release()
 
     # ------------------------------------------------------------------
@@ -634,7 +610,7 @@ class MSTService:
         )
 
     def _policy_gate(
-        self, query: Query, key: str | None, rkey: str | None, now: float
+        self, query: Query, key: str, rkey: str | None, now: float
     ) -> Ticket | None:
         """Admission + quarantine + learned-fingerprint breaker checks.
 
@@ -645,7 +621,7 @@ class MSTService:
         """
         pol = self.policy
         assert pol is not None
-        if pol.cfg.quarantine_on and key is not None:
+        if pol.cfg.quarantine_on:
             entry = pol.quarantine.check(key)
             if entry is not None:
                 pol.note_quarantined()
@@ -854,15 +830,10 @@ class MSTService:
             self.recorder.record_spans(query.id, tracer)
         if pol is not None:
             pol.breaker_record(digest, ok=outcome.ok, query_id=query.id)
-            if pol.cfg.quarantine_on:
-                try:
-                    skey = query.spec_key()
-                except QueryError:  # pragma: no cover - unresolvable spec
-                    skey = None
-                if skey is not None and pol.quarantine.record(
-                    skey, ok=outcome.ok, error_kind=outcome.error_kind
-                ):
-                    pol.note_quarantined()
+            if pol.cfg.quarantine_on and pol.quarantine.record(
+                query.spec_key(), ok=outcome.ok, error_kind=outcome.error_kind
+            ):
+                pol.note_quarantined()
         if outcome.ok:
             self._cache_result(rkey, outcome)
         else:
@@ -1069,10 +1040,7 @@ class MSTService:
                 # where the parent's result cache learns the outcome.
                 self._cache_result(raw.result_key, raw)
             with self._lock:
-                try:
-                    self._spec_to_rkey[ticket.query.spec_key()] = raw.result_key
-                except QueryError:  # pragma: no cover - unresolvable spec
-                    pass
+                self._spec_to_rkey[ticket.query.spec_key()] = raw.result_key
         out = replace(
             raw, id=ticket.query.id, served_by=served, latency_s=latency
         )
@@ -1096,15 +1064,6 @@ class MSTService:
         """
         self._lat_window.observe(latency, exemplar=out.id)
         self._done_window.inc()
-        if out.shard:
-            self.latest_shard = out.shard
-            reg = self.registry
-            reg.gauge("shard.devices").set(out.shard.get("shards", 0))
-            reg.gauge("shard.imbalance").set(out.shard.get("imbalance", 0.0))
-            reg.gauge("shard.cut_edges").set(out.shard.get("cut_edges", 0))
-            reg.gauge("shard.comms_time_share").set(
-                out.shard.get("comms_time_share", 0.0)
-            )
         escaped = 0
         res = out.resilience
         if isinstance(res, dict):
@@ -1167,10 +1126,7 @@ class MSTService:
         """Release a ticket's dedup key without touching slot/depth
         accounting (compare-and-pop: only if the map still points at
         this ticket's future)."""
-        try:
-            key = ticket.query.spec_key()
-        except QueryError:  # pragma: no cover - unresolvable spec
-            return
+        key = ticket.query.spec_key()
         with self._lock:
             if self._inflight.get(key) is ticket.future:
                 del self._inflight[key]
@@ -1276,7 +1232,6 @@ class MSTService:
                 "graph_cache_size": self.config.graph_cache_size,
                 "max_queue_depth": self.config.max_queue_depth,
                 "window_s": self.config.window_s,
-                "shards": self.config.shards,
             },
             "queue_depth": depth,
             "caches": {
@@ -1288,20 +1243,6 @@ class MSTService:
                 "qps": self._done_window.rate(),
                 "latency": self._lat_window.summary(),
             },
-            "shard": (
-                {
-                    "shards": self.latest_shard.get("shards", 0),
-                    "strategy": self.latest_shard.get("strategy", ""),
-                    "imbalance": self.latest_shard.get("imbalance", 0.0),
-                    "cut_edges": self.latest_shard.get("cut_edges", 0),
-                    "comms_time_share": self.latest_shard.get(
-                        "comms_time_share", 0.0
-                    ),
-                    "devices": self.latest_shard.get("devices", []),
-                }
-                if self.latest_shard
-                else {"shards": self.config.shards}
-            ),
             "slos": [s.to_dict() for s in self.slo_statuses()],
             "policy": (
                 {"enabled": True, **self.policy.status()}

@@ -125,9 +125,6 @@ class QueryOutcome:
     mst_digest: str = ""
     metrics: dict = field(default_factory=dict)
     resilience: dict = field(default_factory=dict)
-    # Sharded-execution breakdown (result.extra["shard"]), present only
-    # when the query ran across multiple simulated devices.
-    shard: dict = field(default_factory=dict)
     # Serving-policy metadata (retries used, staleness, shed reason…).
     policy: dict = field(default_factory=dict)
     # Service accounting (never part of identity comparisons).
@@ -242,13 +239,10 @@ class QueryOutcome:
                 "mst_digest",
                 "metrics",
                 "resilience",
-                "shard",
             ):
                 d.pop(k)
         if not self.resilience:
             d.pop("resilience", None)
-        if not self.shard:
-            d.pop("shard", None)
         if not self.policy:
             d.pop("policy", None)
         return d

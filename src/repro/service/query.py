@@ -4,8 +4,10 @@ A :class:`Query` names one MST computation — an input source (suite
 input name or graph file path), the code/system to run it on, optional
 ECL-MST configuration overrides, and service-level knobs (timeout,
 resilience cadence, fault injection for chaos queries).  Queries parse
-from plain NDJSON dicts (:meth:`Query.from_dict`) and normalize to two
-keys:
+from plain NDJSON dicts (:meth:`Query.from_dict`) and are validated
+whole at construction — the ECL-MST config included — so a bad value
+raises :class:`QueryError` before the query reaches a worker.  They
+normalize to two keys:
 
 * :meth:`Query.spec_key` — a digest of the full query *specification*
   (input source + semantics).  Concurrent queries with the same spec
@@ -31,7 +33,6 @@ from typing import Any, Mapping
 
 from ..core.config import DEOPT_STAGE_NAMES, EclMstConfig, deopt_stages
 from ..errors import GraphFormatError
-from ..shard.partition import PARTITION_STRATEGIES
 
 __all__ = ["Query", "QueryError", "result_key"]
 
@@ -61,8 +62,6 @@ _FIELDS = {
     "fault_seed",
     "n_faults",
     "fault_kinds",
-    "shards",
-    "shard_strategy",
 }
 _ALIASES = {"timeout": "timeout_s"}
 
@@ -85,10 +84,6 @@ class Query:
     fault_seed: int | None = None  # seeded fault injection (chaos query)
     n_faults: int = 0
     fault_kinds: tuple = ()  # fault models to inject; () = all
-    # Simulated devices to shard across; 0 = inherit the service's
-    # ServiceConfig.shards default (normalized at submit time).
-    shards: int = 0
-    shard_strategy: str = "contiguous"
 
     def __post_init__(self) -> None:
         if not self.input or not isinstance(self.input, str):
@@ -108,11 +103,14 @@ class Query:
                 f"query {self.id}: timeout_s must be positive, "
                 f"got {self.timeout_s!r}"
             )
-        if not isinstance(self.priority, int) or isinstance(self.priority, bool):
-            raise QueryError(
-                f"query {self.id}: priority must be an int, "
-                f"got {self.priority!r}"
-            )
+        for name in ("priority", "check_cadence", "fault_seed"):
+            value = getattr(self, name)
+            if name == "fault_seed" and value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise QueryError(
+                    f"query {self.id}: {name} must be an int, got {value!r}"
+                )
         if self.n_faults < 0:
             raise QueryError(
                 f"query {self.id}: n_faults must be >= 0, got {self.n_faults}"
@@ -143,25 +141,9 @@ class Query:
                 f"query {self.id}: resilience/fault injection applies only "
                 f"to ECL-MST, not {self.code!r}"
             )
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool):
-            raise QueryError(
-                f"query {self.id}: shards must be an int, got {self.shards!r}"
-            )
-        if self.shards < 0:
-            raise QueryError(
-                f"query {self.id}: shards must be >= 0, got {self.shards}"
-            )
-        if self.shard_strategy not in PARTITION_STRATEGIES:
-            raise QueryError(
-                f"query {self.id}: unknown shard_strategy "
-                f"{self.shard_strategy!r}; choose from "
-                f"{', '.join(PARTITION_STRATEGIES)}"
-            )
-        if self.shards > 1 and self.code != "ECL-MST":
-            raise QueryError(
-                f"query {self.id}: sharded execution applies only to "
-                f"ECL-MST, not {self.code!r}"
-            )
+        # Resolve the config now, so a bad value fails at parse time
+        # as a typed input error rather than later in the worker.
+        self.resolved_config()
 
     # ------------------------------------------------------------------
     # Parsing
@@ -223,7 +205,7 @@ class Query:
             )
         try:
             return base.with_(**self.config)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise QueryError(f"query {self.id}: bad config: {exc}") from None
 
     def _semantics(self) -> dict:
@@ -237,13 +219,6 @@ class Query:
             "fault_seed": self.fault_seed,
             "n_faults": int(self.n_faults),
             "fault_kinds": list(self.fault_kinds),
-            # Explicit shards=1 and unset (0, inheriting a shards=1
-            # service default) hash identically: same computation.  The
-            # strategy only matters once there is more than one shard.
-            "shards": int(self.shards) or 1,
-            "shard_strategy": self.shard_strategy
-            if (int(self.shards) or 1) > 1
-            else "contiguous",
         }
 
     @staticmethod

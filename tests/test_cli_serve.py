@@ -46,6 +46,26 @@ class TestServe:
                     json.dumps({"id": "good", "input": "internet", "scale": SCALE}),
                     "this is not json",
                     json.dumps({"id": "bad-field", "input": "internet", "nope": 1}),
+                    # Well-formed JSON with a bad value fails its own
+                    # line too, whether the value is in the config or not.
+                    json.dumps(
+                        {
+                            "id": "bad-config",
+                            "input": "internet",
+                            "config": {"filter_threshold": -5},
+                        }
+                    ),
+                    json.dumps(
+                        {
+                            "id": "bad-engine",
+                            "input": "internet",
+                            "config": {"engine": "gpu"},
+                        }
+                    ),
+                    json.dumps(
+                        {"id": "bad-cadence", "input": "internet", "check_cadence": "x"}
+                    ),
+                    json.dumps({"id": "no-shards", "input": "internet", "shards": 4}),
                 ]
             )
         )
@@ -53,13 +73,16 @@ class TestServe:
         rc = main(["serve", "--batch", str(batch), "--out", str(out)])
         assert rc == 3  # input error, the most severe in this batch
         rows = read_ndjson(out)
-        assert len(rows) == 3  # one output line per input line
+        assert len(rows) == 7  # one output line per input line
         assert rows[0]["status"] == "ok"
-        assert rows[1]["status"] == "error"
-        assert rows[1]["error_kind"] == "input"
+        assert all(r["status"] == "error" for r in rows[1:])
+        assert all(r["error_kind"] == "input" for r in rows[1:])
         assert "line 2" in rows[1]["error"]
-        assert rows[2]["status"] == "error"
         assert "unknown field" in rows[2]["error"]
+        assert "filter_threshold" in rows[3]["error"]
+        assert "engine" in rows[4]["error"]
+        assert "check_cadence" in rows[5]["error"]
+        assert "unknown field 'shards'" in rows[6]["error"]
 
     def test_fault_exit_code_wins(self, tmp_path):
         batch = tmp_path / "batch.ndjson"

@@ -31,12 +31,12 @@ def _eq(a, b) -> bool:
     return a == b
 
 
-def assert_bit_identical(graph, config=None, **kw):
+def assert_bit_identical(graph, config=None):
     """Run both engines on ``graph`` and diff the complete results."""
     base = config or EclMstConfig()
     outs = {}
     for engine in ("scalar", "vectorized"):
-        r = ecl_mst(graph, base.with_(engine=engine), **kw)
+        r = ecl_mst(graph, base.with_(engine=engine))
         d = dataclasses.asdict(r)
         # The config echo is the one legitimate difference.
         cfg = d["extra"].pop("config")
@@ -79,10 +79,8 @@ def test_config_matrix_bit_identical(name, dd, ipc, sd):
     )
 
 
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_sharded_runs_bit_identical(shards):
-    g = suite.build("USA-road-d.NY", scale=2.0, seed=7)
-    assert_bit_identical(g, shards=shards)
+def test_default_config_road_bit_identical():
+    assert_bit_identical(suite.build("USA-road-d.NY", scale=2.0, seed=7))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

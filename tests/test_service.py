@@ -60,6 +60,12 @@ class TestQuery:
             q(code="qKruskal", config={"filtering": False})
         with pytest.raises(QueryError, match="fault kind"):
             q(n_faults=1, fault_kinds=["martian-ray"])
+        with pytest.raises(QueryError, match="check_cadence"):
+            q(check_cadence="x")
+        with pytest.raises(QueryError, match="fault_seed"):
+            q(fault_seed=1.5)
+        with pytest.raises(QueryError, match="engine"):
+            q(config={"engine": "gpu"})
 
     def test_unknown_config_field(self):
         with pytest.raises(QueryError, match="unknown config field"):
@@ -282,13 +288,18 @@ class TestBatch:
                 '{"id": "bad", "input": "internet", "nope": 1}',
                 "",
                 "# comment",
+                '{"input": "internet", "config": {"filter_threshold": -5}}',
+                '{"input": "internet", "config": {"engine": "gpu"}}',
+                '{"input": "internet", "check_cadence": "x"}',
+                '{"input": "internet", "shards": 4}',
             ]
         )
-        assert len(items) == 3
+        assert len(items) == 7
         assert isinstance(items[0], Query)
         assert all(isinstance(i, QueryOutcome) for i in items[1:])
         assert all(i.error_kind == "input" for i in items[1:])
         assert "line 2" in items[1].error
+        assert "line 8" in items[5].error and "check_cadence" in items[5].error
 
     def test_batch_exit_code_is_most_severe(self):
         def fail(kind_exc):
