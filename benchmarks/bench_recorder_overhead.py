@@ -5,24 +5,20 @@ serve path.  This module measures the same mixed batch (cache-cold
 executions across several inputs plus one seeded-fault query) with the
 recorder armed and disarmed, asserts the solver results are
 bit-identical either way (the recorder only observes, never perturbs),
-and records the relative wall overhead.  EXPERIMENTS.md cites the
-``BENCH_OBS_<stamp>.json`` trajectory entry produced by running this
-module directly (``python benchmarks/bench_recorder_overhead.py``).
+and writes the relative wall overhead to ``recorder_overhead.json``
+in the benchmark output directory.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.obs.recorder import RecorderConfig
 from repro.service import MSTService, Query, ServiceConfig
 
 from _artifacts import write_artifact
-
-OBS_TRAJECTORY_SCHEMA = "repro.bench.obs-trajectory/v1"
 
 SERVICE_SCALE = 0.06
 INPUTS = ("internet", "2d-2e20.sym", "r4-2e23.sym", "USA-road-d.NY")
@@ -157,29 +153,3 @@ def test_overhead_artifact(benchmark, out_dir, tmp_path):
         "recorder_overhead.json",
         json.dumps(result, indent=2, sort_keys=True),
     )
-
-
-def record_obs_trajectory(trajectory_dir: str | Path) -> Path:
-    """Append one recorder-overhead entry to the benchmark trajectory
-    (sibling of ``BENCH_SERVICE_<stamp>.json``)."""
-    trajectory = Path(trajectory_dir)
-    trajectory.mkdir(parents=True, exist_ok=True)
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    path = trajectory / f"BENCH_OBS_{stamp}.json"
-    payload = {
-        "schema": OBS_TRAJECTORY_SCHEMA,
-        "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "scale": SERVICE_SCALE,
-        "inputs": list(INPUTS),
-        "workers": WORKERS,
-        **measure_overhead(trajectory / ".scratch"),
-    }
-    import shutil
-
-    shutil.rmtree(trajectory / ".scratch", ignore_errors=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-if __name__ == "__main__":
-    print(record_obs_trajectory(Path(__file__).parent / "trajectory"))

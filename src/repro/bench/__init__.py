@@ -13,7 +13,6 @@ from .experiments import (
     exp_throughput_figure,
 )
 from . import artifact
-from .gate import GateReport, perf_check, perf_compare, perf_record
 from .report import generate_report
 from .figures import BoxStats, seed_sweep, throughput_series
 from .harness import SYSTEM1, SYSTEM2, Cell, GridResult, SystemSpec, geomean, run_grid
@@ -37,12 +36,8 @@ __all__ = [
     "exp_seed_variability",
     "exp_table2",
     "exp_throughput_figure",
-    "GateReport",
     "generate_report",
     "geomean",
-    "perf_check",
-    "perf_compare",
-    "perf_record",
     "render_runtime_table",
     "render_table2",
     "run_grid",

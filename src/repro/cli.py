@@ -16,7 +16,7 @@ Subcommands::
     repro-mst profile <input> [--baseline FILE] [--format json|chrome|ndjson]
     repro-mst chaos <input> [--faults N --seed S]  # fault-injection campaign
     repro-mst serve --batch FILE [--workers N --pool thread|process]
-    repro-mst sweep <suite> [--repeat N --record [DIR]]
+    repro-mst sweep <suite> [--repeat N]
 
 For backwards compatibility, a bare experiment key also works:
 ``python -m repro table4`` ≡ ``python -m repro exp table4``.
@@ -365,98 +365,6 @@ def _cmd_chaos(args) -> int:
     return 0 if report.escaped == 0 else 1
 
 
-def _split_inputs(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
-def _cmd_perf(args) -> int:
-    from .bench import gate
-
-    inputs = _split_inputs(args.inputs)
-    if args.perf_command == "record":
-        paths, traj = gate.perf_record(
-            inputs,
-            code=args.code,
-            system=args.system,
-            scale=args.scale,
-            repeats=args.repeats,
-            store_dir=args.store,
-            trajectory_dir=args.trajectory,
-            slowdown=args.slowdown,
-        )
-        for p in paths:
-            print(f"baseline written: {p}")
-        print(f"trajectory entry: {traj}")
-        return 0
-    if args.perf_command == "compare":
-        print(
-            gate.perf_compare(
-                inputs,
-                code=args.code,
-                system=args.system,
-                scale=args.scale,
-                repeats=args.repeats,
-                store_dir=args.store,
-                slowdown=args.slowdown,
-                min_ratio=args.min_ratio,
-            )
-        )
-        return 0
-    # check
-    report = gate.perf_check(
-        inputs,
-        code=args.code,
-        system=args.system,
-        scale=args.scale,
-        repeats=args.repeats,
-        store_dir=args.store,
-        slowdown=args.slowdown,
-        threshold=args.threshold,
-        gate_wall=getattr(args, "gate_wall", False),
-    )
-    print(report.render())
-    return 0 if report.passed else 1
-
-
-def _parse_wall_cells(text: str):
-    from .bench.gate import WallCell
-
-    cells = []
-    for part in _split_inputs(text):
-        fields = part.split(":")
-        if len(fields) < 2:
-            raise SystemExit(
-                f"bad wall cell {part!r}; expected input:scale[:gated]"
-            )
-        cells.append(
-            WallCell(
-                input=fields[0],
-                scale=float(fields[1]),
-                gated=len(fields) > 2 and fields[2] == "gated",
-            )
-        )
-    return tuple(cells)
-
-
-def _cmd_perf_wall(args) -> int:
-    from .bench import gate
-
-    path, payload = gate.record_wall_trajectory(
-        _parse_wall_cells(args.cells),
-        system=args.system,
-        repeats=args.repeats,
-        seed=args.seed,
-        trajectory_dir=args.trajectory,
-        min_speedup=args.min_speedup,
-        floor=args.floor,
-    )
-    print(gate.render_wall_report(payload))
-    print(f"trajectory entry: {path}")
-    if args.no_gate:
-        return 0
-    return 0 if payload["gate"]["passed"] else 1
-
-
 def _policy_from_args(args):
     """A :class:`PolicyConfig` from the CLI knobs, or ``None`` when
     every overload-safety mechanism is left off."""
@@ -494,7 +402,6 @@ def _service_from_args(args):
             graph_cache_size=args.graph_cache_size,
             max_queue_depth=args.queue_depth,
             default_timeout_s=args.timeout,
-            engine=getattr(args, "engine", "vectorized"),
             # Admin endpoints imply profile retention (/profilez).
             keep_profile=getattr(args, "admin_port", None) is not None,
             policy=_policy_from_args(args),
@@ -557,12 +464,7 @@ def _cmd_serve(args) -> int:
 def _cmd_sweep(args) -> int:
     import time
 
-    from .service import (
-        batch_exit_code,
-        record_service_trajectory,
-        summarize,
-        sweep_queries,
-    )
+    from .service import batch_exit_code, summarize, sweep_queries
 
     one_pass = sweep_queries(
         args.suite,
@@ -574,8 +476,8 @@ def _cmd_sweep(args) -> int:
     outcomes = []
     with _service_from_args(args) as service:
         # Cold pass first, then the warm repeats — measured separately
-        # so the summary (and the recorded trajectory entry) reports
-        # the cache's amortization as cold-vs-warm throughput.
+        # so the summary reports the cache's amortization as
+        # cold-vs-warm throughput.
         t0 = time.perf_counter()
         cold_outcomes = service.run_batch(one_pass)
         cold = summarize(
@@ -604,31 +506,14 @@ def _cmd_sweep(args) -> int:
         print(f"\n== warm passes (x{args.repeat - 1}) ==\n{warm.render()}")
         if cold.qps > 0:
             print(f"\nwarm/cold throughput: {warm.qps / cold.qps:.2f}x")
-    if args.record:
-        path = record_service_trajectory(
-            cold,
-            warm,
-            selection=args.suite,
-            scale=args.scale,
-            code=args.code,
-            system=args.system,
-            workers=args.workers,
-            trajectory_dir=args.record,
-        )
-        print(f"trajectory entry: {path}")
     return batch_exit_code(outcomes)
 
 
 def _cmd_mst(args) -> int:
-    from .core.config import EclMstConfig
     from .core.eclmst import ecl_mst
 
     g = _resolve_input(args.graph, args.scale)
-    r = ecl_mst(
-        g,
-        EclMstConfig(engine=args.engine),
-        verify=args.verify,
-    )
+    r = ecl_mst(g, verify=args.verify)
     print(
         f"MSF of {args.graph}: {r.num_mst_edges} edges, "
         f"weight {r.total_weight}, {r.rounds} rounds"
@@ -674,7 +559,6 @@ def _cmd_dashboard(args) -> int:
 
     html = render_dashboard(
         profile,
-        trajectory=args.trajectory,
         title=args.title,
         incidents=recent_bundles(args.postmortems),
     )
@@ -815,13 +699,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mst.add_argument("--out", help="write the MSF edge list here")
     p_mst.add_argument("--verify", action="store_true")
     p_mst.add_argument("--scale", type=float, default=DEFAULT_SCALE)
-    p_mst.add_argument(
-        "--engine",
-        choices=("vectorized", "scalar"),
-        default="vectorized",
-        help="union executor: batched waves or the reference "
-        "one-entry-at-a-time walk (bit-identical results)",
-    )
     p_mst.set_defaults(fn=_cmd_mst)
 
     p_chaos = sub.add_parser(
@@ -930,11 +807,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dash.add_argument("--code", default="ECL-MST", help="MST code to run")
     p_dash.add_argument("--system", type=int, choices=(1, 2), default=2)
     p_dash.add_argument("--scale", type=float, default=DEFAULT_SCALE)
-    p_dash.add_argument(
-        "--trajectory",
-        default="benchmarks/trajectory",
-        help="benchmark trajectory directory for the sparkline section",
-    )
     p_dash.add_argument("--title", help="page title override")
     p_dash.add_argument(
         "--postmortems",
@@ -1014,13 +886,6 @@ def _build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             help="default per-query timeout in seconds",
-        )
-        p.add_argument(
-            "--engine",
-            choices=("vectorized", "scalar"),
-            default="vectorized",
-            help="default union executor for queries that don't set "
-            "their own 'engine' (results are bit-identical)",
         )
         # Overload-safety policy knobs (all off by default; any nonzero/
         # true knob arms the serving policy, which needs --pool thread).
@@ -1157,8 +1022,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "suite",
         help="'all', 'mst', or comma-separated suite input names",
     )
-    # Sweep defaults to the perf gate's small scale: a full-suite pass
-    # should stay in smoke territory.
+    # Sweep defaults to a small scale: a full-suite pass should stay
+    # in smoke territory.
     p_sweep.add_argument("--scale", type=float, default=0.06)
     p_sweep.add_argument("--code", default="ECL-MST")
     p_sweep.add_argument("--system", type=int, choices=(1, 2), default=2)
@@ -1168,140 +1033,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=2,
         help="passes over the suite (>1 measures warm throughput)",
     )
-    p_sweep.add_argument(
-        "--record",
-        nargs="?",
-        const="benchmarks/trajectory",
-        default=None,
-        help="append a BENCH_SERVICE_<stamp>.json trajectory entry "
-        "(optionally to DIR)",
-    )
     _service_common(p_sweep)
     p_sweep.set_defaults(fn=_cmd_sweep)
-
-    from .bench.gate import (
-        BASELINE_DIR,
-        DEFAULT_GATE_INPUTS,
-        DEFAULT_GATE_SCALE,
-        DEFAULT_MIN_SPEEDUP,
-        DEFAULT_REPEATS,
-        DEFAULT_WALL_CELLS,
-        DEFAULT_WALL_REPEATS,
-        TRAJECTORY_DIR,
-        WALL_FLOOR,
-    )
-
-    p_perf = sub.add_parser(
-        "perf",
-        help="benchmark-regression gate: record baselines, compare, check",
-    )
-    perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
-
-    def _perf_common(p, *, for_record: bool) -> None:
-        p.add_argument(
-            "--inputs",
-            default=",".join(DEFAULT_GATE_INPUTS),
-            help="comma-separated suite input names",
-        )
-        p.add_argument("--code", default="ECL-MST")
-        p.add_argument("--system", type=int, choices=(1, 2), default=2)
-        p.add_argument(
-            "--scale",
-            type=float,
-            # record needs a concrete scale; compare/check default to
-            # each baseline's recorded scale (like-for-like).
-            default=DEFAULT_GATE_SCALE if for_record else None,
-        )
-        p.add_argument(
-            "--repeats",
-            type=int,
-            default=DEFAULT_REPEATS,
-            help="wall-clock repetitions (median + MAD)",
-        )
-        p.add_argument("--store", default=BASELINE_DIR)
-        p.add_argument(
-            "--slowdown",
-            type=float,
-            default=1.0,
-            help="inject a synthetic NxN cost-model slowdown (CI gate test)",
-        )
-        p.set_defaults(fn=_cmd_perf)
-
-    p_rec = perf_sub.add_parser(
-        "record", help="write baselines + a BENCH_<stamp>.json trajectory entry"
-    )
-    _perf_common(p_rec, for_record=True)
-    p_rec.add_argument("--trajectory", default=TRAJECTORY_DIR)
-
-    p_cmp = perf_sub.add_parser(
-        "compare", help="render the full metric diff against the baselines"
-    )
-    _perf_common(p_cmp, for_record=False)
-    p_cmp.add_argument(
-        "--min-ratio",
-        type=float,
-        default=0.0,
-        dest="min_ratio",
-        help="hide metrics whose ratio is within this of 1.0",
-    )
-
-    p_chk = perf_sub.add_parser(
-        "check", help="exit nonzero if any modeled metric regressed"
-    )
-    _perf_common(p_chk, for_record=False)
-    p_chk.add_argument(
-        "--threshold",
-        type=float,
-        default=1.0,
-        help="bad-direction ratio tolerated (1.0 = exact compare)",
-    )
-    p_chk.add_argument(
-        "--gate-wall",
-        action="store_true",
-        dest="gate_wall",
-        help="fail on wall-band escapes too (use against fresh "
-        "same-machine baselines, e.g. recorded earlier in the CI job)",
-    )
-
-    p_wall = perf_sub.add_parser(
-        "wall",
-        help="scalar-vs-vectorized engine head-to-head; writes a "
-        "BENCH_WALL_<stamp>.json trajectory entry",
-    )
-    p_wall.add_argument(
-        "--cells",
-        default=",".join(
-            f"{c.input}:{c.scale:g}{':gated' if c.gated else ''}"
-            for c in DEFAULT_WALL_CELLS
-        ),
-        help="comma-separated input:scale[:gated] cells",
-    )
-    p_wall.add_argument("--system", type=int, choices=(1, 2), default=2)
-    p_wall.add_argument(
-        "--repeats", type=int, default=DEFAULT_WALL_REPEATS
-    )
-    p_wall.add_argument("--seed", type=int, default=7)
-    p_wall.add_argument("--trajectory", default=TRAJECTORY_DIR)
-    p_wall.add_argument(
-        "--min-speedup",
-        type=float,
-        default=DEFAULT_MIN_SPEEDUP,
-        dest="min_speedup",
-        help="required scalar/vectorized speedup on gated cells",
-    )
-    p_wall.add_argument(
-        "--floor",
-        type=float,
-        default=WALL_FLOOR,
-        help="minimum speedup every cell (gated or not) must clear",
-    )
-    p_wall.add_argument(
-        "--no-gate",
-        action="store_true",
-        dest="no_gate",
-        help="record the trajectory entry but always exit zero",
-    )
-    p_wall.set_defaults(fn=_cmd_perf_wall)
 
     # The event-log flags also parse *after* the subcommand name
     # (`repro-mst serve ... --log-json events.ndjson`), not just before.
@@ -1330,7 +1063,6 @@ def main(argv: list[str] | None = None) -> int:
         "trace",
         "profile",
         "chaos",
-        "perf",
         "serve",
         "sweep",
         "dashboard",

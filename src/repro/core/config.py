@@ -12,13 +12,11 @@ simulated hardware performs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 
-__all__ = ["ENGINES", "EclMstConfig", "deopt_stages", "DEOPT_STAGE_NAMES"]
-
-# Host execution engines for the solver hot paths (not an ablation
-# axis: both engines model the identical GPU and price identically).
-ENGINES: tuple[str, ...] = ("vectorized", "scalar")
+__all__ = ["EclMstConfig", "deopt_stages", "DEOPT_STAGE_NAMES"]
 
 
 @dataclass(frozen=True)
@@ -65,15 +63,9 @@ class EclMstConfig:
         Number of sampled edge weights (the paper uses 20).
     seed:
         RNG seed for the filter sampling (the §5.4 seed study).
-    engine:
-        Host execution engine for the union hot path of Kernel 2:
-        ``"vectorized"`` (the default) resolves winner roots with
-        batched pointer jumping and applies links through an iterative
-        conflict-free pass that reproduces the worklist-order
-        serialization; ``"scalar"`` is the original per-winner Python
-        loop, kept as the differential-testing oracle.  The two are
-        bit-identical — same MSF, same kernel counters, same modeled
-        seconds — and differ only in host wall-clock.
+
+    Malformed values raise at construction: :class:`TypeError` for a
+    wrong type, :class:`ValueError` for an out-of-range value.
     """
 
     atomic_guards: bool = True
@@ -88,18 +80,33 @@ class EclMstConfig:
     filter_c: float = 4.0
     filter_samples: int = 20
     seed: int = 0
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
+        for name, want in _FIELD_TYPES:
+            value = getattr(self, name)
+            if type(value) is want:
+                continue
+            # Otherwise accept only another integral (or, for filter_c,
+            # real) number, such as a numpy scalar, and never a bool.
+            abc = numbers.Integral if want is int else numbers.Real
+            if want is bool or isinstance(value, bool) or not isinstance(value, abc):
+                raise TypeError(f"{name} must be {want.__name__}, got {value!r}")
+        if self.filter_samples < 1:
             raise ValueError(
-                f"unknown engine {self.engine!r}; choose from "
-                f"{', '.join(ENGINES)}"
+                f"filter_samples must be >= 1, got {self.filter_samples}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not math.isfinite(self.filter_c):
+            raise ValueError(f"filter_c must be finite, got {self.filter_c}")
 
     def with_(self, **kw) -> "EclMstConfig":
         """Functional update (``dataclasses.replace`` shorthand)."""
         return replace(self, **kw)
+
+
+# Each field takes its default's type: bool, int or float.
+_FIELD_TYPES = tuple((f.name, type(f.default)) for f in fields(EclMstConfig))
 
 
 DEOPT_STAGE_NAMES: tuple[str, ...] = (

@@ -435,6 +435,9 @@ def _union_scalar(
 ) -> tuple[int, int, int, int]:
     """Per-winner union loop in worklist order (the reference oracle).
 
+    Not called by the solver: the differential tests substitute it for
+    :func:`_union_overlay` and require bit-identical results.
+
     Returns ``(cas_attempts, union_loads, added, mirror_dups)``.
     """
     parent = state.parent
@@ -554,8 +557,7 @@ def kernel2_union(state: MstState) -> int:
     # Winner edges are guaranteed acyclic (each is the unique minimum
     # of at least one of its sets), so the unions commute; we apply
     # them in worklist order, simulating the CAS retry loop.
-    union = _union_overlay if cfg.engine == "vectorized" else _union_scalar
-    cas_attempts, union_loads, added, mirror_dups = union(
+    cas_attempts, union_loads, added, mirror_dups = _union_overlay(
         state, p, q, wl.eid, win_idx
     )
 

@@ -90,8 +90,8 @@ class GPUSpec:
 
         Every rate is divided and every fixed latency multiplied by
         ``factor``, so all modeled kernel times scale by exactly
-        ``factor`` — the synthetic regression the perf gate's CI job
-        injects to prove `repro-mst perf check` actually fails.
+        ``factor`` — the synthetic slowdown behind the ``--slowdown``
+        flags of ``serve``, ``sweep`` and ``chaos --serve``.
         """
         import dataclasses
 

@@ -16,9 +16,6 @@ and modeled time go":
 * :mod:`~repro.obs.roofline` — per-kernel bound classification
   (compute-/memory-/serial-/atomic-/launch-bound) derived from the
   cost model's own time decomposition;
-* :mod:`~repro.obs.regress` — benchmark baselines (deterministic
-  modeled metrics compared exactly, wall-clock via median+MAD bands)
-  backing the ``repro-mst perf`` gate;
 * :mod:`~repro.obs.events` — leveled structured events with
   correlation IDs (run → query → span), NDJSON/console sinks, and a
   zero-overhead null log;
@@ -75,22 +72,12 @@ from .recorder import (
     render_postmortem,
     replay_bundle,
 )
-from .regress import (
-    Baseline,
-    BaselineStore,
-    RunComparison,
-    WallStats,
-    compare_to_baseline,
-    median_mad,
-)
 from .roofline import BoundReport, KernelRoofline, launch_shares, roofline_report
 from .slo import DEFAULT_SLOS, SLOSpec, SLOStatus, SLOTracker
 from .trace import NULL_TRACER, NullTracer, Span, Tracer, host_hotspots
 from .window import SlidingCounter, SlidingHistogram
 
 __all__ = [
-    "Baseline",
-    "BaselineStore",
     "BoundReport",
     "ConsoleSink",
     "Counter",
@@ -117,16 +104,13 @@ __all__ = [
     "ProfileDiff",
     "RecorderConfig",
     "ReplayReport",
-    "RunComparison",
     "RunProfile",
     "Span",
     "TeeEventLog",
     "Tracer",
-    "WallStats",
     "bundle_summary",
     "chrome_trace_events",
     "collect_result_metrics",
-    "compare_to_baseline",
     "configure_events",
     "diff",
     "format_event_line",
@@ -140,7 +124,6 @@ __all__ = [
     "replay_bundle",
     "reset_events",
     "launch_shares",
-    "median_mad",
     "metric_direction",
     "roofline_report",
     "to_chrome_trace_json",

@@ -1,8 +1,8 @@
 """Self-contained HTML run dashboard.
 
 :func:`render_dashboard` turns one :class:`~repro.obs.profile.RunProfile`
-(plus, optionally, the benchmark trajectory directory and a live
-service snapshot) into a single static HTML file with **no external
+(plus, optionally, a live service snapshot and recent postmortem
+bundles) into a single static HTML file with **no external
 assets** — styles, data, and the inline SVG charts are all embedded,
 so the file can be archived next to the profile it renders and opened
 anywhere.
@@ -14,9 +14,6 @@ Sections:
   per Alg.-2 round (the geometric-decay observable), from the
   profile's ``round_log``
 * kernel share — each kernel's slice of the modeled runtime
-* benchmark trajectory — modeled-seconds sparklines per input from
-  ``BENCH_*.json`` and a service-QPS sparkline from
-  ``BENCH_SERVICE_*.json``
 * service — cache hit ratio meter and the SLO table (when a service
   snapshot is supplied)
 * a data-table view of every chart (the accessibility fallback)
@@ -31,10 +28,8 @@ mode stepped for the dark surface (``prefers-color-scheme``).
 from __future__ import annotations
 
 import html
-import json
-from pathlib import Path
 
-__all__ = ["render_dashboard", "load_trajectory"]
+__all__ = ["render_dashboard"]
 
 # Validated categorical slots (light, dark) — order is the CVD-safety
 # mechanism, do not shuffle.  Slot 1 doubles as the sequential hue.
@@ -290,95 +285,6 @@ def _kernel_share_svg(kernels: dict, total_s: float) -> str:
     return "".join(parts)
 
 
-def _sparkline_svg(values: list[float], *, label: str, fmt=_seconds) -> str:
-    """A 12-point-style sparkline; the current period gets the accent."""
-    if not values:
-        return ""
-    w, h, pad = 180, 36, 5
-    vmax, vmin = max(values), min(values)
-    spread = (vmax - vmin) or 1.0
-    n = len(values)
-
-    def x(i: int) -> float:
-        return pad + (w - 2 * pad) * i / max(n - 1, 1)
-
-    def y(v: float) -> float:
-        return pad + (h - 2 * pad) * (1.0 - (v - vmin) / spread)
-
-    pts = " ".join(f"{x(i):.1f},{y(v):.1f}" for i, v in enumerate(values))
-    tip = f"{label}: latest {fmt(values[-1])} over {n} runs"
-    return (
-        f'<svg viewBox="0 0 {w} {h}" width="{w}" height="{h}" class="hit" '
-        f'data-tip="{_esc(tip)}" role="img" aria-label="{_esc(label)} trend">'
-        f'<polyline points="{pts}" fill="none" stroke="var(--muted)" '
-        'stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>'
-        f'<circle cx="{x(n - 1):.1f}" cy="{y(values[-1]):.1f}" r="4" '
-        'fill="var(--s1)" stroke="var(--surface)" stroke-width="2"/>'
-        "</svg>"
-    )
-
-
-# ----------------------------------------------------------------------
-# Trajectory loading
-# ----------------------------------------------------------------------
-def load_trajectory(directory: str | Path) -> tuple[list[dict], list[dict]]:
-    """Read ``BENCH_*.json`` / ``BENCH_SERVICE_*.json`` entries, sorted
-    by file name (the UTC stamp orders them); unparsable files skip."""
-    bench: list[dict] = []
-    service: list[dict] = []
-    d = Path(directory)
-    if not d.is_dir():
-        return bench, service
-    for path in sorted(d.glob("BENCH_*.json")):
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if path.name.startswith("BENCH_SERVICE_"):
-            service.append(payload)
-        else:
-            bench.append(payload)
-    return bench, service
-
-
-def _trajectory_section(bench: list[dict], service: list[dict]) -> str:
-    rows = []
-    by_input: dict[str, list[float]] = {}
-    for payload in bench:
-        for e in payload.get("entries", []):
-            by_input.setdefault(e.get("input", "?"), []).append(
-                float(e.get("modeled_seconds", 0.0))
-            )
-    for name, vals in sorted(by_input.items()):
-        rows.append(
-            "<tr><td>"
-            + _esc(name)
-            + "</td><td>"
-            + _sparkline_svg(vals, label=f"{name} modeled time")
-            + f"</td><td>{_seconds(vals[-1])}</td><td>{len(vals)}</td></tr>"
-        )
-    qps = [
-        float(((p.get("warm") or p.get("cold")) or {}).get("queries_per_second", 0.0))
-        for p in service
-        if (p.get("warm") or p.get("cold"))
-    ]
-    if qps:
-        rows.append(
-            "<tr><td>service QPS</td><td>"
-            + _sparkline_svg(qps, label="service QPS", fmt=_compact)
-            + f"</td><td>{_compact(qps[-1])}/s</td><td>{len(qps)}</td></tr>"
-        )
-    if not rows:
-        return ""
-    return (
-        '<div class="card"><h2>Benchmark trajectory</h2>'
-        "<table><thead><tr><th>series</th><th>trend</th>"
-        "<th>latest</th><th>runs</th></tr></thead><tbody>"
-        + "".join(rows)
-        + "</tbody></table></div>"
-    )
-
-
 # ----------------------------------------------------------------------
 # Service + SLO section
 # ----------------------------------------------------------------------
@@ -483,7 +389,6 @@ def _incidents_section(incidents: list[dict] | None) -> str:
 def render_dashboard(
     profile: dict,
     *,
-    trajectory: str | Path | None = None,
     service: dict | None = None,
     slos: list[dict] | None = None,
     title: str | None = None,
@@ -491,8 +396,7 @@ def render_dashboard(
 ) -> str:
     """Render the full dashboard HTML for one run-profile dict.
 
-    ``trajectory`` points at the benchmark trajectory directory
-    (``BENCH_*.json``); ``service`` is a flat service-metric dict and
+    ``service`` is a flat service-metric dict and
     ``slos`` a list of SLO-status dicts (both optional — the service
     card only renders when data is supplied).  ``incidents`` is a list
     of postmortem-bundle summaries
@@ -546,10 +450,6 @@ def render_dashboard(
         + "</div>"
     )
 
-    bench, service_traj = ([], [])
-    if trajectory is not None:
-        bench, service_traj = load_trajectory(trajectory)
-
     sub = (
         f"{_esc(graph.get('name', '?'))} · "
         f"|V| {_compact(graph.get('vertices', 0))} · "
@@ -571,7 +471,6 @@ def render_dashboard(
 {timeline}
 <div class="row">{kernel_card}{_service_section(service, slos)}</div>
 {_incidents_section(incidents)}
-{_trajectory_section(bench, service_traj)}
 <footer>repro-mst dashboard · schema {_esc(profile.get('schema', '?'))}</footer>
 <div id="tip"></div>
 <script>{_JS}</script>

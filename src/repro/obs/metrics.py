@@ -29,12 +29,13 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# Metric directions: what counts as a *regression* when a metric moves.
-# ``lower`` (the default) treats growth as a regression — costs, counts
-# of work, modeled seconds.  ``higher`` treats shrinkage as a regression
-# — savings such as elided atomics or throughput.  ``exact`` metrics
+# Metric directions: what counts as a *regression* when a metric moves
+# (each ProfileDiff entry carries its metric's direction).  ``lower``
+# (the default) treats growth as a regression — costs, counts of work,
+# modeled seconds.  ``higher`` treats shrinkage as a regression —
+# savings such as elided atomics or throughput.  ``exact`` metrics
 # must not move at all (correctness outputs).  ``info`` metrics are
-# descriptive and never gate (e.g. the sampled filter threshold).
+# descriptive (e.g. the sampled filter threshold).
 # ----------------------------------------------------------------------
 _HIGHER_IS_BETTER = {
     "atomics.elided",
@@ -56,16 +57,15 @@ _INFO = {
     "service.graph_cache_size",
     "service.result_cache_size",
     # Wall-clock latency is host noise: informative for operators,
-    # never a deterministic-gate signal (the perf gate compares modeled
-    # metrics exactly; a CI runner's scheduling jitter must not fail
-    # it).  Covers the windowed p50/p95 gauges and every summary key
-    # the service.latency histogram renders (.count/.min/.mean/...).
+    # never a regression signal.  Covers the windowed p50/p95 gauges
+    # and every summary key the service.latency histogram renders
+    # (.count/.min/.mean/...).
     "service.p50_latency",
     "service.p95_latency",
     "service.qps",
     # Policy decisions are load-dependent serving behavior, not solver
     # performance: shed/retry/breaker counts describe the traffic the
-    # service faced, so they inform operators and never gate diffs.
+    # service faced, so they inform operators only.
     "resilience.policy.admitted",
     "resilience.policy.shed",
     "resilience.policy.retries",
@@ -75,7 +75,7 @@ _INFO = {
 }
 # Flight-recorder ring occupancy and postmortem-bundle counts describe
 # what the black box observed, never solver performance — operator
-# info, exempt from ProfileDiff regression gating.
+# info.
 _INFO_PREFIXES = (
     "service.latency.",
     "resilience.policy.",

@@ -251,40 +251,6 @@ class ProfileDiff:
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-    def regressions(self, *, threshold: float = 1.05) -> dict:
-        """Entries that moved in their *bad* direction by more than
-        ``threshold``×.
-
-        Direction-aware via
-        :func:`~repro.obs.metrics.metric_direction`: cost-like metrics
-        regress when they grow, savings-like metrics (elided atomics,
-        filtered edges, throughput) regress when they *shrink*, exact
-        metrics (MST weight/edge count) regress on any change, and
-        info metrics never gate.  ``threshold=1.0`` is a strict compare
-        that only equality passes — the deterministic perf gate's mode.
-        """
-        out: dict = {}
-        from .metrics import metric_direction
-
-        for key, e in self.entries.items():
-            direction = metric_direction(key)
-            va, vb = e["a"], e["b"]
-            if direction == "info":
-                continue
-            if direction == "exact":
-                bad = vb != va
-            elif direction == "higher":
-                # Shrinking a saving is the regression; a saving
-                # appearing from zero is an improvement.
-                bad = va > 0 and vb * threshold < va
-            else:  # lower
-                # A cost appearing where there was none regresses too
-                # (the old flat-ratio rule silently skipped ratio=None).
-                bad = vb > va * threshold if va > 0 else vb > 0
-            if bad:
-                out[key] = e
-        return out
-
     def render(self, *, min_ratio: float = 0.0) -> str:
         lines = []
         if not self.comparable:

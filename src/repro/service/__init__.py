@@ -18,7 +18,6 @@ from .admin import AdminServer, render_prometheus
 from .batch import (
     BatchSummary,
     parse_batch_lines,
-    record_service_trajectory,
     run_batch_lines,
     summarize,
     sweep_queries,
@@ -42,7 +41,6 @@ __all__ = [
     "classify_error",
     "execute_query",
     "parse_batch_lines",
-    "record_service_trajectory",
     "render_prometheus",
     "result_key",
     "run_batch_lines",

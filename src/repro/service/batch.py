@@ -1,4 +1,4 @@
-"""Batch front end: NDJSON in/out, suite sweeps, trajectory entries.
+"""Batch front end: NDJSON in/out and suite sweeps.
 
 The ``repro-mst serve --batch FILE`` format is one JSON object per
 line (see :class:`~repro.service.query.Query` for the fields)::
@@ -16,10 +16,7 @@ single-shot CLI commands.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .engine import MSTService
@@ -29,13 +26,10 @@ from .query import Query, QueryError
 __all__ = [
     "BatchSummary",
     "parse_batch_lines",
-    "record_service_trajectory",
     "run_batch_lines",
     "summarize",
     "sweep_queries",
 ]
-
-TRAJECTORY_SCHEMA = "repro.bench.service-trajectory/v1"
 
 
 def parse_batch_lines(lines: Iterable[str]) -> list[Query | QueryOutcome]:
@@ -123,7 +117,7 @@ def sweep_queries(
 # ----------------------------------------------------------------------
 @dataclass
 class BatchSummary:
-    """Aggregates of one served batch, renderable and serializable."""
+    """Aggregates of one served batch, renderable as a summary."""
 
     total: int = 0
     ok: int = 0
@@ -147,24 +141,6 @@ class BatchSummary:
     @property
     def cache_hit_ratio(self) -> float:
         return self.cache_hits / self.total if self.total else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "ok": self.ok,
-            "errors": self.errors,
-            "timeouts": self.timeouts,
-            "shed": self.shed,
-            "degraded": self.degraded,
-            "quarantined": self.quarantined,
-            "cancelled": self.cancelled,
-            "cache_hits": self.cache_hits,
-            "cache_hit_ratio": self.cache_hit_ratio,
-            "queries_per_second": self.qps,
-            "wall_seconds": self.wall_seconds,
-            "exit_code": self.exit_code,
-            "metrics": self.metrics,
-        }
 
     def render(self) -> str:
         lines = [
@@ -215,42 +191,3 @@ def summarize(
         wall_seconds=wall_seconds,
         metrics=service.metrics(),
     )
-
-
-# ----------------------------------------------------------------------
-# Benchmark trajectory
-# ----------------------------------------------------------------------
-def record_service_trajectory(
-    cold: BatchSummary,
-    warm: BatchSummary | None,
-    *,
-    selection: str,
-    scale: float,
-    code: str,
-    system: int,
-    workers: int,
-    trajectory_dir: str | Path,
-    stamp: str | None = None,
-) -> Path:
-    """Append one service-throughput entry to the benchmark trajectory
-    (sibling of the perf gate's ``BENCH_<stamp>.json`` entries)."""
-    trajectory = Path(trajectory_dir)
-    trajectory.mkdir(parents=True, exist_ok=True)
-    stamp = stamp or datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    path = trajectory / f"BENCH_SERVICE_{stamp}.json"
-    payload = {
-        "schema": TRAJECTORY_SCHEMA,
-        "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "suite": selection,
-        "scale": scale,
-        "code": code,
-        "system": system,
-        "workers": workers,
-        "cold": cold.to_dict(),
-        "warm": warm.to_dict() if warm is not None else None,
-        "speedup_warm_over_cold": (
-            warm.qps / cold.qps if warm is not None and cold.qps > 0 else None
-        ),
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path

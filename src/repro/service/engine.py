@@ -103,14 +103,9 @@ class ServiceConfig:
     keep_profile: bool = False
     # Overload-safe serving (None = off, bit-identical to a policy-free
     # build) and an exact cost-model slowdown factor for chaos-under-
-    # load testing (GPUSpec.slowed, as the perf gate's CI job uses).
+    # load testing (GPUSpec.slowed, behind the --slowdown flags).
     policy: PolicyConfig | None = None
     slowdown: float = 1.0
-    # Default union executor for ECL-MST queries whose config doesn't
-    # name one (inherited at submit time, before any cache key is
-    # computed).  Both engines are bit-identical; "scalar" keeps the
-    # reference walk for differential debugging.
-    engine: str = "vectorized"
     # Always-on flight recorder (None = off).  The default instance is
     # frozen and shared; it only sizes ring buffers and names the
     # postmortem directory, so sharing is safe.
@@ -125,12 +120,6 @@ class ServiceConfig:
             raise ValueError("max_queue_depth must be >= 1")
         if self.slowdown < 1.0:
             raise ValueError("slowdown must be >= 1")
-        from ..core.config import ENGINES
-
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {sorted(ENGINES)}, got {self.engine!r}"
-            )
         if (
             self.policy is not None
             and self.policy.enabled
@@ -494,18 +483,6 @@ class MSTService:
         to a stale cached answer) without touching the queue.
         """
         now = time.perf_counter()
-        if (
-            query.code == "ECL-MST"
-            and "engine" not in query.config
-            and self.config.engine != ServiceConfig.engine
-        ):
-            # Inherit the service's union executor *before* any key is
-            # computed, so dedup/caching see the resolved spec.  Only
-            # non-default service engines need injecting (an absent
-            # field already resolves to the EclMstConfig default).
-            query = replace(
-                query, config={**query.config, "engine": self.config.engine}
-            )
         self.registry.counter("service.queries").inc()
         if self._closed:
             return self._resolved_ticket(

@@ -5,6 +5,17 @@ import json
 from repro.cli import main
 
 SCALE = 0.06
+# Malformed solver-config values: each must fail its own line as an
+# input error, not reach the solver.
+BAD_CONFIG_VALUES = (
+    ("filter_samples", 0),
+    ("filter_samples", -4),
+    ("seed", -1),
+    ("seed", "x"),
+    ("filter_c", float("nan")),
+    ("hybrid_threshold", 2.5),
+    ("filtering", "no"),
+)
 
 
 def read_ndjson(path):
@@ -66,6 +77,17 @@ class TestServe:
                         {"id": "bad-cadence", "input": "internet", "check_cadence": "x"}
                     ),
                     json.dumps({"id": "no-shards", "input": "internet", "shards": 4}),
+                    *(
+                        json.dumps(
+                            {
+                                "id": f"bad-{key}",
+                                "input": "internet",
+                                "scale": SCALE,
+                                "config": {key: value},
+                            }
+                        )
+                        for key, value in BAD_CONFIG_VALUES
+                    ),
                 ]
             )
         )
@@ -73,7 +95,7 @@ class TestServe:
         rc = main(["serve", "--batch", str(batch), "--out", str(out)])
         assert rc == 3  # input error, the most severe in this batch
         rows = read_ndjson(out)
-        assert len(rows) == 7  # one output line per input line
+        assert len(rows) == 7 + len(BAD_CONFIG_VALUES)  # one per input line
         assert rows[0]["status"] == "ok"
         assert all(r["status"] == "error" for r in rows[1:])
         assert all(r["error_kind"] == "input" for r in rows[1:])
@@ -83,6 +105,8 @@ class TestServe:
         assert "engine" in rows[4]["error"]
         assert "check_cadence" in rows[5]["error"]
         assert "unknown field 'shards'" in rows[6]["error"]
+        for (key, _), row in zip(BAD_CONFIG_VALUES, rows[7:]):
+            assert key in row["error"], row
 
     def test_fault_exit_code_wins(self, tmp_path):
         batch = tmp_path / "batch.ndjson"
@@ -156,29 +180,6 @@ class TestSweep:
         assert "== cold pass ==" in out
         assert "warm passes" in out
         assert "warm/cold throughput" in out
-
-    def test_sweep_records_trajectory(self, tmp_path, capsys):
-        rc = main(
-            [
-                "sweep",
-                "internet",
-                "--scale",
-                str(SCALE),
-                "--repeat",
-                "2",
-                "--record",
-                str(tmp_path),
-            ]
-        )
-        assert rc == 0
-        files = list(tmp_path.glob("BENCH_SERVICE_*.json"))
-        assert len(files) == 1
-        doc = json.loads(files[0].read_text())
-        assert doc["schema"] == "repro.bench.service-trajectory/v1"
-        assert doc["cold"]["queries_per_second"] > 0
-        assert doc["warm"]["queries_per_second"] > 0
-        assert doc["warm"]["cache_hit_ratio"] == 1.0
-        assert doc["speedup_warm_over_cold"] > 0
 
     def test_sweep_unknown_input(self, capsys):
         rc = main(["sweep", "atlantis", "--scale", str(SCALE)])

@@ -1,19 +1,22 @@
 """Differential tests: the link-overlay union engine is bit-identical
 to the scalar reference walk.
 
-The vectorized engine's contract is not "same MSF" but *same
-everything*: parent forest evolution, MST bitmap, and every modeled
-counter (``cas_attempts``, ``union_loads``, ``mirror_dups``, ...) —
-hence the comparison below walks the full :class:`MstResult` as a
-dict, arrays included, and tolerates exactly one difference: the
-``engine`` field of the config echoed in ``extra``.
+The solver always runs :func:`~repro.core.kernels._union_overlay`; the
+oracle run substitutes :func:`~repro.core.kernels._union_scalar` for
+it.  The contract is not "same MSF" but *same everything*: parent
+forest evolution, MST bitmap, and every modeled counter
+(``cas_attempts``, ``union_loads``, ``mirror_dups``, ...) — hence the
+comparison below walks the full :class:`MstResult` as a dict, arrays
+included.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.config import EclMstConfig
 from repro.core.eclmst import ecl_mst
 from repro.generators import rmat, suite
@@ -33,16 +36,12 @@ def _eq(a, b) -> bool:
 
 def assert_bit_identical(graph, config=None):
     """Run both engines on ``graph`` and diff the complete results."""
-    base = config or EclMstConfig()
-    outs = {}
-    for engine in ("scalar", "vectorized"):
-        r = ecl_mst(graph, base.with_(engine=engine))
-        d = dataclasses.asdict(r)
-        # The config echo is the one legitimate difference.
-        cfg = d["extra"].pop("config")
-        assert cfg["engine"] == engine
-        outs[engine] = d
-    a, b = outs["scalar"], outs["vectorized"]
+    with mock.patch.object(
+        kernels, "_union_overlay", wraps=kernels._union_scalar
+    ) as oracle:
+        a = dataclasses.asdict(ecl_mst(graph, config))
+    assert oracle.called, "the oracle run never reached the union"
+    b = dataclasses.asdict(ecl_mst(graph, config))
     for key in a:
         assert _eq(a[key], b[key]), f"engines diverge on {key!r}"
 
@@ -101,6 +100,9 @@ def test_rmat_straggler_path_bit_identical():
 
 
 def test_engine_is_config_semantics_neutral():
-    # Same spec hash inputs aside from engine: results already compared
-    # above; here just pin that the default is the fast engine.
-    assert EclMstConfig().engine == "vectorized"
+    # The union engine is not a config knob, so no config (and no
+    # query hash built on one) can name it.
+    names = {f.name for f in dataclasses.fields(EclMstConfig)}
+    assert "engine" not in names
+    with pytest.raises(TypeError):
+        EclMstConfig(engine="scalar")

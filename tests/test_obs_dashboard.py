@@ -1,4 +1,4 @@
-"""The static HTML run dashboard and its trajectory loader."""
+"""The static HTML run dashboard."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.cli import main
 from repro.core.eclmst import ecl_mst
 from repro.errors import EXIT_INPUT_ERROR
 from repro.generators.random_graphs import erdos_renyi
-from repro.obs.dashboard import load_trajectory, render_dashboard
+from repro.obs.dashboard import render_dashboard
 from repro.obs.profile import RunProfile
 from repro.obs.trace import Tracer
 
@@ -78,43 +78,6 @@ class TestRenderDashboard:
     def test_dark_mode_is_selected_not_flipped(self, profile):
         html = render_dashboard(profile)
         assert "prefers-color-scheme: dark" in html
-
-
-class TestLoadTrajectory:
-    def test_classifies_and_skips(self, tmp_path):
-        (tmp_path / "BENCH_20260101T000000Z.json").write_text(
-            json.dumps({"entries": [{"input": "internet", "modeled_seconds": 1.0}]})
-        )
-        (tmp_path / "BENCH_SERVICE_20260102T000000Z.json").write_text(
-            json.dumps({"cold": {"queries_per_second": 3.0}})
-        )
-        (tmp_path / "BENCH_20260103T000000Z.json").write_text("{nope")
-        (tmp_path / "unrelated.json").write_text("{}")
-        bench, service = load_trajectory(tmp_path)
-        assert len(bench) == 1 and len(service) == 1
-        assert bench[0]["entries"][0]["input"] == "internet"
-
-    def test_missing_directory_is_empty(self, tmp_path):
-        bench, service = load_trajectory(tmp_path / "nope")
-        assert bench == [] and service == []
-
-    def test_trajectory_feeds_the_dashboard(self, tmp_path, profile):
-        for stamp, modeled in (("01", 1.0), ("02", 0.8)):
-            (tmp_path / f"BENCH_202601{stamp}T000000Z.json").write_text(
-                json.dumps(
-                    {
-                        "entries": [
-                            {
-                                "input": "internet",
-                                "modeled_seconds": modeled,
-                                "rounds": 4,
-                            }
-                        ]
-                    }
-                )
-            )
-        html = render_dashboard(profile, trajectory=tmp_path)
-        assert "internet" in html
 
 
 class TestDashboardCLI:

@@ -66,6 +66,18 @@ class TestQuery:
             q(fault_seed=1.5)
         with pytest.raises(QueryError, match="engine"):
             q(config={"engine": "gpu"})
+        # Malformed solver-config values are typed input errors too.
+        for bad in (
+            {"filter_samples": 0},
+            {"filter_samples": -4},
+            {"seed": -1},
+            {"seed": "x"},
+            {"filter_c": float("nan")},
+            {"filtering": "no"},
+            {"hybrid_threshold": 2.5},
+        ):
+            with pytest.raises(QueryError, match=next(iter(bad))):
+                q(config=bad)
 
     def test_unknown_config_field(self):
         with pytest.raises(QueryError, match="unknown config field"):
@@ -292,14 +304,23 @@ class TestBatch:
                 '{"input": "internet", "config": {"engine": "gpu"}}',
                 '{"input": "internet", "check_cadence": "x"}',
                 '{"input": "internet", "shards": 4}',
+                '{"input": "internet", "config": {"filter_samples": 0}}',
+                '{"input": "internet", "config": {"seed": -1}}',
+                '{"input": "internet", "config": {"seed": "x"}}',
+                '{"input": "internet", "config": {"filter_c": NaN}}',
+                '{"input": "internet", "config": {"filtering": "no"}}',
             ]
         )
-        assert len(items) == 7
+        assert len(items) == 12
         assert isinstance(items[0], Query)
         assert all(isinstance(i, QueryOutcome) for i in items[1:])
         assert all(i.error_kind == "input" for i in items[1:])
         assert "line 2" in items[1].error
         assert "line 8" in items[5].error and "check_cadence" in items[5].error
+        assert "filter_samples" in items[7].error
+        assert "seed" in items[8].error and "seed" in items[9].error
+        assert "filter_c" in items[10].error
+        assert "filtering" in items[11].error
 
     def test_batch_exit_code_is_most_severe(self):
         def fail(kind_exc):
