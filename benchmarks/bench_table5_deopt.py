@@ -8,20 +8,18 @@ table + throughput series) on the single-component inputs.
 import pytest
 
 from repro.bench.experiments import exp_deopt
-from repro.core.config import DEOPT_STAGE_NAMES, deopt_stages
+from repro.core.config import DEOPT_STAGE_NAMES, DEOPT_STAGES, deopt_stages
 from repro.core.eclmst import ecl_mst
 from repro.bench.harness import SYSTEM2, geomean
 from repro.generators import suite as suite_mod
 
 from _artifacts import write_artifact
 
-STAGES = dict(deopt_stages())
-
 
 @pytest.mark.parametrize("stage", DEOPT_STAGE_NAMES)
 def test_stage_runtime(benchmark, stage, suite_graphs):
     g = suite_graphs["r4-2e23.sym"]
-    r = benchmark(lambda: ecl_mst(g, STAGES[stage], gpu=SYSTEM2.gpu))
+    r = benchmark(lambda: ecl_mst(g, DEOPT_STAGES[stage], gpu=SYSTEM2.gpu))
     assert r.num_mst_edges == g.num_vertices - 1
 
 

@@ -188,7 +188,7 @@ def _traced_run(args):
     ``trace`` and ``profile``."""
     from .baselines.registry import get_runner
     from .bench.harness import SYSTEM1, SYSTEM2
-    from .core.config import EclMstConfig, deopt_stages
+    from .core.config import DEOPT_STAGES, EclMstConfig
     from .core.eclmst import ecl_mst
     from .obs import Tracer
 
@@ -201,13 +201,12 @@ def _traced_run(args):
     stage = getattr(args, "stage", None)
     code = getattr(args, "code", "ECL-MST")
     if stage is not None:
-        stages = dict(deopt_stages())
-        if stage not in stages:
+        if stage not in DEOPT_STAGES:
             raise SystemExit(
                 f"unknown de-opt stage {stage!r}; choose from "
-                f"{', '.join(stages)}"
+                f"{', '.join(DEOPT_STAGES)}"
             )
-        result = ecl_mst(g, stages[stage], gpu=system.gpu, tracer=tracer)
+        result = ecl_mst(g, DEOPT_STAGES[stage], gpu=system.gpu, tracer=tracer)
     elif code == "ECL-MST":
         result = ecl_mst(g, EclMstConfig(), gpu=system.gpu, tracer=tracer)
     else:

@@ -1,6 +1,6 @@
 """The paper's contribution: ECL-MST on the simulated GPU substrate."""
 
-from .config import DEOPT_STAGE_NAMES, EclMstConfig, deopt_stages
+from .config import DEOPT_STAGE_NAMES, DEOPT_STAGES, EclMstConfig, deopt_stages
 from .convergence import (
     boruvka_parallel,
     kruskal_chunked_sorted,
@@ -15,6 +15,7 @@ from .verify import VerificationError, reference_mst_mask, verify_mst
 
 __all__ = [
     "DEOPT_STAGE_NAMES",
+    "DEOPT_STAGES",
     "EclMstConfig",
     "FilterPlan",
     "MsfValidationError",

@@ -3,7 +3,8 @@
 Every toggle corresponds to one row of the de-optimization study
 (Table 5 / Figure 5).  The stages there are *cumulative* — each version
 removes one more optimization than the previous — which
-:func:`deopt_stages` reproduces in the paper's order.
+:func:`deopt_stages` reproduces in the paper's order, and
+:data:`DEOPT_STAGES` holds the default ladder by stage name.
 
 All configurations compute the identical MSF (the paper verifies every
 de-optimized version too); the toggles change only how much work the
@@ -15,8 +16,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
+from typing import Mapping
 
-__all__ = ["EclMstConfig", "deopt_stages", "DEOPT_STAGE_NAMES"]
+__all__ = ["EclMstConfig", "deopt_stages", "DEOPT_STAGE_NAMES", "DEOPT_STAGES"]
 
 
 @dataclass(frozen=True)
@@ -146,3 +149,8 @@ def deopt_stages(base: EclMstConfig | None = None) -> list[tuple[str, EclMstConf
         acc.update(removal)
         stages.append((name, cfg.with_(**acc)))
     return stages
+
+
+# The default ladder, built once: stage name -> config (read-only).
+# Look a stage up here; call deopt_stages(base) only for a custom base.
+DEOPT_STAGES: Mapping[str, EclMstConfig] = MappingProxyType(dict(deopt_stages()))

@@ -84,10 +84,17 @@ class MstResult:
         return self.graph.num_directed_edges / t / 1e6
 
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(u, v, w)`` arrays of the selected MST edges."""
-        u, v, w, eid = self.graph.undirected_edges()
-        sel = self.in_mst[eid]
-        return u[sel], v[sel], w[sel]
+        """``(u, v, w)`` arrays of the selected MST edges.
+
+        One entry per selected edge, ``u < v``, ordered by edge ID: the
+        selected rows of :meth:`CSRGraph.undirected_edges`, but only the
+        selected slots are gathered and sorted.
+        """
+        g = self.graph
+        src = g.edge_sources()
+        slots = np.flatnonzero(self.in_mst[g.edge_ids] & (src < g.col_idx))
+        slots = slots[np.argsort(g.edge_ids[slots], kind="stable")]
+        return src[slots], g.col_idx[slots], g.weights[slots]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -14,6 +14,7 @@ ECL-MST are built from.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -60,6 +61,9 @@ class CSRGraph:
         default=None, init=False, repr=False, compare=False
     )
     _edge_weight_cache: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _digest_cache: str | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -121,6 +125,19 @@ class CSRGraph:
             table.flags.writeable = False
             self._edge_weight_cache = table
         return self._edge_weight_cache
+
+    def digest(self) -> str:
+        """Hex digest of the CSR arrays: topology and weights (cached).
+
+        Equal digests mean the same weighted adjacency.  Like the other
+        caches, it assumes the arrays are not mutated after first use.
+        """
+        if self._digest_cache is None:
+            h = hashlib.blake2b(digest_size=8)
+            for arr in (self.row_ptr, self.col_idx, self.weights):
+                h.update(arr.tobytes())
+            self._digest_cache = h.hexdigest()
+        return self._digest_cache
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbor vertex IDs of ``v`` (a view, do not mutate)."""

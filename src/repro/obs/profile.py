@@ -13,7 +13,6 @@ deltas are exactly such diffs).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -25,19 +24,18 @@ SCHEMA = "repro.obs.profile/v1"
 def graph_fingerprint(graph) -> dict:
     """Structural identity of a graph, cheap and pickle-free.
 
-    The digest covers the CSR arrays (topology + weights), so two
+    The digest (:meth:`~repro.graph.csr.CSRGraph.digest`, computed once
+    per graph) covers the CSR arrays (topology + weights), so two
     graphs with the same fingerprint describe the same weighted
     adjacency — enough to know a profile diff compares like with like.
+    Each call returns a fresh dict.
     """
-    h = hashlib.blake2b(digest_size=8)
-    for arr in (graph.row_ptr, graph.col_idx, graph.weights):
-        h.update(arr.tobytes())
     return {
         "name": graph.name,
         "vertices": int(graph.num_vertices),
         "edges": int(graph.num_edges),
         "directed_edges": int(graph.num_directed_edges),
-        "digest": h.hexdigest(),
+        "digest": graph.digest(),
     }
 
 

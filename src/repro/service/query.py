@@ -21,6 +21,11 @@ normalize to two keys:
 Labels (``id``) and scheduling knobs (``timeout_s``, ``priority``) are
 deliberately excluded from both keys — they change how a query is
 served, never what it computes.
+
+The resolved config and both keys are computed once, at construction,
+and kept outside the dataclass fields (so :meth:`Query.to_dict` does
+not see them).  Treat a query as immutable: derive a changed one with
+``dataclasses.replace``, which builds fresh keys.
 """
 
 from __future__ import annotations
@@ -28,10 +33,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..core.config import DEOPT_STAGE_NAMES, EclMstConfig, deopt_stages
+from ..core.config import DEOPT_STAGE_NAMES, DEOPT_STAGES, EclMstConfig
 from ..errors import GraphFormatError
 
 __all__ = ["Query", "QueryError", "result_key"]
@@ -64,6 +71,12 @@ _FIELDS = {
     "fault_kinds",
 }
 _ALIASES = {"timeout": "timeout_s"}
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(EclMstConfig))
+
+
+def _digest(payload: dict) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(blob.encode(), digest_size=8).hexdigest()
 
 
 @dataclass
@@ -90,20 +103,30 @@ class Query:
             raise QueryError(f"query {self.id or '?'}: missing 'input'")
         if not self.id:
             self.id = self.input
-        if self.system not in (1, 2):
+        if isinstance(self.system, bool) or self.system not in (1, 2):
             raise QueryError(
                 f"query {self.id}: system must be 1 or 2, got {self.system!r}"
             )
-        if not isinstance(self.scale, (int, float)) or self.scale <= 0:
+        for name in ("scale", "timeout_s"):
+            value = getattr(self, name)
+            if name == "timeout_s" and value is None:
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value <= 0
+            ):
+                raise QueryError(
+                    f"query {self.id}: {name} must be a positive finite "
+                    f"number, got {value!r}"
+                )
+        if not isinstance(self.verify, bool):
             raise QueryError(
-                f"query {self.id}: scale must be positive, got {self.scale!r}"
+                f"query {self.id}: verify must be true or false, "
+                f"got {self.verify!r}"
             )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise QueryError(
-                f"query {self.id}: timeout_s must be positive, "
-                f"got {self.timeout_s!r}"
-            )
-        for name in ("priority", "check_cadence", "fault_seed"):
+        for name in ("priority", "check_cadence", "fault_seed", "n_faults"):
             value = getattr(self, name)
             if name == "fault_seed" and value is None:
                 continue
@@ -142,8 +165,24 @@ class Query:
                 f"to ECL-MST, not {self.code!r}"
             )
         # Resolve the config now, so a bad value fails at parse time
-        # as a typed input error rather than later in the worker.
-        self.resolved_config()
+        # as a typed input error rather than later in the worker, and
+        # derive both keys from it once.  Plain attributes, not fields.
+        self._config = cfg = self._resolve_config()
+        semantics = {
+            "code": self.code,
+            "system": self.system,
+            # Every config field is a scalar, so this equals asdict(cfg).
+            "config": {} if cfg is None else {f: getattr(cfg, f) for f in _CONFIG_FIELDS},
+            "verify": self.verify,
+            "check_cadence": self.check_cadence,
+            "fault_seed": self.fault_seed,
+            "n_faults": self.n_faults,
+            "fault_kinds": list(self.fault_kinds),
+        }
+        self._config_hash = _digest(semantics)
+        semantics["input"] = self.input
+        semantics["scale"] = repr(float(self.scale))
+        self._spec_key = _digest(semantics)
 
     # ------------------------------------------------------------------
     # Parsing
@@ -186,49 +225,32 @@ class Query:
     # ------------------------------------------------------------------
     # Normalization
     # ------------------------------------------------------------------
-    def resolved_config(self) -> EclMstConfig | None:
-        """The full :class:`EclMstConfig` this query runs under
-        (stage base + overrides), or ``None`` for baseline codes."""
+    def _resolve_config(self) -> EclMstConfig | None:
         if self.code != "ECL-MST":
             return None
-        base = EclMstConfig()
-        if self.stage is not None:
-            base = dict(deopt_stages())[self.stage]
+        base = DEOPT_STAGES[self.stage or "ECL-MST"]
         if not self.config:
             return base
-        known = {f.name for f in dataclasses.fields(EclMstConfig)}
-        unknown = set(self.config) - known
+        unknown = set(self.config) - _CONFIG_FIELDS
         if unknown:
             raise QueryError(
                 f"query {self.id}: unknown config field(s) "
-                f"{', '.join(sorted(unknown))} (known: {', '.join(sorted(known))})"
+                f"{', '.join(sorted(unknown))} "
+                f"(known: {', '.join(sorted(_CONFIG_FIELDS))})"
             )
         try:
             return base.with_(**self.config)
         except (TypeError, ValueError) as exc:
             raise QueryError(f"query {self.id}: bad config: {exc}") from None
 
-    def _semantics(self) -> dict:
-        cfg = self.resolved_config()
-        return {
-            "code": self.code,
-            "system": self.system,
-            "config": dataclasses.asdict(cfg) if cfg is not None else {},
-            "verify": bool(self.verify),
-            "check_cadence": int(self.check_cadence),
-            "fault_seed": self.fault_seed,
-            "n_faults": int(self.n_faults),
-            "fault_kinds": list(self.fault_kinds),
-        }
-
-    @staticmethod
-    def _digest(payload: dict) -> str:
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.blake2b(blob.encode(), digest_size=8).hexdigest()
+    def resolved_config(self) -> EclMstConfig | None:
+        """The full :class:`EclMstConfig` this query runs under
+        (stage base + overrides), or ``None`` for baseline codes."""
+        return self._config
 
     def config_hash(self) -> str:
         """Canonical digest of every semantic knob (not the input)."""
-        return self._digest(self._semantics())
+        return self._config_hash
 
     def spec_key(self) -> str:
         """Digest of the full specification: semantics + input source.
@@ -236,10 +258,7 @@ class Query:
         Two queries with equal spec keys compute the same thing from
         the same source and may coalesce while in flight.
         """
-        payload = self._semantics()
-        payload["input"] = self.input
-        payload["scale"] = repr(float(self.scale))
-        return self._digest(payload)
+        return self._spec_key
 
 
 def result_key(graph_digest: str, query: Query) -> str:

@@ -16,6 +16,17 @@ BAD_CONFIG_VALUES = (
     ("hybrid_threshold", 2.5),
     ("filtering", "no"),
 )
+# Malformed query fields: each must fail its own line as an input error.
+BAD_QUERY_VALUES = (
+    ("scale", float("nan")),
+    ("scale", float("inf")),
+    ("scale", True),
+    ("timeout_s", float("nan")),
+    ("n_faults", 2.5),
+    ("n_faults", True),
+    ("verify", "no"),
+    ("system", True),
+)
 
 
 def read_ndjson(path):
@@ -88,6 +99,10 @@ class TestServe:
                         )
                         for key, value in BAD_CONFIG_VALUES
                     ),
+                    *(
+                        json.dumps({"id": f"bad-{key}", "input": "internet", key: value})
+                        for key, value in BAD_QUERY_VALUES
+                    ),
                 ]
             )
         )
@@ -95,7 +110,7 @@ class TestServe:
         rc = main(["serve", "--batch", str(batch), "--out", str(out)])
         assert rc == 3  # input error, the most severe in this batch
         rows = read_ndjson(out)
-        assert len(rows) == 7 + len(BAD_CONFIG_VALUES)  # one per input line
+        assert len(rows) == 7 + len(BAD_CONFIG_VALUES) + len(BAD_QUERY_VALUES)
         assert rows[0]["status"] == "ok"
         assert all(r["status"] == "error" for r in rows[1:])
         assert all(r["error_kind"] == "input" for r in rows[1:])
@@ -105,7 +120,7 @@ class TestServe:
         assert "engine" in rows[4]["error"]
         assert "check_cadence" in rows[5]["error"]
         assert "unknown field 'shards'" in rows[6]["error"]
-        for (key, _), row in zip(BAD_CONFIG_VALUES, rows[7:]):
+        for (key, _), row in zip(BAD_CONFIG_VALUES + BAD_QUERY_VALUES, rows[7:]):
             assert key in row["error"], row
 
     def test_fault_exit_code_wins(self, tmp_path):

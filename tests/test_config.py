@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import DEOPT_STAGE_NAMES, EclMstConfig, deopt_stages
+from repro.core.config import DEOPT_STAGE_NAMES, DEOPT_STAGES, EclMstConfig, deopt_stages
 
 
 class TestConfig:
@@ -80,6 +80,11 @@ class TestDeoptLadder:
             cur = stages[i][1]
             diffs = [f for f in flags if getattr(prev, f) != getattr(cur, f)]
             assert len(diffs) == 1
+
+    def test_stage_table_is_the_default_ladder(self):
+        assert list(DEOPT_STAGES.items()) == deopt_stages()
+        with pytest.raises(TypeError):
+            DEOPT_STAGES["ECL-MST"] = EclMstConfig()  # type: ignore[index]
 
     def test_custom_base_preserved(self):
         base = EclMstConfig(seed=42, filter_c=2.0)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.config import EclMstConfig, deopt_stages
+from repro.core.config import DEOPT_STAGES, EclMstConfig
 from repro.core.eclmst import ecl_mst
 from repro.obs import (
     RunProfile,
@@ -112,10 +112,9 @@ class TestProfileDiff:
         """Table-5 grid: removing the atomic guards must show up as the
         elided-atomics metric collapsing to zero and executed atomics
         rising — the profile diff is how the regression is attributed."""
-        stages = dict(deopt_stages())
-        a = RunProfile.from_result(ecl_mst(medium_graph, stages["ECL-MST"]))
+        a = RunProfile.from_result(ecl_mst(medium_graph, DEOPT_STAGES["ECL-MST"]))
         b = RunProfile.from_result(
-            ecl_mst(medium_graph, stages["No Atomic Guards"])
+            ecl_mst(medium_graph, DEOPT_STAGES["No Atomic Guards"])
         )
         d = diff(a, b)
         assert d.comparable  # same graph fingerprint

@@ -20,6 +20,18 @@ from repro.service import (
 from repro.service.outcome import QueryOutcome, classify_error
 
 SCALE = 0.06
+# Malformed query fields (key, value): non-finite numbers, bools where
+# a number is meant, a fractional count and a non-bool verify flag.
+BAD_QUERY_VALUES = (
+    ("scale", float("nan")),
+    ("scale", float("inf")),
+    ("scale", True),
+    ("timeout_s", float("nan")),
+    ("n_faults", 2.5),
+    ("n_faults", True),
+    ("verify", "no"),
+    ("system", True),
+)
 
 
 def q(input="internet", **kw):
@@ -66,6 +78,10 @@ class TestQuery:
             q(fault_seed=1.5)
         with pytest.raises(QueryError, match="engine"):
             q(config={"engine": "gpu"})
+        # Malformed query fields: each was accepted or failed untyped.
+        for key, value in BAD_QUERY_VALUES:
+            with pytest.raises(QueryError, match=key):
+                Query.from_dict({"input": "internet", key: value})
         # Malformed solver-config values are typed input errors too.
         for bad in (
             {"filter_samples": 0},

@@ -24,7 +24,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core.config import deopt_stages
+from repro.core.config import DEOPT_STAGES
 from repro.core.eclmst import ecl_mst
 from repro.core.kernels import MstState
 from repro.generators import suite
@@ -33,7 +33,6 @@ from repro.generators.suite import INPUT_NAMES
 PINS_PATH = Path(__file__).with_name("solver_pins.json")
 SCALE = 0.25
 SEED = 7
-STAGES = dict(deopt_stages())
 
 
 def run_digest(name: str, stage: str) -> str:
@@ -49,7 +48,7 @@ def run_digest(name: str, stage: str) -> str:
         return state
 
     with mock.patch.object(MstState, "create", capture):
-        result = ecl_mst(graph, STAGES[stage])
+        result = ecl_mst(graph, DEOPT_STAGES[stage])
     assert len(states) == 1
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(result.in_mst, dtype=np.bool_).tobytes())
@@ -68,16 +67,16 @@ def _pins() -> dict[str, str]:
 
 
 def test_pins_cover_every_input_and_stage():
-    assert set(_pins()) == {_key(n, s) for n in INPUT_NAMES for s in STAGES}
+    assert set(_pins()) == {_key(n, s) for n in INPUT_NAMES for s in DEOPT_STAGES}
 
 
-@pytest.mark.parametrize("stage", list(STAGES))
+@pytest.mark.parametrize("stage", list(DEOPT_STAGES))
 @pytest.mark.parametrize("name", INPUT_NAMES)
 def test_solver_run_matches_pin(name, stage):
     assert run_digest(name, stage) == _pins()[_key(name, stage)]
 
 
 if __name__ == "__main__":
-    pins = {_key(n, s): run_digest(n, s) for n in INPUT_NAMES for s in STAGES}
+    pins = {_key(n, s): run_digest(n, s) for n in INPUT_NAMES for s in DEOPT_STAGES}
     json.dump(pins, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
