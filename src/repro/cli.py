@@ -15,13 +15,14 @@ Subcommands::
     repro-mst trace <input> [--format chrome|ndjson] [--out FILE]
     repro-mst profile <input> [--baseline FILE] [--format json|chrome|ndjson]
     repro-mst chaos <input> [--faults N --seed S]  # fault-injection campaign
-    repro-mst serve --batch FILE [--workers N --pool thread|process]
+    repro-mst serve --batch FILE [--workers N]
     repro-mst sweep <suite> [--repeat N]
 
 For backwards compatibility, a bare experiment key also works:
 ``python -m repro table4`` ≡ ``python -m repro exp table4``.
 
-Exit codes: 0 success; 1 not-connected / campaign failure; 2 usage;
+Exit codes: 0 success; 1 not-connected / campaign failure; 2 usage
+(including a ``serve``/``sweep`` flag value the service rejects);
 3 malformed input (:class:`~repro.errors.GraphFormatError`);
 4 verification failure; 5 unrecovered device fault.  ``serve`` and
 ``sweep`` apply the same taxonomy per query and exit with the most
@@ -364,39 +365,41 @@ def _cmd_chaos(args) -> int:
     return 0 if report.escaped == 0 else 1
 
 
+class _UsageError(Exception):
+    """A flag value the service configs reject (one line, exit 2)."""
+
+
 def _policy_from_args(args):
     """A :class:`PolicyConfig` from the CLI knobs, or ``None`` when
     every overload-safety mechanism is left off."""
     from .resilience.policy import PolicyConfig
 
     policy = PolicyConfig(
-        admission_rate=getattr(args, "admission_rate", 0.0),
-        admission_burst=getattr(args, "admission_burst", 8),
-        max_retries=getattr(args, "max_retries", 0),
-        breaker_threshold=getattr(args, "breaker_threshold", 0),
-        breaker_cooldown_s=getattr(args, "breaker_cooldown", 1.0),
-        serve_stale=getattr(args, "serve_stale", False),
-        fresh_ttl_s=getattr(args, "fresh_ttl", 0.0),
-        degrade_serial=getattr(args, "degrade_serial", False),
-        quarantine_after=getattr(args, "quarantine_after", 0),
-        seed=getattr(args, "policy_seed", 0),
+        admission_rate=args.admission_rate,
+        admission_burst=args.admission_burst,
+        max_retries=args.max_retries,
+        breaker_threshold=args.breaker_threshold,
+        breaker_cooldown_s=args.breaker_cooldown,
+        serve_stale=args.serve_stale,
+        fresh_ttl_s=args.fresh_ttl,
+        degrade_serial=args.degrade_serial,
+        quarantine_after=args.quarantine_after,
+        seed=args.policy_seed,
     )
     return policy if policy.enabled else None
 
 
 def _service_from_args(args):
+    """The configured service; a rejected flag value is a usage error."""
     from .obs.recorder import RecorderConfig
     from .service import MSTService, ServiceConfig
 
     recorder = None
-    if not getattr(args, "no_recorder", False):
-        recorder = RecorderConfig(
-            dir=getattr(args, "postmortem_dir", "postmortems")
-        )
-    return MSTService(
-        ServiceConfig(
+    if not args.no_recorder:
+        recorder = RecorderConfig(dir=args.postmortem_dir)
+    try:
+        config = ServiceConfig(
             workers=args.workers,
-            pool=args.pool,
             result_cache_size=args.cache_size,
             graph_cache_size=args.graph_cache_size,
             max_queue_depth=args.queue_depth,
@@ -404,10 +407,12 @@ def _service_from_args(args):
             # Admin endpoints imply profile retention (/profilez).
             keep_profile=getattr(args, "admin_port", None) is not None,
             policy=_policy_from_args(args),
-            slowdown=getattr(args, "slowdown", 1.0),
+            slowdown=args.slowdown,
             recorder=recorder,
         )
-    )
+    except ValueError as exc:
+        raise _UsageError(f"{args.command}: {exc}") from None
+    return MSTService(config)
 
 
 def _cmd_serve(args) -> int:
@@ -857,9 +862,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def _service_common(p) -> None:
         p.add_argument("--workers", type=int, default=4)
         p.add_argument(
-            "--pool", choices=("thread", "process"), default="thread"
-        )
-        p.add_argument(
             "--cache-size",
             type=int,
             default=256,
@@ -887,7 +889,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="default per-query timeout in seconds",
         )
         # Overload-safety policy knobs (all off by default; any nonzero/
-        # true knob arms the serving policy, which needs --pool thread).
+        # true knob arms the serving policy).
         p.add_argument(
             "--admission-rate",
             type=float,
@@ -1092,7 +1094,6 @@ def main(argv: list[str] | None = None) -> int:
         GraphFormatError,
         InvariantViolation,
         Overloaded,
-        UnrecoveredFaultError,
         VerificationError,
     )
 
@@ -1104,12 +1105,15 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (DeviceFault, InvariantViolation, UnrecoveredFaultError) as exc:
+    except (DeviceFault, InvariantViolation) as exc:
         print(f"unrecovered fault: {exc}", file=sys.stderr)
         return EXIT_UNRECOVERED_FAULT
     except Overloaded as exc:
         print(f"overloaded: {exc}", file=sys.stderr)
         return EXIT_OVERLOADED
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,6 @@ Hierarchy::
     ├── VerificationError     (also AssertionError) — result != serial Kruskal
     ├── DeviceFault           (also RuntimeError)  — simulated hardware fault
     ├── InvariantViolation    (also AssertionError) — online check tripped
-    ├── UnrecoveredFaultError (also RuntimeError)  — recovery ladder exhausted
     ├── DeadlineExceeded      (also TimeoutError)  — query deadline hit mid-run
     └── Overloaded            (also RuntimeError)  — admission control shed it
 
@@ -39,7 +38,6 @@ __all__ = [
     "VerificationError",
     "DeviceFault",
     "InvariantViolation",
-    "UnrecoveredFaultError",
     "DeadlineExceeded",
     "Overloaded",
     "EXIT_INPUT_ERROR",
@@ -133,11 +131,6 @@ class InvariantViolation(ReproError, AssertionError):
         self.invariant = invariant
         self.round_index = round_index
         self.kernel = kernel
-
-
-class UnrecoveredFaultError(ReproError, RuntimeError):
-    """The whole recovery ladder (retry, phase restart, fallback) failed
-    or was disabled while a fault remained detected."""
 
 
 class DeadlineExceeded(ReproError, TimeoutError):

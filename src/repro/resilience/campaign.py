@@ -460,7 +460,6 @@ def run_service_campaign(
     svc = MSTService(
         ServiceConfig(
             workers=workers,
-            pool="thread",
             max_queue_depth=max_queue_depth,
             slowdown=slowdown,
             policy=policy,

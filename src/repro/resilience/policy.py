@@ -4,7 +4,7 @@ Where the rest of :mod:`repro.resilience` protects one *solver run*
 against device faults, this module protects the *service* against its
 own traffic: a burst of slow queries must degrade into predictable
 typed outcomes instead of a timeout cascade.  Four cooperating
-mechanisms, all knobs on :class:`PolicyConfig` and all deterministic
+mechanisms, armed by :class:`PolicyConfig` and all deterministic
 under a seed + injectable clock:
 
 * :class:`TokenBucket` + the queue-depth gate inside
@@ -79,10 +79,16 @@ BREAKER_HALF_OPEN = "half-open"
 # reproduces the failure and burns the budget for nothing.
 RETRYABLE_ERROR_KINDS = ("fault", "timeout")
 
+# Queue-depth fraction (of max_queue_depth) at which LOW / NORMAL /
+# HIGH priority queries are shed instead of queued.
+SHED_DEPTH_FRAC = (0.5, 0.9, 1.0)
+# Half-open probe successes needed to close a breaker.
+BREAKER_PROBES = 1
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Every serving-policy knob (attach via ``ServiceConfig.policy``).
+    """The serving-policy knobs (attach via ``ServiceConfig.policy``).
 
     The defaults leave **everything off**: admission, retries, breaker,
     degradation, and quarantine each activate only when their knob is
@@ -93,9 +99,6 @@ class PolicyConfig:
     # --- admission control / load shedding ---
     admission_rate: float = 0.0  # sustained queries/s; 0 = gate off
     admission_burst: int = 8  # token-bucket capacity
-    shed_depth_frac: tuple[float, float, float] = (0.5, 0.9, 1.0)
-    # queue-depth fraction (of max_queue_depth) at which LOW / NORMAL /
-    # HIGH priority queries are shed instead of queued
     # --- retries ---
     max_retries: int = 0  # per-query retry budget; 0 = off
     backoff_base_s: float = 0.01  # decorrelated-jitter floor
@@ -103,11 +106,9 @@ class PolicyConfig:
     # --- circuit breaker (per graph fingerprint) ---
     breaker_threshold: int = 0  # consecutive failures to open; 0 = off
     breaker_cooldown_s: float = 1.0  # open duration before half-open
-    breaker_probes: int = 1  # half-open successes needed to close
     # --- graceful degradation ---
     serve_stale: bool = False  # shed/broken queries may answer stale
     fresh_ttl_s: float = 0.0  # cache-entry freshness; 0 = never expires
-    stale_max_age_s: float = 300.0  # oldest cached result still served
     degrade_serial: bool = False  # serial-Kruskal fallback when broken
     # --- poison-query quarantine ---
     quarantine_after: int = 0  # consecutive failed executions; 0 = off
@@ -119,10 +120,6 @@ class PolicyConfig:
             raise ValueError("admission_rate must be >= 0")
         if self.admission_burst < 1:
             raise ValueError("admission_burst must be >= 1")
-        if len(self.shed_depth_frac) != 3 or any(
-            not 0.0 < f <= 1.0 for f in self.shed_depth_frac
-        ):
-            raise ValueError("shed_depth_frac needs three fractions in (0, 1]")
         if self.max_retries < 0 or self.breaker_threshold < 0:
             raise ValueError("retry/breaker thresholds must be >= 0")
         if self.quarantine_after < 0:
@@ -236,7 +233,7 @@ class AdmissionController:
 
     Priority ``p`` (clamped to LOW/NORMAL/HIGH) buys two things:
 
-    * a deeper queue allowance — ``shed_depth_frac[p] * max_depth``;
+    * a deeper queue allowance — ``SHED_DEPTH_FRAC[p] * max_depth``;
     * less token-bucket headroom to leave — LOW must leave half the
       burst unspent, NORMAL one token, HIGH dips to the bottom.
 
@@ -263,7 +260,7 @@ class AdmissionController:
 
     def decide(self, *, priority: int, queue_depth: int) -> AdmissionDecision:
         p = self._clamp(priority)
-        allowed_depth = self.cfg.shed_depth_frac[p] * self.max_queue_depth
+        allowed_depth = SHED_DEPTH_FRAC[p] * self.max_queue_depth
         if queue_depth >= allowed_depth:
             return AdmissionDecision(False, "queue-depth")
         reserve = (0.5 * self.cfg.admission_burst, 1.0, 0.0)[p]
@@ -336,7 +333,7 @@ class CircuitBreaker:
       cooldown doubles per consecutive open (seeded jitter on top) so
       a persistently failing backend is probed ever more rarely — and
       reproducibly, since the jitter RNG is seeded per key.
-    * **half-open**: one probe at a time passes; ``breaker_probes``
+    * **half-open**: one probe at a time passes; ``BREAKER_PROBES``
       successes close it, any failure re-opens it.
 
     ``transitions`` records every state change in order — the
@@ -435,7 +432,7 @@ class CircuitBreaker:
                 self._probe_inflight = False
                 if ok:
                     self.probe_successes += 1
-                    if self.probe_successes >= self.cfg.breaker_probes:
+                    if self.probe_successes >= BREAKER_PROBES:
                         self._move_locked(BREAKER_CLOSED, "probe-succeeded")
                 else:
                     self._move_locked(BREAKER_OPEN, "probe-failed")

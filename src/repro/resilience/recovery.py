@@ -6,7 +6,7 @@ The :class:`RoundGuard` wraps every Alg.-2 round:
 2. Run the round; a :class:`~repro.errors.DeviceFault` (failed launch)
    or :class:`~repro.errors.InvariantViolation` (online check, at the
    configured cadence) triggers **rollback-and-retry** with jittered
-   exponential backoff, up to ``max_retries`` attempts.
+   exponential backoff, up to :data:`MAX_RETRIES` attempts.
 3. Retries exhausted → **phase restart**: the driver rolls back to the
    phase-entry checkpoint and reruns the whole phase with invariants
    forced on (per-kernel probes + every-round sweeps).
@@ -14,11 +14,11 @@ The :class:`RoundGuard` wraps every Alg.-2 round:
    replaced by the serial Kruskal reference (the paper's verifier),
    recorded as a degraded-mode completion.
 
-An optional end-of-run **verify detector** compares the finished edge
-mask against the reference and falls back on mismatch, so silent
-corruption that slipped past the invariants is still caught — the
-"escaped" count a chaos campaign reports is corruption that evades
-*all* of this.
+An end-of-run **verify detector** (on whenever the guard is active)
+compares the finished edge mask against the reference and falls back
+on mismatch, so silent corruption that slipped past the invariants is
+still caught — the "escaped" count a chaos campaign reports is
+corruption that evades *all* of this.
 
 Everything the ladder does is recorded in :class:`ResilienceStats`
 (surfaced as ``result.extra["resilience"]`` and ``resilience.*``
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DeviceFault, InvariantViolation, UnrecoveredFaultError
+from ..errors import DeviceFault, InvariantViolation
 from ..obs.events import NULL_EVENTS
 from ..obs.trace import NULL_TRACER
 from .checkpoint import Checkpoint
@@ -46,6 +46,13 @@ __all__ = [
     "SerialFallbackRequired",
 ]
 
+# Rollback-and-retry budget per round, and its jittered exponential
+# backoff (base, ceiling, jitter RNG seed).
+MAX_RETRIES = 2
+BACKOFF_BASE_S = 0.0005
+BACKOFF_MAX_S = 0.05
+BACKOFF_SEED = 0
+
 
 class PhaseRestartRequired(Exception):
     """Internal escalation: retry budget exhausted, rerun the phase."""
@@ -57,26 +64,16 @@ class SerialFallbackRequired(Exception):
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Knobs of the detection/recovery ladder.
+    """The one knob of the detection/recovery ladder.
 
     ``check_cadence=0`` disables the per-round invariant sweeps (and
     round checkpointing with them): a fault-free run is then bit- and
     counter-identical to a plain :func:`~repro.core.eclmst.ecl_mst`
-    run with zero overhead.
+    run with zero overhead.  The retry budget, backoff and serial
+    fallback are fixed (module constants).
     """
 
     check_cadence: int = 1  # rounds between invariant sweeps; 0 = off
-    check_kernels: bool = False  # per-kernel probes (forced mode)
-    max_retries: int = 2  # rollback-and-retry budget per round
-    backoff_base_s: float = 0.0005  # jittered exponential backoff base
-    backoff_max_s: float = 0.05
-    seed: int = 0  # jitter RNG seed
-    verify_result: bool = True  # end-of-run verify-vs-reference detector
-    serial_fallback: bool = True  # degrade instead of raising
-
-    @property
-    def checking_on(self) -> bool:
-        return self.check_cadence > 0 or self.check_kernels
 
 
 @dataclass
@@ -138,7 +135,7 @@ class RoundGuard:
         self.checker = InvariantChecker()
         self.checker.events = self.events
         self.forced = False
-        self._rng = np.random.default_rng(cfg.seed)
+        self._rng = np.random.default_rng(BACKOFF_SEED)
         self._round_index = 0
         self._has_faults = False
         self._reference_mask = reference_mask
@@ -154,10 +151,10 @@ class RoundGuard:
     def active(self) -> bool:
         """Whether rounds need checkpoints/checks at all.  False means
         run_round is a pure passthrough — zero overhead."""
-        return self.cfg.checking_on or self.forced or self._has_faults
+        return self.cfg.check_cadence > 0 or self.forced or self._has_faults
 
     def _should_sweep(self, round_index: int) -> bool:
-        if self.forced or self.cfg.check_kernels:
+        if self.forced:
             return True
         cadence = self.cfg.check_cadence
         return cadence > 0 and round_index % cadence == 0
@@ -180,7 +177,7 @@ class RoundGuard:
     # Device probe (per-kernel checks in forced mode)
     # ------------------------------------------------------------------
     def on_kernel(self, kernel: str) -> None:
-        if self.forced or self.cfg.check_kernels:
+        if self.forced:
             self.checker.on_kernel(kernel, self._round_index)
 
     # ------------------------------------------------------------------
@@ -214,9 +211,9 @@ class RoundGuard:
                         level="warning",
                         round=round_index,
                         attempt=attempts,
-                        retry=attempts <= self.cfg.max_retries,
+                        retry=attempts <= MAX_RETRIES,
                     )
-                if attempts > self.cfg.max_retries:
+                if attempts > MAX_RETRIES:
                     # Rung 2 is the phase wrapper's job.
                     raise PhaseRestartRequired from exc
                 self.stats.retries += 1
@@ -267,11 +264,11 @@ class RoundGuard:
             )
 
     def _backoff(self, attempt: int) -> None:
-        base = self.cfg.backoff_base_s
+        base = BACKOFF_BASE_S
         if base <= 0:
             return
         delay = min(
-            self.cfg.backoff_max_s,
+            BACKOFF_MAX_S,
             base * (2 ** (attempt - 1)) * (1.0 + self._rng.random()),
         )
         self.stats.backoff_seconds += delay
@@ -324,11 +321,6 @@ class RoundGuard:
         driver is asking for the serial fallback outright.
         """
         if fell_through:
-            if not self.cfg.serial_fallback:
-                raise UnrecoveredFaultError(
-                    "recovery ladder exhausted (retries and phase restart "
-                    "failed) and serial fallback is disabled"
-                )
             self.stats.fallbacks += 1
             if self.tracer.enabled:
                 with self.tracer.span(
@@ -340,7 +332,7 @@ class RoundGuard:
                     "recovery.fallback", level="error", cause="ladder-exhausted"
                 )
             return self._reference(graph).copy(), True
-        if self.active and self.cfg.verify_result:
+        if self.active:
             self.stats.checks_run += 1
             ref = self._reference(graph)
             if not np.array_equal(in_mst, ref):
@@ -365,11 +357,6 @@ class RoundGuard:
                         "serial Kruskal reference",
                     }
                 )
-                if not self.cfg.serial_fallback:
-                    raise UnrecoveredFaultError(
-                        "end-of-run verify detected silent corruption and "
-                        "serial fallback is disabled"
-                    )
                 self.stats.fallbacks += 1
                 if self.tracer.enabled:
                     with self.tracer.span(

@@ -15,10 +15,10 @@ objects through a three-level pipeline:
    via :func:`repro.graph.io.file_signature`), so queries that differ
    only in config/system skip the load — the dominant host cost per
    the PR 3 ``host_hotspots`` table.
-3. **Worker pool** — thread- or process-based, with a bounded queue
-   (submit blocks when full), per-query timeout/cancellation, and
-   in-flight deduplication: concurrent queries with the same spec key
-   attach to one execution (``served_by = "coalesced"``).
+3. **Worker pool** — one thread pool with a bounded queue (submit
+   blocks when full), per-query timeout/cancellation, and in-flight
+   deduplication: concurrent queries with the same spec key attach to
+   one execution (``served_by = "coalesced"``).
 
 Each query executes under its own tracer (host ``load``/``run`` spans
 feed the outcome's latency breakdown) and its own resilience scope:
@@ -71,7 +71,6 @@ from .cache import LRUCache
 from .outcome import (
     SERVED_CACHE,
     SERVED_COALESCED,
-    SERVED_EXECUTE,
     SERVED_FALLBACK,
     SERVED_STALE,
     QueryOutcome,
@@ -85,21 +84,26 @@ __all__ = ["MSTService", "ServiceConfig", "Ticket", "execute_query"]
 # already a registered baseline runner.
 _FALLBACK_CODE = "PBBS Ser."
 
+# The sliding window (seconds) behind service.qps / p50 / p95, the SLO
+# burn rates and the policy's windowed rates: recent traffic, not
+# process lifetime.
+WINDOW_S = 60.0
+# The oldest cached result (seconds) the policy may still serve as a
+# degraded stale answer.
+STALE_MAX_AGE_S = 300.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Service sizing and scheduling knobs."""
 
     workers: int = 4
-    pool: str = "thread"  # "thread" | "process"
     result_cache_size: int = 256
     graph_cache_size: int = 32
     max_queue_depth: int = 64  # in-flight bound; submit blocks when full
     default_timeout_s: float | None = None
-    # Live-telemetry knobs: the sliding window backing service.qps /
-    # p50 / p95 and the SLO burn rates, and whether executed queries
-    # retain their latest run profile (the admin /profilez payload).
-    window_s: float = 60.0
+    # Whether executed queries retain their latest run profile (the
+    # admin /profilez payload).
     keep_profile: bool = False
     # Overload-safe serving (None = off, bit-identical to a policy-free
     # build) and an exact cost-model slowdown factor for chaos-under-
@@ -112,28 +116,16 @@ class ServiceConfig:
     recorder: RecorderConfig | None = RecorderConfig()
 
     def __post_init__(self) -> None:
-        if self.pool not in ("thread", "process"):
-            raise ValueError(f"pool must be 'thread' or 'process', got {self.pool!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         if self.slowdown < 1.0:
             raise ValueError("slowdown must be >= 1")
-        if (
-            self.policy is not None
-            and self.policy.enabled
-            and self.pool == "process"
-        ):
-            raise ValueError(
-                "serving policy requires pool='thread' (process workers "
-                "share no breaker/retry/quarantine state with the parent)"
-            )
 
 
 # ----------------------------------------------------------------------
-# Query execution (pure function of query + graph; also the process-
-# pool job, so it must stay importable at module top level)
+# Query execution (pure function of query + graph)
 # ----------------------------------------------------------------------
 def _graph_source_key(query: Query) -> tuple:
     """Build-cache key for the query's input source.
@@ -340,18 +332,6 @@ def _run_code(
     return result
 
 
-def _process_job(query_dict: dict, slowdown: float = 1.0) -> dict:
-    """Process-pool entry point: parse, execute, return a plain dict.
-
-    Runs in a worker process with no shared caches — the parent still
-    dedups in flight and caches the returned outcome.  (The serving
-    policy is thread-pool-only; only the slowdown knob crosses the
-    process boundary.)
-    """
-    query = Query.from_dict(query_dict)
-    return execute_query(query, slowdown=slowdown).to_dict()
-
-
 # ----------------------------------------------------------------------
 # The service
 # ----------------------------------------------------------------------
@@ -390,8 +370,6 @@ class Ticket:
             # shutdown): a typed "cancelled" outcome, not a timeout —
             # the client never got a chance, not a slow answer.
             return self.service._cancelled_outcome(self)
-        if isinstance(raw, dict):  # process pool returns plain dicts
-            raw = QueryOutcome.from_dict(raw)
         return self.service._personalize(self, raw)
 
 
@@ -426,11 +404,9 @@ class MSTService:
         # Sliding windows behind service.qps / p50 / p95 and the SLOs:
         # recent traffic, not process lifetime (the lifetime histogram
         # still exists for totals).
-        self._lat_window = SlidingHistogram(window_s=self.config.window_s)
-        self._done_window = SlidingCounter(window_s=self.config.window_s)
-        self.slo = SLOTracker(
-            window_s=self.config.window_s, events=self.events
-        )
+        self._lat_window = SlidingHistogram(window_s=WINDOW_S)
+        self._done_window = SlidingCounter(window_s=WINDOW_S)
+        self.slo = SLOTracker(window_s=WINDOW_S, events=self.events)
         self.started_at = time.time()
         self.latest_profile: dict | None = None
         self._lock = threading.Lock()
@@ -445,28 +421,20 @@ class MSTService:
                 max_queue_depth=self.config.max_queue_depth,
                 registry=self.registry,
                 events=self.events,
-                window_s=self.config.window_s,
+                window_s=WINDOW_S,
             )
         # When each result-cache entry was stored (staleness metadata
         # for degraded serving); maintained only with the policy on.
         self._cached_at: dict[str, float] = {}
         # Learned spec-key -> result-key mapping: lets the submit path
         # answer repeat queries from the result cache without loading
-        # the graph (and gives process mode result-cache semantics,
-        # since worker processes share no memory with the parent).
-        self._spec_to_rkey: dict[str, str] = {}
+        # the graph.  Bounded like the result cache it points into.
+        self._spec_to_rkey = LRUCache(self.config.result_cache_size)
         self._slots = threading.BoundedSemaphore(self.config.max_queue_depth)
         self._depth = 0
         self._first_submit: float | None = None
         self._last_done: float | None = None
-        self._executor = self._make_executor()
-
-    def _make_executor(self):
-        if self.config.pool == "process":
-            return concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.config.workers
-            )
-        return concurrent.futures.ThreadPoolExecutor(
+        self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="mst-service",
         )
@@ -536,13 +504,7 @@ class MSTService:
         if timeout is not None:
             deadline = now + timeout
         try:
-            if self.config.pool == "process":
-                self.registry.counter("service.executed").inc()
-                future = self._executor.submit(
-                    _process_job, query.to_dict(), self.config.slowdown
-                )
-            else:
-                future = self._executor.submit(self._thread_job, query, deadline)
+            future = self._executor.submit(self._thread_job, query, deadline)
         except RuntimeError:
             # Raced with close(): the executor refused the job after we
             # took a slot.  Give the slot back and resolve typed.
@@ -702,7 +664,7 @@ class MSTService:
         if cached is None:
             return None
         age = self._age_of(rkey) or 0.0
-        if age > pol.cfg.stale_max_age_s:
+        if age > STALE_MAX_AGE_S:
             return None
         pol.note_degraded()
         if self.events.enabled:
@@ -723,7 +685,7 @@ class MSTService:
         return out
 
     # ------------------------------------------------------------------
-    # Worker side (thread pool)
+    # Worker side
     # ------------------------------------------------------------------
     def _thread_job(self, query: Query, deadline: float | None) -> QueryOutcome:
         if deadline is not None and time.perf_counter() > deadline:
@@ -1012,12 +974,7 @@ class MSTService:
         if not ticket.primary and raw.ok:
             served = SERVED_COALESCED
         if raw.ok and raw.result_key:
-            if raw.served_by == SERVED_EXECUTE:
-                # Idempotent for thread workers; in process mode this is
-                # where the parent's result cache learns the outcome.
-                self._cache_result(raw.result_key, raw)
-            with self._lock:
-                self._spec_to_rkey[ticket.query.spec_key()] = raw.result_key
+            self._spec_to_rkey.put(ticket.query.spec_key(), raw.result_key)
         out = replace(
             raw, id=ticket.query.id, served_by=served, latency_s=latency
         )
@@ -1204,11 +1161,10 @@ class MSTService:
             "uptime_s": time.time() - self.started_at,
             "config": {
                 "workers": self.config.workers,
-                "pool": self.config.pool,
                 "result_cache_size": self.config.result_cache_size,
                 "graph_cache_size": self.config.graph_cache_size,
                 "max_queue_depth": self.config.max_queue_depth,
-                "window_s": self.config.window_s,
+                "window_s": WINDOW_S,
             },
             "queue_depth": depth,
             "caches": {

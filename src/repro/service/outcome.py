@@ -38,7 +38,6 @@ from ..errors import (
     InvariantViolation,
     Overloaded,
     ReproError,
-    UnrecoveredFaultError,
     VerificationError,
 )
 
@@ -74,7 +73,7 @@ def classify_error(exc: BaseException) -> tuple[str, int]:
         return "input", EXIT_INPUT_ERROR
     if isinstance(exc, VerificationError):
         return "verify", EXIT_VERIFY_FAILED
-    if isinstance(exc, (DeviceFault, InvariantViolation, UnrecoveredFaultError)):
+    if isinstance(exc, (DeviceFault, InvariantViolation)):
         return "fault", EXIT_UNRECOVERED_FAULT
     if isinstance(exc, Overloaded):
         return "overloaded", EXIT_OVERLOADED

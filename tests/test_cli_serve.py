@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 SCALE = 0.06
@@ -152,6 +154,25 @@ class TestServe:
         rc = main(["serve", "--batch", str(tmp_path / "nope.ndjson")])
         assert rc == 3
         assert "cannot read batch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "0"],
+            ["--queue-depth", "0"],
+            ["--slowdown", "0.5"],
+            ["--admission-burst", "0"],
+            ["--max-retries", "-1"],
+        ],
+    )
+    def test_rejected_flag_value_is_a_usage_error(self, tmp_path, capsys, flags):
+        batch = tmp_path / "b.ndjson"
+        batch.write_text(json.dumps({"id": "x", "input": "internet", "scale": SCALE}))
+        assert main(["serve", "--batch", str(batch), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: serve: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_stdin_batch(self, tmp_path, capsys, monkeypatch):
         import io

@@ -5,6 +5,9 @@ import dataclasses
 import pytest
 
 from repro.core.config import DEOPT_STAGE_NAMES, DEOPT_STAGES, EclMstConfig, deopt_stages
+from repro.resilience.policy import PolicyConfig
+from repro.resilience.recovery import ResilienceConfig
+from repro.service import ServiceConfig
 
 
 class TestConfig:
@@ -91,3 +94,59 @@ class TestDeoptLadder:
         for _, cfg in deopt_stages(base):
             assert cfg.seed == 42
             assert cfg.filter_c == 2.0
+
+
+class TestConfigSurface:
+    """The exact settable surface of the serving and resilience configs.
+
+    A new knob must show up here as a test diff.  ``pool`` is gone;
+    ``window_s``, the ladder's retry/backoff/fallback switches,
+    ``shed_depth_frac``, ``breaker_probes`` and ``stale_max_age_s``
+    are module constants.
+    """
+
+    @staticmethod
+    def names(cls) -> list[str]:
+        return [f.name for f in dataclasses.fields(cls)]
+
+    def test_service_config_fields(self):
+        assert self.names(ServiceConfig) == [
+            "workers",
+            "result_cache_size",
+            "graph_cache_size",
+            "max_queue_depth",
+            "default_timeout_s",
+            "keep_profile",
+            "policy",
+            "slowdown",
+            "recorder",
+        ]
+
+    def test_resilience_config_fields(self):
+        assert self.names(ResilienceConfig) == ["check_cadence"]
+
+    def test_policy_config_fields(self):
+        assert self.names(PolicyConfig) == [
+            "admission_rate",
+            "admission_burst",
+            "max_retries",
+            "backoff_base_s",
+            "backoff_cap_s",
+            "breaker_threshold",
+            "breaker_cooldown_s",
+            "serve_stale",
+            "fresh_ttl_s",
+            "degrade_serial",
+            "quarantine_after",
+            "seed",
+        ]
+
+    def test_pool_flag_is_gone(self, tmp_path, capsys):
+        from repro.cli import main
+
+        batch = tmp_path / "b.ndjson"
+        batch.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--batch", str(batch), "--pool", "thread"])
+        assert exc.value.code == 2
+        assert "--pool" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 The solver pins cover one ``ecl_mst`` call; these cover what the
 service makes of it.  A fixed NDJSON stream is served in two batches
-through a one-worker thread-pool :class:`MSTService`, and each outcome
+through a one-worker :class:`MSTService`, and each outcome
 is pinned as a sha256 of ``QueryOutcome.to_dict()`` — status, error
 taxonomy, fingerprint, weight, edge-set digest, every metric,
 resilience ladder counts — minus the wall-clock fields and the
@@ -64,7 +64,7 @@ def outcome_digest(row: dict) -> str:
 def serve_stream(postmortem_dir: str) -> dict[str, dict]:
     """Serve :data:`BATCHES` in order; each outcome's ``to_dict()`` by id."""
     config = ServiceConfig(
-        workers=1, pool="thread", recorder=RecorderConfig(dir=postmortem_dir)
+        workers=1, recorder=RecorderConfig(dir=postmortem_dir)
     )
     rows: dict[str, dict] = {}
     with MSTService(config) as service:

@@ -67,10 +67,6 @@ class TestPolicyConfig:
         with pytest.raises(ValueError):
             PolicyConfig(admission_burst=0)
         with pytest.raises(ValueError):
-            PolicyConfig(shed_depth_frac=(0.5, 0.9))
-        with pytest.raises(ValueError):
-            PolicyConfig(shed_depth_frac=(0.0, 0.9, 1.0))
-        with pytest.raises(ValueError):
             PolicyConfig(max_retries=-1)
         with pytest.raises(ValueError):
             PolicyConfig(quarantine_after=-1)

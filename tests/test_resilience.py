@@ -12,7 +12,6 @@ from repro.errors import (
     GraphFormatError,
     InvariantViolation,
     ReproError,
-    UnrecoveredFaultError,
     VerificationError,
 )
 from repro.generators.random_graphs import erdos_renyi
@@ -25,6 +24,7 @@ from repro.resilience import (
     ResilienceConfig,
     run_campaign,
 )
+from repro.resilience import recovery
 
 from helpers import make_graph
 
@@ -57,9 +57,8 @@ class TestFaultPlan:
         plan = FaultPlan(
             seed=0, events=(FaultEvent(kind="kernel-fail", index=0),)
         )
-        cfg = ResilienceConfig(serial_fallback=False, max_retries=0)
-        with pytest.raises((DeviceFault, UnrecoveredFaultError)):
-            ecl_mst(graph, resilience=cfg, fault_plan=plan)
+        with pytest.raises(DeviceFault):
+            ecl_mst(graph, fault_plan=plan)
 
     def test_summary_reports_injections(self, graph):
         plan = FaultPlan(
@@ -77,10 +76,7 @@ class TestFaultPlan:
 class TestZeroOverhead:
     def test_checks_off_is_bit_identical(self, graph):
         plain = ecl_mst(graph)
-        off = ResilienceConfig(
-            check_cadence=0, check_kernels=False, verify_result=False
-        )
-        guarded = ecl_mst(graph, resilience=off)
+        guarded = ecl_mst(graph, resilience=ResilienceConfig(check_cadence=0))
         assert np.array_equal(plain.in_mst, guarded.in_mst)
         assert plain.modeled_seconds == guarded.modeled_seconds
         assert plain.counters.num_launches == guarded.counters.num_launches
@@ -202,34 +198,26 @@ class TestRecovery:
         res = r.extra["resilience"]
         assert res["detected"] >= 1
 
-    def test_fallback_disabled_raises_unrecovered(self, graph):
+    def test_ladder_exhaustion_falls_back_to_serial(self, graph, monkeypatch):
         # Every launch fails -> retries and the phase restart both fail.
+        monkeypatch.setattr(recovery, "BACKOFF_BASE_S", 0.0)
         events = tuple(
             FaultEvent(kind="kernel-fail", index=i) for i in range(400)
         )
         plan = FaultPlan(seed=0, events=events)
-        cfg = ResilienceConfig(serial_fallback=False, backoff_base_s=0.0)
-        with pytest.raises(UnrecoveredFaultError):
-            ecl_mst(graph, resilience=cfg, fault_plan=plan)
-
-    def test_ladder_exhaustion_falls_back_to_serial(self, graph):
-        events = tuple(
-            FaultEvent(kind="kernel-fail", index=i) for i in range(400)
-        )
-        plan = FaultPlan(seed=0, events=events)
-        cfg = ResilienceConfig(backoff_base_s=0.0)
-        r = ecl_mst(graph, resilience=cfg, fault_plan=plan)
+        r = ecl_mst(graph, resilience=ResilienceConfig(), fault_plan=plan)
         assert r.algorithm == "ecl-mst+serial-fallback"
         assert np.array_equal(r.in_mst, reference_mst_mask(graph))
         res = r.extra["resilience"]
         assert res["fallbacks"] == 1 and res["phase_restarts"] >= 1
 
-    def test_backoff_accounted(self, graph):
+    def test_backoff_accounted(self, graph, monkeypatch):
+        monkeypatch.setattr(recovery, "BACKOFF_BASE_S", 1e-6)
+        monkeypatch.setattr(recovery, "BACKOFF_MAX_S", 1e-5)
         plan = FaultPlan(
             seed=0, events=(FaultEvent(kind="kernel-fail", index=2),)
         )
-        cfg = ResilienceConfig(backoff_base_s=1e-6, backoff_max_s=1e-5)
-        r = ecl_mst(graph, resilience=cfg, fault_plan=plan)
+        r = ecl_mst(graph, resilience=ResilienceConfig(), fault_plan=plan)
         res = r.extra["resilience"]
         assert res["retries"] >= 1
         assert 0 < res["backoff_seconds"] <= 1e-5 * res["retries"]
@@ -278,7 +266,6 @@ class TestErrorTaxonomy:
         assert issubclass(VerificationError, AssertionError)
         assert issubclass(DeviceFault, RuntimeError)
         assert issubclass(InvariantViolation, ReproError)
-        assert issubclass(UnrecoveredFaultError, ReproError)
 
     def test_backcompat_reexports(self):
         from repro.baselines.errors import NotConnectedError as a

@@ -193,6 +193,18 @@ class TestResultCache:
         assert b.served_by == "result-cache"
         assert b.identity()["mst_digest"] == a.identity()["mst_digest"]
 
+    def test_learned_spec_map_is_bounded_like_the_result_cache(self):
+        # Regression: the spec-key -> result-key map used to keep one
+        # entry per distinct spec ever served, long after the result
+        # cache had evicted the answer it pointed at.
+        with service(result_cache_size=4) as svc:
+            for i in range(12):
+                assert svc.run_batch([q(id=f"s{i}", config={"seed": i})])[0].ok
+            assert len(svc.results) == 4
+            assert len(svc._spec_to_rkey) == 4
+            again = svc.run_batch([q(id="again", config={"seed": 11})])[0]
+        assert again.served_by == "result-cache"
+
 
 class TestDedup:
     def test_concurrent_identical_queries_execute_once(self):
@@ -362,9 +374,9 @@ class TestBatch:
     def test_classify_matches_cli_taxonomy(self):
         from repro.baselines.errors import NotConnectedError
         from repro.errors import (
+            DeviceFault,
             GraphFormatError,
             InvariantViolation,
-            UnrecoveredFaultError,
             VerificationError,
         )
 
@@ -372,7 +384,7 @@ class TestBatch:
         assert classify_error(QueryError("x")) == ("input", 3)
         assert classify_error(VerificationError("x")) == ("verify", 4)
         assert classify_error(InvariantViolation("x")) == ("fault", 5)
-        assert classify_error(UnrecoveredFaultError("x")) == ("fault", 5)
+        assert classify_error(DeviceFault("x")) == ("fault", 5)
         assert classify_error(NotConnectedError("x")) == ("not-connected", 1)
         assert classify_error(RuntimeError("x")) == ("internal", 1)
 
@@ -428,22 +440,3 @@ class TestOtherCodes:
         assert out.load_seconds > 0
         assert out.run_seconds > 0
         assert out.metrics["run.total_weight"] == out.total_weight
-
-
-@pytest.mark.slow
-class TestProcessPool:
-    def test_process_pool_end_to_end(self):
-        with service(workers=2, pool="process") as svc:
-            cold = svc.run_batch([q(id="p1")])[0]
-            warm = svc.run_batch([q(id="p2")])[0]
-        assert cold.ok and warm.ok
-        assert warm.served_by == "result-cache"
-        assert warm.identity() == cold.identity()
-
-    def test_process_matches_thread_results(self):
-        with service(workers=2, pool="process") as svc:
-            p = svc.run_batch([q(id="p")])[0]
-        with service() as svc:
-            t = svc.run_batch([q(id="t")])[0]
-        assert p.mst_digest == t.mst_digest
-        assert p.metrics == t.metrics

@@ -22,6 +22,7 @@ from repro.service.admin import (
     render_prometheus,
     sanitize_metric_name,
 )
+from repro.service.engine import WINDOW_S
 
 SCALE = 0.06
 
@@ -150,9 +151,7 @@ class TestWindowedServiceMetrics:
             flat = svc.metrics()
         assert flat["service.p50_latency"] == svc._lat_window.quantile(0.5)
         assert flat["service.p95_latency"] == svc._lat_window.quantile(0.95)
-        assert flat["service.qps"] == pytest.approx(
-            4.0 / svc.config.window_s
-        )
+        assert flat["service.qps"] == pytest.approx(4.0 / WINDOW_S)
 
     def test_idle_service_reports_zero_not_nan(self):
         with service() as svc:

@@ -57,10 +57,6 @@ class TestConfig:
         assert svc.policy is None
         svc.close()
 
-    def test_policy_requires_thread_pool(self):
-        with pytest.raises(ValueError, match="pool='thread'"):
-            ServiceConfig(pool="process", policy=PolicyConfig(max_retries=1))
-
     def test_slowdown_validated(self):
         with pytest.raises(ValueError, match="slowdown"):
             ServiceConfig(slowdown=0.5)
@@ -172,19 +168,21 @@ class TestStaleServing:
             assert out.ok and not out.cache_hit
             assert svc.registry.counter("service.executed").value > executed
 
-    def test_too_old_entries_are_not_served_stale(self):
+    def test_too_old_entries_are_not_served_stale(self, monkeypatch):
+        import repro.service.engine as engine
+
+        monkeypatch.setattr(engine, "STALE_MAX_AGE_S", 1e-6)
         pol = PolicyConfig(
             admission_rate=0.001,
             admission_burst=1,
             serve_stale=True,
             fresh_ttl_s=1e-6,
-            stale_max_age_s=1e-6,
         )
         with service(policy=pol) as svc:
             svc.submit(q(id="seed", priority=2)).outcome()
             time.sleep(0.01)
             out = svc.submit(q(id="later", priority=2)).outcome()
-            assert out.status == "shed"  # beyond stale_max_age: typed shed
+            assert out.status == "shed"  # beyond STALE_MAX_AGE_S: typed shed
 
 
 # ----------------------------------------------------------------------
