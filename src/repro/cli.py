@@ -33,6 +33,7 @@ output NDJSON without aborting the batch.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +53,34 @@ _FORMAT_SAVERS = {
     ".graph": "save_metis",
     ".txt": "save_edge_list",
 }
+
+
+class _InputError(Exception):
+    """An input name the suite does not know (one line, exit 3)."""
+
+
+def _scale(text: str) -> float:
+    """``--scale``: a positive, finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number, got {text!r}"
+        )
+    return value
+
+
+def _suite_graph(name: str, scale: float):
+    """Build the named suite input; an unknown name is an input error."""
+    from .generators import suite
+
+    if name not in suite.SUITE:
+        raise _InputError(
+            f"unknown input {name!r}; choose from {', '.join(suite.INPUT_NAMES)}"
+        )
+    return suite.build(name, scale=scale)
 
 
 def _load_graph(path: str):
@@ -107,7 +136,6 @@ def _cmd_run(args) -> int:
     from .baselines.errors import NotConnectedError
     from .baselines.registry import get_runner
     from .bench.harness import SYSTEM1, SYSTEM2
-    from .generators import suite
 
     system = SYSTEM1 if args.system == 1 else SYSTEM2
     try:
@@ -115,7 +143,7 @@ def _cmd_run(args) -> int:
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 2
-    g = suite.build(args.input, scale=args.scale)
+    g = _suite_graph(args.input, args.scale)
     try:
         r = runner.run(g, gpu=system.gpu, cpu=system.cpu)
     except NotConnectedError as exc:
@@ -179,9 +207,7 @@ def _resolve_input(name: str, scale: float):
     """A suite input name, or a path to a graph file in a known format."""
     if Path(name).suffix in _FORMAT_LOADERS and Path(name).exists():
         return _load_graph(name)
-    from .generators import suite
-
-    return suite.build(name, scale=scale)
+    return _suite_graph(name, scale)
 
 
 def _traced_run(args):
@@ -659,7 +685,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("exp", help="regenerate a paper table/figure")
     p_exp.add_argument("key", help="experiment key, 'list', or 'all'")
-    p_exp.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    p_exp.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
     p_exp.add_argument("--seeds", type=int, default=99)
     p_exp.set_defaults(fn=_cmd_exp)
 
@@ -667,28 +693,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("code")
     p_run.add_argument("input")
     p_run.add_argument("--system", type=int, choices=(1, 2), default=2)
-    p_run.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    p_run.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
     p_run.set_defaults(fn=_cmd_run)
 
     p_codes = sub.add_parser("codes", help="list available MST codes")
     p_codes.set_defaults(fn=_cmd_codes)
 
     p_inputs = sub.add_parser("inputs", help="show the input suite (Table 2)")
-    p_inputs.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    p_inputs.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
     p_inputs.set_defaults(fn=_cmd_inputs)
 
     p_art = sub.add_parser(
         "artifact", help="run the artifact-style CSV workflow"
     )
     p_art.add_argument("directory")
-    p_art.add_argument("--scale", type=float, default=0.25)
+    p_art.add_argument("--scale", type=_scale, default=0.25)
     p_art.set_defaults(fn=_cmd_artifact)
 
     p_rep = sub.add_parser(
         "report", help="run the evaluation and emit a markdown report"
     )
     p_rep.add_argument("--out", help="write the report to this file")
-    p_rep.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    p_rep.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
     p_rep.set_defaults(fn=_cmd_report)
 
     p_conv = sub.add_parser("convert", help="convert between graph formats")
@@ -702,7 +728,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mst.add_argument("graph", help="graph file path or suite input name")
     p_mst.add_argument("--out", help="write the MSF edge list here")
     p_mst.add_argument("--verify", action="store_true")
-    p_mst.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    p_mst.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
     p_mst.set_defaults(fn=_cmd_mst)
 
     p_chaos = sub.add_parser(
@@ -726,7 +752,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="rounds between invariant sweeps (0 = off)",
     )
-    p_chaos.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    p_chaos.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
     p_chaos.add_argument(
         "--serve",
         action="store_true",
@@ -761,7 +787,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "(e.g. 'No Atomic Guards')",
         )
         p.add_argument("--system", type=int, choices=(1, 2), default=2)
-        p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+        p.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
         p.add_argument("--out", help="write the artifact to this file")
 
     p_trace = sub.add_parser(
@@ -810,7 +836,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_dash.add_argument("--code", default="ECL-MST", help="MST code to run")
     p_dash.add_argument("--system", type=int, choices=(1, 2), default=2)
-    p_dash.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    p_dash.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
     p_dash.add_argument("--title", help="page title override")
     p_dash.add_argument(
         "--postmortems",
@@ -1025,7 +1051,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     # Sweep defaults to a small scale: a full-suite pass should stay
     # in smoke territory.
-    p_sweep.add_argument("--scale", type=float, default=0.06)
+    p_sweep.add_argument("--scale", type=_scale, default=0.06)
     p_sweep.add_argument("--code", default="ECL-MST")
     p_sweep.add_argument("--system", type=int, choices=(1, 2), default=2)
     p_sweep.add_argument(
@@ -1099,7 +1125,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.fn(args)
-    except GraphFormatError as exc:
+    except (GraphFormatError, _InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except VerificationError as exc:

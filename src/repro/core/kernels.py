@@ -464,6 +464,92 @@ def _union_scalar(
     return cas_attempts, union_loads, added, mirror_dups
 
 
+# Calls with fewer winners than this walk every winner serially: the
+# peel costs ~30 NumPy calls per round whatever its size.  Measured on
+# a 2-vCPU x86-64 VM over 469 captured k2 calls of >= 32 winners (26
+# input/scale pairs, scale 0.06 to 8, rmat22.sym x8 included), best of
+# 9 per call, peel/plain time: 2.45 below 256 winners, 1.18 at
+# 512-768, 1.06 at 768-1024, ~1.0 at 1024-1536 (peel faster in under
+# half), then 0.84 at 1536-2048 (12 of 13 faster) falling to 0.65
+# above 8192.
+_PEEL_MIN_WINNERS = 1536
+
+
+def _overlay_walk(
+    ra: np.ndarray, rb: np.ndarray
+) -> tuple[dict[int, int], list[int], int]:
+    """The serial link walk over winners with start-of-call roots
+    ``(ra[k], rb[k])``, in order.
+
+    Returns ``(up, dups, hops)``: this walk's links ``up[hi] = lo`` in
+    the order they were made, the positions whose two roots met, and
+    the overlay hops taken.
+    """
+    up: dict[int, int] = {}
+    dups = []
+    hops = 0
+    for k, (a, b) in enumerate(zip(ra.tolist(), rb.tolist())):
+        while a in up:
+            a = up[a]
+            hops += 1
+        while b in up:
+            b = up[b]
+            hops += 1
+        if a < b:
+            up[b] = a
+        elif b < a:
+            up[a] = b
+        else:
+            dups.append(k)
+    return up, dups, hops
+
+
+def _peel_inert_leaves(
+    ra: np.ndarray, rb: np.ndarray, arena: ScratchArena, n: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Peel the winner forest's inert leaves, round by round.
+
+    A winner ``(x, y)`` is an inert leaf when no other remaining winner
+    touches ``x`` and ``x > y``.  Returns one ``(k, x, y)`` triple of
+    arrays per round (``k`` the winner positions); the winners never
+    listed form the core.  Mirrored duplicates, self-pairs and cycles
+    never bring a vertex down to degree 1, so they stay in the core.
+    """
+    ends = np.concatenate((ra, rb))
+    # |V|-sized tables, but only the winners' roots are ever read, so
+    # only those entries are cleared.
+    deg = arena.take("k2.deg", n)
+    deg[ends] = 0
+    np.add.at(deg, ends, 1)
+    # Sum of the remaining winner positions touching each vertex: at
+    # degree 1 it names the vertex's one remaining winner.
+    inc = arena.take("k2.inc", n)
+    inc[ends] = 0
+    np.add.at(inc, ends, np.tile(np.arange(ra.size, dtype=np.int64), 2))
+    seen = arena.take("k2.seen", n)
+    rounds = []
+    # Only a vertex the previous round brought down to degree 1 can be
+    # a new leaf; the far end of a leaf's winner never changes.
+    leaves = ends[deg[ends] == 1]
+    while leaves.size:
+        k = inc[leaves]
+        other = ra[k] ^ rb[k] ^ leaves  # the winner's far end
+        inert = leaves > other
+        if not inert.any():
+            break
+        k, x, y = k[inert], leaves[inert], other[inert]
+        rounds.append((k, x, y))
+        deg[x] = 0
+        np.subtract.at(deg, y, 1)
+        np.subtract.at(inc, y, k)
+        leaves = y[deg[y] == 1]
+        # Each new leaf once: the last lane to write it keeps it.
+        lane = np.arange(leaves.size)
+        seen[leaves] = lane
+        leaves = leaves[seen[leaves] == lane]
+    return rounds
+
+
 def _union_overlay(
     state: MstState,
     p: np.ndarray,
@@ -477,39 +563,68 @@ def _union_overlay(
     root when the call starts never changes parent during it.  So the
     scalar walk from ``p[i]`` is its start-of-call path, resolved for
     all winners at once, followed by a walk over the links this call
-    has already made.  Those links live in a small overlay dict
-    (``up[hi] = lo``) that the winners walk in worklist order; ``parent``
-    receives them in one scatter at the end.  Loads follow the scalar
-    convention (path length + 1 per endpoint): resolve hops + overlay
-    hops + ``2 m``.  A corrupted ``parent`` raises from
-    :func:`resolve_roots` before anything is written.
+    has already made (``up[hi] = lo``); ``parent`` receives them in one
+    scatter at the end.
+
+    Most winners skip the serial walk.  Peeling the inert leaves off
+    the winner forest (:func:`_peel_inert_leaves`) leaves a core that
+    :func:`_overlay_walk` runs in worklist order.  When a peeled winner
+    ``i = (x, y)`` comes up, ``x``'s component is ``x`` plus vertices
+    peeled earlier, all above ``x``, so the link is ``up[x] = root of
+    y`` and no component minimum moves: no other winner's link or hop
+    count depends on it.  The rounds are then answered in reverse, one
+    lane walk each, from ``y`` over the links made before ``i``.
+
+    Loads follow the scalar convention (path length + 1 per endpoint):
+    resolve hops + overlay hops + ``2 m``.  A corrupted ``parent``
+    raises from :func:`resolve_roots` before anything is written.
     """
     m = int(win_idx.size)
+    n = state.parent.size
     ra, hops_a = resolve_roots(state.parent, p[win_idx], kernel="k2_union")
     rb, hops_b = resolve_roots(state.parent, q[win_idx], kernel="k2_union")
-    up: dict[int, int] = {}
-    dups = []
-    hops = 0
-    for i, (a, b) in enumerate(zip(ra.tolist(), rb.tolist())):
-        while a in up:
-            a = up[a]
-            hops += 1
-        while b in up:
-            b = up[b]
-            hops += 1
-        if a < b:
-            up[b] = a
-        elif b < a:
-            up[a] = b
-        else:
-            dups.append(i)
-    added = 0
+    rounds = (
+        _peel_inert_leaves(ra, rb, state.arena, n)
+        if m >= _PEEL_MIN_WINNERS
+        else []
+    )
+    if rounds:
+        core = np.ones(m, dtype=bool)
+        for k, _, _ in rounds:
+            core[k] = False
+        core = np.flatnonzero(core)
+        up, core_dups, hops = _overlay_walk(ra[core], rb[core])
+        dups = core[core_dups]
+    else:
+        up, dups, hops = _overlay_walk(ra, rb)
     if up:
-        n = len(up)
-        state.parent[np.fromiter(up, np.int64, n)] = np.fromiter(
-            up.values(), np.int64, n
-        )
-        ce = eids[np.delete(win_idx, dups) if dups else win_idx]
+        keys = np.fromiter(up, np.int64, len(up))
+        vals = np.fromiter(up.values(), np.int64, len(up))
+        state.parent[keys] = vals
+    if rounds:
+        # link_at[v] is the position of the winner that linked v, or m.
+        link_to = state.arena.take("k2.link_to", n)
+        link_at = state.arena.take("k2.link_at", n)
+        link_at[ra] = m
+        link_at[rb] = m
+        if up:
+            link_to[keys] = vals
+            link_at[keys] = np.delete(core, core_dups)
+        for k, x, y in reversed(rounds):
+            to = y.copy()
+            live = np.flatnonzero(link_at[to] < k)
+            while live.size:
+                hops += int(live.size)
+                to[live] = link_to[to[live]]
+                live = live[link_at[to[live]] < k[live]]
+            link_to[x] = to
+            link_at[x] = k
+        xs = np.concatenate([x for _, x, _ in rounds])
+        state.parent[xs] = link_to[xs]
+    added = 0
+    linked = np.delete(win_idx, dups) if len(dups) else win_idx
+    if linked.size:
+        ce = eids[linked]
         # Sorted, so an edge ID linked twice counts once, as in the
         # scalar loop.
         fresh = np.sort(ce[~state.in_mst[ce]])

@@ -76,6 +76,33 @@ class TestConvertAndMst:
         assert "weight 7" in capsys.readouterr().out
 
 
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mst", "nosuch"],
+            ["chaos", "nosuch", "--faults", "1"],
+            ["trace", "nosuch"],
+            ["profile", "nosuch"],
+            ["run", "ECL-MST", "nosuch"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_input_is_an_input_error(self, argv, capsys):
+        assert main([*argv, "--scale", SCALE]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: unknown input 'nosuch'")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1", "1e-400"])
+    def test_bad_scale_is_a_usage_error(self, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mst", "rmat22.sym", f"--scale={scale}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scale" in err and "positive, finite" in err
+
+
 class TestBackCompat:
     def test_bare_experiment_key(self, capsys):
         assert main(["table2", "--scale", SCALE]) == 0

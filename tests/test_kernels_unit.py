@@ -1,12 +1,16 @@
 """Unit tests for the individual ECL-MST kernels (below the driver)."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import kernels
+from repro.core.arena import ScratchArena
 from repro.core.config import EclMstConfig
+from repro.core.eclmst import ecl_mst
 from repro.core.kernels import (
     MstState,
     _union_overlay,
@@ -17,6 +21,7 @@ from repro.core.kernels import (
     kernel_init_populate,
 )
 from repro.errors import InvariantViolation
+from repro.generators import suite
 from repro.gpusim.atomics import KEY_INFINITY, unpack_edge_id
 from repro.gpusim.costmodel import Device
 from repro.gpusim.spec import RTX_3080_TI
@@ -207,8 +212,92 @@ def _winners(rng, n: int, m: int, hub_share: float):
     return pl, ql, el, win_idx
 
 
+def _hooking_winners(rng, n_extra: int, m: int, chain_share: float, hub_share: float):
+    """``(parent, p, q, eids, win_idx)`` shaped like one Borůvka hook.
+
+    Each start-of-call root hooks to one neighbour root, cycles broken,
+    over shuffled vertex IDs, so leaves are inert (above their
+    neighbour) about half the time.  A ``chain_share`` of the hooks
+    build chains whose IDs rise away from their anchor, so they peel
+    one vertex per round; a ``hub_share`` hook to the lowest- or
+    highest-ID root.  On top come mirrored duplicates (same edge ID,
+    endpoints swapped), a repeated pair, and a few extra pairs that
+    close cycles; the ``m`` winners are shuffled into worklist order.
+    Lanes name random members of each root's component in a start
+    forest of ``n_extra`` non-root vertices.
+    """
+    n_dup = m // 30
+    n_cyc = min(3, m - n_dup - 1)
+    n_hook = m - n_dup - n_cyc
+    n_trees = 1 + int(rng.integers(0, 4))
+    n_roots = n_hook + n_trees
+    n = n_roots + n_extra
+    ids = rng.permutation(n)[:n_roots]
+    lo, hi = int(np.argmin(ids)), int(np.argmax(ids))
+    rest = np.setdiff1d(np.arange(n_roots), [lo, hi])
+    sigma = np.concatenate(([lo, hi], rng.permutation(rest)))
+    hooks = []
+    j = n_trees
+    while j < n_roots:
+        anchor = int(sigma[rng.integers(0, j)])
+        if rng.random() < hub_share:
+            anchor = int(sigma[rng.integers(0, 2)])
+        if rng.random() < chain_share:
+            seg = sigma[j : j + int(rng.integers(2, 9))]
+            seg = seg[np.argsort(ids[seg])]
+            hooks += zip(seg.tolist(), [anchor] + seg[:-1].tolist())
+            j += seg.size
+        else:
+            hooks.append((int(sigma[j]), anchor))
+            j += 1
+    a, b = (ids[np.array(c)] for c in zip(*hooks))
+    eids = rng.permutation(3 * m)[: a.size]
+    dup = rng.integers(0, a.size, n_dup)
+    a, b, eids = (
+        np.concatenate((a, b[dup])),
+        np.concatenate((b, a[dup])),
+        np.concatenate((eids, eids[dup])),
+    )
+    a[-1], b[-1] = a[-2], b[-2]  # the same pair twice, one edge ID each
+    cyc = rng.integers(0, n_roots, (2, n_cyc))
+    a = np.concatenate((a, ids[cyc[0]]))
+    b = np.concatenate((b, ids[cyc[1]]))
+    eids = np.concatenate((eids, rng.integers(0, 3 * m, n_cyc)))
+    flip = rng.random(m) < 0.5
+    a[flip], b[flip] = b[flip], a[flip]
+    order = rng.permutation(m)
+    a, b, eids = a[order], b[order], eids[order]
+    # Start forest: every non-root vertex hangs below an earlier vertex.
+    parent = np.arange(n, dtype=np.int64)
+    others = np.setdiff1d(np.arange(n), ids)
+    seq = np.concatenate((ids, rng.permutation(others)))
+    up = (rng.random(n_extra) * np.arange(n_roots, n)).astype(np.int64)
+    parent[seq[n_roots:]] = seq[up]
+    root = parent.copy()
+    while not np.array_equal(root, root[root]):
+        root = root[root]
+    members = np.argsort(root, kind="stable")
+    first = np.searchsorted(root[members], np.arange(n))
+    size = np.bincount(root, minlength=n)
+
+    def lane(r):
+        return members[first[r] + (rng.random(r.size) * size[r]).astype(np.int64)]
+
+    p, q = lane(a), lane(b)
+    extra = int(rng.integers(0, 8))
+    lanes = m + extra
+    win_idx = np.sort(rng.choice(lanes, m, replace=False)).astype(np.int64)
+    pl = rng.integers(0, n, lanes)
+    ql = rng.integers(0, n, lanes)
+    el = rng.integers(0, 3 * m, lanes)
+    pl[win_idx], ql[win_idx], el[win_idx] = p, q, eids
+    return parent, pl, ql, el, win_idx
+
+
 def _union_state(parent: np.ndarray, in_mst: np.ndarray) -> SimpleNamespace:
-    return SimpleNamespace(parent=parent.copy(), in_mst=in_mst.copy())
+    return SimpleNamespace(
+        parent=parent.copy(), in_mst=in_mst.copy(), arena=ScratchArena()
+    )
 
 
 class TestUnionOverlay:
@@ -256,3 +345,62 @@ class TestUnionOverlay:
         assert ref.in_mst[:2].all()
         assert np.array_equal(got.parent, parent)
         assert not got.in_mst.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m_offset=st.sampled_from([-1, 0, 1, None]),
+        n_extra=st.sampled_from([0, 40, 2000]),
+        chain_share=st.sampled_from([0.0, 0.1, 0.5]),
+        hub_share=st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    def test_hooking_forest_matches_scalar_loop(
+        self, seed, m_offset, n_extra, chain_share, hub_share
+    ):
+        rng = np.random.default_rng(seed)
+        crossover = kernels._PEEL_MIN_WINNERS
+        m = 5000 if m_offset is None else crossover + m_offset
+        parent, p, q, eids, win_idx = _hooking_winners(
+            rng, n_extra, m, chain_share, hub_share
+        )
+        in_mst = rng.random(3 * m) < 0.2
+        ref = _union_state(parent, in_mst)
+        got = _union_state(parent, in_mst)
+        expected = _union_scalar(ref, p, q, eids, win_idx)
+        assert _union_overlay(got, p, q, eids, win_idx) == expected
+        assert np.array_equal(got.parent, ref.parent)
+        assert np.array_equal(got.in_mst, ref.in_mst)
+
+    def test_reached_cycle_raises_before_peeling(self):
+        rng = np.random.default_rng(5)
+        m = kernels._PEEL_MIN_WINNERS
+        parent, p, q, eids, win_idx = _hooking_winners(rng, 0, m, 0.2, 0.05)
+        n = parent.size
+        # A 2-cycle behind a fresh vertex that the last winner names.
+        parent = np.concatenate((parent, [n + 1, n, n]))
+        q[win_idx[-1]] = n + 2
+        in_mst = np.zeros(3 * m, dtype=bool)
+        ref = _union_state(parent, in_mst)
+        got = _union_state(parent, in_mst)
+        with pytest.raises(InvariantViolation) as scalar:
+            _union_scalar(ref, p, q, eids, win_idx)
+        with pytest.raises(InvariantViolation) as overlay:
+            _union_overlay(got, p, q, eids, win_idx)
+        for err in (scalar.value, overlay.value):
+            assert (err.invariant, err.kernel) == ("parent-acyclic", "k2_union")
+        assert ref.in_mst.any()
+        assert np.array_equal(got.parent, parent)
+        assert not got.in_mst.any()
+
+    def test_peel_keeps_most_rmat_winners_off_the_serial_walk(self):
+        graph = suite.build("rmat22.sym", scale=1.0, seed=1)
+        with mock.patch.object(
+            kernels, "_overlay_walk", wraps=kernels._overlay_walk
+        ) as walk, mock.patch.object(
+            kernels, "_union_overlay", wraps=kernels._union_overlay
+        ) as union:
+            ecl_mst(graph)
+        winners = [c.args[4].size for c in union.call_args_list]
+        walked = sum(c.args[0].size for c in walk.call_args_list)
+        assert max(winners) >= kernels._PEEL_MIN_WINNERS
+        assert walked < sum(winners) / 2
