@@ -15,7 +15,6 @@ import json
 import time
 from pathlib import Path
 
-from repro.obs.recorder import RecorderConfig
 from repro.service import MSTService, Query, ServiceConfig
 
 from _artifacts import write_artifact
@@ -52,10 +51,11 @@ def _batch(tag: str, *, with_fault: bool, reps: int = REPS) -> list[Query]:
 
 
 def _config(recorder_on: bool, pm_dir: Path) -> ServiceConfig:
-    # Production defaults (notably the 5 s snapshot interval): the
-    # point is the cost of the recorder the way it actually ships.
-    recorder = RecorderConfig(dir=str(pm_dir)) if recorder_on else None
-    return ServiceConfig(workers=WORKERS, recorder=recorder)
+    # Production defaults: the point is the cost of the recorder the
+    # way it actually ships.
+    return ServiceConfig(
+        workers=WORKERS, postmortem_dir=str(pm_dir) if recorder_on else None
+    )
 
 
 def _serve(recorder_on: bool, pm_dir: Path, tag: str, *, with_fault: bool = True):

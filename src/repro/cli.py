@@ -12,8 +12,7 @@ Subcommands::
     repro-mst report [--out FILE] [--scale S]     # full markdown repro report
     repro-mst convert <in> <out>                  # graph format conversion
     repro-mst mst <graphfile> [--out edges.txt]   # MSF of a graph file
-    repro-mst trace <input> [--format chrome|ndjson] [--out FILE]
-    repro-mst profile <input> [--baseline FILE] [--format json|chrome|ndjson]
+    repro-mst profile <input> [--baseline FILE] [--format json|chrome|ndjson|text|roofline]
     repro-mst chaos <input> [--faults N --seed S]  # fault-injection campaign
     repro-mst serve --batch FILE [--workers N]
     repro-mst sweep <suite> [--repeat N]
@@ -212,7 +211,7 @@ def _resolve_input(name: str, scale: float):
 
 def _traced_run(args):
     """Run one (instrumented) code under a tracer; shared by
-    ``trace`` and ``profile``."""
+    ``profile`` and ``dashboard``."""
     from .baselines.registry import get_runner
     from .bench.harness import SYSTEM1, SYSTEM2
     from .core.config import DEOPT_STAGES, EclMstConfig
@@ -255,24 +254,6 @@ def _emit(text: str, out: str | None) -> None:
         print(f"written to {out}")
     else:
         print(text)
-
-
-def _cmd_trace(args) -> int:
-    from .obs import to_chrome_trace_json, to_ndjson
-
-    result, tracer = _traced_run(args)
-    if args.format == "ndjson":
-        _emit(to_ndjson(tracer), args.out)
-    else:
-        _emit(to_chrome_trace_json(tracer), args.out)
-    print(
-        f"# traced {result.algorithm} on {args.input}: "
-        f"{len(tracer.spans())} spans, "
-        f"{result.counters.num_launches} launches, "
-        f"{result.modeled_seconds * 1e3:.4f} ms modeled",
-        file=sys.stderr,
-    )
-    return 0
 
 
 def _render_host_hotspots(profile) -> str:
@@ -417,12 +398,8 @@ def _policy_from_args(args):
 
 def _service_from_args(args):
     """The configured service; a rejected flag value is a usage error."""
-    from .obs.recorder import RecorderConfig
     from .service import MSTService, ServiceConfig
 
-    recorder = None
-    if not args.no_recorder:
-        recorder = RecorderConfig(dir=args.postmortem_dir)
     try:
         config = ServiceConfig(
             workers=args.workers,
@@ -434,7 +411,7 @@ def _service_from_args(args):
             keep_profile=getattr(args, "admin_port", None) is not None,
             policy=_policy_from_args(args),
             slowdown=args.slowdown,
-            recorder=recorder,
+            postmortem_dir=None if args.no_recorder else args.postmortem_dir,
         )
     except ValueError as exc:
         raise _UsageError(f"{args.command}: {exc}") from None
@@ -776,34 +753,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.set_defaults(fn=_cmd_chaos)
 
-    def _obs_common(p) -> None:
-        p.add_argument(
-            "input", help="suite input name or graph file path"
-        )
-        p.add_argument("--code", default="ECL-MST", help="MST code to run")
-        p.add_argument(
-            "--stage",
-            help="run ECL-MST at a Table-5 de-optimization stage "
-            "(e.g. 'No Atomic Guards')",
-        )
-        p.add_argument("--system", type=int, choices=(1, 2), default=2)
-        p.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
-        p.add_argument("--out", help="write the artifact to this file")
-
-    p_trace = sub.add_parser(
-        "trace", help="emit a span trace of one run (Perfetto/NDJSON)"
-    )
-    _obs_common(p_trace)
-    p_trace.add_argument(
-        "--format", choices=("chrome", "ndjson"), default="chrome"
-    )
-    p_trace.set_defaults(fn=_cmd_trace)
-
     p_prof = sub.add_parser(
         "profile",
-        help="emit (or diff) a JSON run profile with per-kernel breakdown",
+        help="emit (or diff) a JSON run profile with per-kernel breakdown, "
+        "or its span trace (Perfetto/NDJSON)",
     )
-    _obs_common(p_prof)
+    p_prof.add_argument("input", help="suite input name or graph file path")
+    p_prof.add_argument("--code", default="ECL-MST", help="MST code to run")
+    p_prof.add_argument(
+        "--stage",
+        help="run ECL-MST at a Table-5 de-optimization stage "
+        "(e.g. 'No Atomic Guards')",
+    )
+    p_prof.add_argument("--system", type=int, choices=(1, 2), default=2)
+    p_prof.add_argument("--scale", type=_scale, default=DEFAULT_SCALE)
+    p_prof.add_argument("--out", help="write the artifact to this file")
     p_prof.add_argument(
         "--baseline", help="diff against this previously saved profile"
     )
@@ -1087,7 +1051,6 @@ def main(argv: list[str] | None = None) -> int:
         "convert",
         "mst",
         "report",
-        "trace",
         "profile",
         "chaos",
         "serve",

@@ -19,10 +19,11 @@ and modeled time go":
 * :mod:`~repro.obs.events` — leveled structured events with
   correlation IDs (run → query → span), NDJSON/console sinks, and a
   zero-overhead null log;
-* :mod:`~repro.obs.window` — sliding-window counters and histograms
-  so live service metrics reflect recent traffic;
-* :mod:`~repro.obs.slo` — declarative SLOs evaluated into windowed
-  burn rates and alert transitions;
+* :mod:`~repro.obs.window` — sliding-window counters behind the
+  serving policy's recent-rate gauges;
+* :mod:`~repro.obs.slo` — the window of finished queries: declarative
+  SLOs evaluated into burn rates and alert transitions, and the
+  service's windowed latency and qps;
 * :mod:`~repro.obs.recorder` — the always-on flight recorder: bounded
   rings of recent events/outcomes/spans, postmortem bundles captured
   on failure signals, and deterministic bundle replay (the
@@ -63,7 +64,6 @@ from .metrics import (
 from .profile import KernelBreakdown, ProfileDiff, RunProfile, diff, graph_fingerprint
 from .recorder import (
     FlightRecorder,
-    RecorderConfig,
     ReplayReport,
     TeeEventLog,
     bundle_summary,
@@ -75,7 +75,7 @@ from .recorder import (
 from .roofline import BoundReport, KernelRoofline, launch_shares, roofline_report
 from .slo import DEFAULT_SLOS, SLOSpec, SLOStatus, SLOTracker
 from .trace import NULL_TRACER, NullTracer, Span, Tracer, host_hotspots
-from .window import SlidingCounter, SlidingHistogram
+from .window import SlidingCounter
 
 __all__ = [
     "BoundReport",
@@ -93,7 +93,6 @@ __all__ = [
     "SLOStatus",
     "SLOTracker",
     "SlidingCounter",
-    "SlidingHistogram",
     "Gauge",
     "Histogram",
     "KernelBreakdown",
@@ -102,7 +101,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "ProfileDiff",
-    "RecorderConfig",
     "ReplayReport",
     "RunProfile",
     "Span",

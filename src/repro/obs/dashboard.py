@@ -1,11 +1,10 @@
 """Self-contained HTML run dashboard.
 
 :func:`render_dashboard` turns one :class:`~repro.obs.profile.RunProfile`
-(plus, optionally, a live service snapshot and recent postmortem
-bundles) into a single static HTML file with **no external
-assets** — styles, data, and the inline SVG charts are all embedded,
-so the file can be archived next to the profile it renders and opened
-anywhere.
+(plus, optionally, recent postmortem bundles) into a single static
+HTML file with **no external assets** — styles, data, and the inline
+SVG charts are all embedded, so the file can be archived next to the
+profile it renders and opened anywhere.
 
 Sections:
 
@@ -14,8 +13,7 @@ Sections:
   per Alg.-2 round (the geometric-decay observable), from the
   profile's ``round_log``
 * kernel share — each kernel's slice of the modeled runtime
-* service — cache hit ratio meter and the SLO table (when a service
-  snapshot is supplied)
+* incidents — recent postmortem bundles (when supplied)
 * a data-table view of every chart (the accessibility fallback)
 
 Chart conventions follow the repo's dataviz rules: categorical hues
@@ -38,8 +36,6 @@ _SERIES = (
     ("#eb6834", "#d95926"),  # orange
     ("#1baf7a", "#199e70"),  # aqua
 )
-_STATUS_GOOD = "#0ca30c"
-_STATUS_CRITICAL = "#d03b3b"
 
 _CSS = """
 :root {
@@ -49,8 +45,6 @@ _CSS = """
   --grid: #e1e0d9; --axis: #c3c2b7;
   --border: rgba(11,11,11,0.10);
   --s1: #2a78d6; --s2: #eb6834; --s3: #1baf7a;
-  --s1-track: #cde2fb;
-  --good: #0ca30c; --crit: #d03b3b; --good-text: #006300;
 }
 @media (prefers-color-scheme: dark) {
   :root {
@@ -60,8 +54,6 @@ _CSS = """
     --grid: #2c2c2a; --axis: #383835;
     --border: rgba(255,255,255,0.10);
     --s1: #3987e5; --s2: #d95926; --s3: #199e70;
-    --s1-track: #104281;
-    --good: #0ca30c; --crit: #d03b3b; --good-text: #0ca30c;
   }
 }
 * { box-sizing: border-box; }
@@ -102,11 +94,6 @@ th, td { text-align: right; padding: 4px 10px;
   font-variant-numeric: tabular-nums; }
 th { color: var(--ink-2); font-weight: 600; }
 th:first-child, td:first-child { text-align: left; }
-.status { display: inline-flex; align-items: center; gap: 6px; }
-.meter { height: 10px; border-radius: 5px; background: var(--s1-track);
-  overflow: hidden; }
-.meter > div { height: 100%; background: var(--s1);
-  border-radius: 5px 0 0 5px; }
 details { margin-top: 4px; }
 summary { cursor: pointer; color: var(--ink-2); }
 #tip {
@@ -286,58 +273,6 @@ def _kernel_share_svg(kernels: dict, total_s: float) -> str:
 
 
 # ----------------------------------------------------------------------
-# Service + SLO section
-# ----------------------------------------------------------------------
-def _slo_rows(slos: list[dict]) -> str:
-    rows = []
-    for s in slos:
-        alerting = bool(s.get("alerting"))
-        color = _STATUS_CRITICAL if alerting else _STATUS_GOOD
-        icon = "●" if not alerting else "▲"  # dot / warning triangle
-        word = "burning" if alerting else "ok"
-        burn = s.get("burn_rate", 0.0)
-        burn_s = "∞" if burn in ("inf", float("inf")) else f"{float(burn):.2f}"
-        rows.append(
-            f"<tr><td>{_esc(s.get('name'))}</td>"
-            f"<td>{_esc(s.get('kind'))}</td>"
-            f"<td>{float(s.get('objective', 0)) * 100:.1f}%</td>"
-            f"<td>{float(s.get('sli', 0)) * 100:.2f}%</td>"
-            f"<td>{burn_s}</td>"
-            f'<td style="text-align:left"><span class="status">'
-            f'<span style="color:{color}">{icon}</span>{word}</span></td></tr>'
-        )
-    return "".join(rows)
-
-
-def _service_section(service: dict | None, slos: list[dict] | None) -> str:
-    if not service and not slos:
-        return ""
-    parts = ['<div class="card"><h2>Service</h2>']
-    if service:
-        ratio = float(service.get("service.cache_hit_ratio", 0.0))
-        pct = max(0.0, min(1.0, ratio)) * 100.0
-        parts.append(
-            f'<p class="sub">cache hit ratio {pct:.1f}% · '
-            f"{_compact(service.get('service.queries', 0))} queries · "
-            f"p95 {_seconds(service.get('service.p95_latency', 0.0))} · "
-            f"{_compact(service.get('service.qps', 0.0))} qps (window)</p>"
-        )
-        parts.append(
-            f'<div class="meter hit" data-tip="cache hit ratio {pct:.1f}%">'
-            f'<div style="width:{pct:.1f}%"></div></div>'
-        )
-    if slos:
-        parts.append(
-            "<table><thead><tr><th>SLO</th><th>kind</th><th>objective</th>"
-            "<th>SLI</th><th>burn</th><th>state</th></tr></thead><tbody>"
-            + _slo_rows(slos)
-            + "</tbody></table>"
-        )
-    parts.append("</div>")
-    return "".join(parts)
-
-
-# ----------------------------------------------------------------------
 # The page
 # ----------------------------------------------------------------------
 def _tile(label: str, value: str, *, hero: bool = False) -> str:
@@ -389,16 +324,12 @@ def _incidents_section(incidents: list[dict] | None) -> str:
 def render_dashboard(
     profile: dict,
     *,
-    service: dict | None = None,
-    slos: list[dict] | None = None,
     title: str | None = None,
     incidents: list[dict] | None = None,
 ) -> str:
     """Render the full dashboard HTML for one run-profile dict.
 
-    ``service`` is a flat service-metric dict and
-    ``slos`` a list of SLO-status dicts (both optional — the service
-    card only renders when data is supplied).  ``incidents`` is a list
+    ``incidents`` is a list
     of postmortem-bundle summaries
     (:func:`~repro.obs.recorder.recent_bundles`) rendered as the
     incidents panel.
@@ -417,13 +348,6 @@ def render_dashboard(
         _tile("MST edges", _compact(profile.get("num_mst_edges", 0))),
         _tile("rounds", _compact(profile.get("rounds", 0))),
     ]
-    if service:
-        tiles.append(
-            _tile(
-                "cache hit ratio",
-                f"{float(service.get('service.cache_hit_ratio', 0)) * 100:.1f}%",
-            )
-        )
 
     timeline = ""
     if rounds:
@@ -469,7 +393,7 @@ def render_dashboard(
 <p class="sub">{sub}</p>
 <div class="tiles">{''.join(tiles)}</div>
 {timeline}
-<div class="row">{kernel_card}{_service_section(service, slos)}</div>
+<div class="row">{kernel_card}</div>
 {_incidents_section(incidents)}
 <footer>repro-mst dashboard · schema {_esc(profile.get('schema', '?'))}</footer>
 <div id="tip"></div>

@@ -26,6 +26,7 @@ __all__ = [
     "MetricsRegistry",
     "collect_result_metrics",
     "metric_direction",
+    "nearest_rank",
 ]
 
 # ----------------------------------------------------------------------
@@ -57,9 +58,7 @@ _INFO = {
     "service.graph_cache_size",
     "service.result_cache_size",
     # Wall-clock latency is host noise: informative for operators,
-    # never a regression signal.  Covers the windowed p50/p95 gauges
-    # and every summary key the service.latency histogram renders
-    # (.count/.min/.mean/...).
+    # never a regression signal.
     "service.p50_latency",
     "service.p95_latency",
     "service.qps",
@@ -77,7 +76,6 @@ _INFO = {
 # what the black box observed, never solver performance — operator
 # info.
 _INFO_PREFIXES = (
-    "service.latency.",
     "resilience.policy.",
     "obs.recorder.",
     "service.postmortem.",
@@ -94,6 +92,21 @@ def metric_direction(name: str) -> str:
     if name in _HIGHER_IS_BETTER:
         return "higher"
     return "lower"
+
+
+def nearest_rank(xs: list[float], q: float) -> float:
+    """Nearest-rank ``q`` quantile of the ascending list ``xs``.
+
+    ``q`` must lie in ``[0, 1]`` (anything else — including NaN —
+    raises ``ValueError`` rather than mis-indexing).  An empty list
+    returns the documented ``0.0`` sentinel so metric dicts stay
+    numeric; a single observation answers every quantile.
+    """
+    if not 0.0 <= q <= 1.0:  # NaN fails this comparison too
+        raise ValueError(f"quantile must be in [0, 1], got {q!r}")
+    if not xs:
+        return 0.0
+    return xs[min(len(xs) - 1, max(0, math.ceil(q * len(xs)) - 1))]
 
 
 @dataclass
@@ -137,21 +150,9 @@ class Histogram:
         self.samples.append(float(value))
 
     def quantile(self, q: float) -> float:
-        """Nearest-rank quantile of the recorded samples.
-
-        ``q`` must lie in ``[0, 1]`` (anything else — including NaN —
-        raises ``ValueError`` rather than mis-indexing).  An empty
-        histogram returns the documented ``0.0`` sentinel so metric
-        dicts stay numeric; a single observation answers every
-        quantile with that observation.
-        """
-        if not 0.0 <= q <= 1.0:  # NaN fails this comparison too
-            raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-        if not self.samples:
-            return 0.0
-        xs = sorted(self.samples)
-        idx = min(len(xs) - 1, max(0, math.ceil(q * len(xs)) - 1))
-        return xs[idx]
+        """Nearest-rank quantile of the recorded samples (see
+        :func:`nearest_rank`)."""
+        return nearest_rank(sorted(self.samples), q)
 
     def as_dict(self) -> dict[str, float]:
         n = len(self.samples)

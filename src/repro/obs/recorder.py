@@ -4,10 +4,10 @@ A serving process that dies with exit 4/5/6 — or quietly burns an SLO
 — used to take its evidence with it.  This module is the black box:
 the :class:`FlightRecorder` keeps cheap bounded ring buffers of what
 just happened (recent events, per-query span summaries, query
-outcomes, periodic windowed-metric snapshots), and on any failure
-signal freezes them — plus the offending query's full reproduction key
-— into a self-contained on-disk **postmortem bundle** that the
-``repro-mst postmortem`` and ``repro-mst replay`` CLI verbs consume.
+outcomes), and on any failure signal freezes them — plus the
+offending query's full reproduction key — into a self-contained
+on-disk **postmortem bundle** that the ``repro-mst postmortem`` and
+``repro-mst replay`` CLI verbs consume.
 
 Failure signals (capture triggers):
 
@@ -38,8 +38,8 @@ against what was recorded.  Wall-clock timeouts are the documented
 exception: scheduling is not part of the replay key.
 
 Bundle files are single JSON documents (``PM_<stamp>_<seq>_<slug>.bundle``,
-schema :data:`BUNDLE_SCHEMA`) pruned to ``RecorderConfig.bundle_limit``
-per directory; per-(reason, spec) cooldowns keep a failure storm from
+schema :data:`BUNDLE_SCHEMA`) pruned to :data:`BUNDLE_LIMIT` per
+directory; per-(reason, spec) cooldowns keep a failure storm from
 turning into a disk storm.  ``/debugz`` (admin server) and the
 dashboard's incidents panel read the same :func:`recent_bundles`
 listing.
@@ -63,7 +63,6 @@ __all__ = [
     "BUNDLE_SCHEMA",
     "TRIGGER_EVENTS",
     "FlightRecorder",
-    "RecorderConfig",
     "ReplayReport",
     "TeeEventLog",
     "bundle_summary",
@@ -88,41 +87,20 @@ _STATUS_UNSAFE_TRIGGERS = ("breaker.open",)
 _FAILURE_STATUSES = ("error", "timeout")
 
 
-@dataclass(frozen=True)
-class RecorderConfig:
-    """Flight-recorder sizing and capture-policy knobs.
-
-    The defaults are deliberately small: four rings of a few hundred
-    entries cost well under a megabyte and O(1) per observation, which
-    is what lets the recorder default to *on*.
-    """
-
-    enabled: bool = True
-    dir: str = "postmortems"
-    events_capacity: int = 512
-    outcomes_capacity: int = 256
-    spans_capacity: int = 512
-    snapshots_capacity: int = 64
-    # Non-kernel spans kept per executed query (kernels collapse into
-    # one summary entry — a single run can launch thousands).
-    spans_per_query: int = 32
-    snapshot_interval_s: float = 5.0
-    # Per-(reason, spec) bundle cooldown: a failure storm on one spec
-    # writes one bundle per window, and counts the rest as suppressed.
-    bundle_cooldown_s: float = 30.0
-    # On-disk retention: oldest bundles beyond this are pruned.
-    bundle_limit: int = 16
-
-    def __post_init__(self) -> None:
-        for name in (
-            "events_capacity",
-            "outcomes_capacity",
-            "spans_capacity",
-            "snapshots_capacity",
-            "bundle_limit",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+# Ring capacities.  A few hundred entries each cost well under a
+# megabyte and O(1) per observation, which is what lets the recorder
+# default to on.
+EVENTS_CAPACITY = 512
+OUTCOMES_CAPACITY = 256
+SPANS_CAPACITY = 512
+# Non-kernel spans kept per executed query (kernels collapse into one
+# summary entry — a single run can launch thousands).
+SPANS_PER_QUERY = 32
+# Per-(reason, spec) bundle cooldown: a failure storm on one spec
+# writes one bundle per window, and counts the rest as suppressed.
+BUNDLE_COOLDOWN_S = 30.0
+# On-disk retention: oldest bundles beyond this are pruned.
+BUNDLE_LIMIT = 16
 
 
 class TeeEventLog:
@@ -168,27 +146,16 @@ class FlightRecorder:
     cooldowns, and never raise into the serving path.
     """
 
-    def __init__(
-        self,
-        config: RecorderConfig | None = None,
-        *,
-        registry=None,
-    ) -> None:
-        self.config = config or RecorderConfig()
+    def __init__(self, directory="postmortems", *, registry=None) -> None:
+        self.dir = str(directory)
         self.registry = registry
         self._service = None
-        cfg = self.config
-        self._events: deque = deque(maxlen=cfg.events_capacity)
-        self._outcomes: deque = deque(maxlen=cfg.outcomes_capacity)
-        self._spans: deque = deque(maxlen=cfg.spans_capacity)
-        self._snapshots: deque = deque(maxlen=cfg.snapshots_capacity)
+        self._events: deque = deque(maxlen=EVENTS_CAPACITY)
+        self._outcomes: deque = deque(maxlen=OUTCOMES_CAPACITY)
+        self._spans: deque = deque(maxlen=SPANS_CAPACITY)
         self._local = threading.local()
         self._cd_lock = threading.Lock()
         self._cooldowns: dict[str, float] = {}
-        # Start the snapshot clock now: the first periodic snapshot is
-        # due one interval after boot, not on the first outcome (which
-        # would bill every short-lived service a full metrics() walk).
-        self._last_snapshot = time.monotonic()
         self._seq_lock = threading.Lock()
         self._seq = 0
         self.bundles_written = 0
@@ -246,7 +213,7 @@ class FlightRecorder:
         """Summarize one executed query's trace into the span ring.
 
         Non-kernel spans (service/host/run/phase/round) are kept
-        individually up to ``spans_per_query``; kernel launches — often
+        individually up to :data:`SPANS_PER_QUERY`; kernel launches — often
         thousands per run — collapse into one summary entry.
         """
         try:
@@ -261,7 +228,7 @@ class FlightRecorder:
                 kernels += 1
                 kernel_s += s.modeled_seconds or 0.0
                 continue
-            if kept >= self.config.spans_per_query:
+            if kept >= SPANS_PER_QUERY:
                 continue
             kept += 1
             self._spans.append(
@@ -284,21 +251,6 @@ class FlightRecorder:
                 }
             )
 
-    def maybe_snapshot(self, service=None) -> None:
-        """Periodic windowed-metrics snapshot (rate-limited)."""
-        now = time.monotonic()
-        if now - self._last_snapshot < self.config.snapshot_interval_s:
-            return
-        self._last_snapshot = now
-        svc = service if service is not None else self._service
-        if svc is None:
-            return
-        try:
-            metrics = svc.metrics()
-        except Exception:
-            return
-        self._snapshots.append({"ts": time.time(), "metrics": metrics})
-
     # ------------------------------------------------------------------
     # Capture
     # ------------------------------------------------------------------
@@ -313,13 +265,11 @@ class FlightRecorder:
     ) -> Path | None:
         """Freeze the rings + repro key into an on-disk bundle.
 
-        Returns the bundle path, or ``None`` when capture was disabled,
+        Returns the bundle path, or ``None`` when capture was
         reentrant (a capture's own state snapshot emitted a trigger
         event), cooled down, or failed — a capture must never take the
         serving path down with it.
         """
-        if not self.config.enabled:
-            return None
         if getattr(self._local, "capturing", False):
             return None
         key = self._cooldown_key(reason, query, outcome)
@@ -328,7 +278,7 @@ class FlightRecorder:
             last = self._cooldowns.get(key)
             if (
                 last is not None
-                and now - last < self.config.bundle_cooldown_s
+                and now - last < BUNDLE_COOLDOWN_S
             ):
                 self._count("service.postmortem.suppressed")
                 return None
@@ -444,7 +394,6 @@ class FlightRecorder:
                 "events": list(self._events),
                 "outcomes": list(self._outcomes),
                 "spans": list(self._spans),
-                "snapshots": list(self._snapshots),
             },
             "statusz": statusz,
             "metrics": metrics,
@@ -457,7 +406,7 @@ class FlightRecorder:
         }
 
     def _write_bundle(self, bundle, reason, query, outcome) -> Path:
-        directory = Path(self.config.dir)
+        directory = Path(self.dir)
         directory.mkdir(parents=True, exist_ok=True)
         with self._seq_lock:
             self._seq += 1
@@ -478,7 +427,7 @@ class FlightRecorder:
 
     def _prune(self, directory: Path) -> None:
         bundles = sorted(directory.glob("PM_*.bundle"))
-        for stale in bundles[: max(0, len(bundles) - self.config.bundle_limit)]:
+        for stale in bundles[: max(0, len(bundles) - BUNDLE_LIMIT)]:
             try:
                 stale.unlink()
             except OSError:
@@ -493,7 +442,6 @@ class FlightRecorder:
             "obs.recorder.events": float(len(self._events)),
             "obs.recorder.outcomes": float(len(self._outcomes)),
             "obs.recorder.spans": float(len(self._spans)),
-            "obs.recorder.snapshots": float(len(self._snapshots)),
         }
 
     def debug_snapshot(
@@ -509,34 +457,22 @@ class FlightRecorder:
         atomic under the GIL — so concurrent worker appends never
         produce a torn read.
         """
-        cfg = self.config
         return {
-            "enabled": cfg.enabled,
-            "dir": str(cfg.dir),
+            "enabled": True,
+            "dir": self.dir,
             "bundles_written": self.bundles_written,
             "rings": {
-                "events": {
-                    "len": len(self._events),
-                    "capacity": cfg.events_capacity,
-                },
-                "outcomes": {
-                    "len": len(self._outcomes),
-                    "capacity": cfg.outcomes_capacity,
-                },
-                "spans": {
-                    "len": len(self._spans),
-                    "capacity": cfg.spans_capacity,
-                },
-                "snapshots": {
-                    "len": len(self._snapshots),
-                    "capacity": cfg.snapshots_capacity,
-                },
+                name: {"len": len(ring), "capacity": ring.maxlen}
+                for name, ring in (
+                    ("events", self._events),
+                    ("outcomes", self._outcomes),
+                    ("spans", self._spans),
+                )
             },
             "events": list(self._events)[-events_tail:],
             "outcomes": list(self._outcomes)[-outcomes_tail:],
             "spans": list(self._spans)[-spans_tail:],
-            "snapshots": list(self._snapshots)[-2:],
-            "bundles": recent_bundles(cfg.dir),
+            "bundles": recent_bundles(self.dir),
         }
 
 

@@ -1,10 +1,10 @@
 """Declarative service-level objectives with windowed burn rates.
 
 An :class:`SLOSpec` names an objective over the service's recent
-traffic; an :class:`SLOTracker` feeds one record per served query into
-sliding windows (:mod:`~repro.obs.window`) and evaluates each spec
-into an :class:`SLOStatus` carrying the measured SLI, the fraction of
-error budget consumed, and the **burn rate** — the standard ratio
+traffic; an :class:`SLOTracker` keeps one record per finished query
+for the last ``window_s`` seconds and evaluates each spec into an
+:class:`SLOStatus` carrying the measured SLI, the fraction of error
+budget consumed, and the **burn rate** — the standard ratio
 
     burn = (1 - SLI) / (1 - objective)
 
@@ -32,19 +32,32 @@ Spec kinds:
 The default spec set (:data:`DEFAULT_SLOS`) encodes the repo's serving
 promises: 99% availability, 95% of queries under one second, zero
 escaped faults, and at most 1% of queries shed.
+
+The tracker's window is also the service's one view of recent
+traffic: ``service.p50_latency`` / ``service.p95_latency`` /
+``service.qps`` and the ``/statusz`` ``window`` block read
+:meth:`SLOTracker.quantile`, :meth:`SLOTracker.count` and
+:meth:`SLOTracker.summary`, so every windowed number covers the same
+set of queries as the SLIs.
 """
 
 from __future__ import annotations
 
+import threading
+import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .events import NULL_EVENTS
-from .window import SlidingCounter
+from .metrics import nearest_rank
 
 __all__ = ["SLOSpec", "SLOStatus", "SLOTracker", "DEFAULT_SLOS"]
 
 _KINDS = ("availability", "latency", "zero", "shed")
+
+# The most records the window holds; a burst past it sheds the oldest.
+MAX_RECORDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -126,13 +139,23 @@ DEFAULT_SLOS: tuple[SLOSpec, ...] = (
 )
 
 
+class _Record(NamedTuple):
+    ts: float
+    latency_s: float
+    ok: bool
+    shed: bool
+    escaped: int
+    query_id: str | None
+
+
 class SLOTracker:
-    """Feeds served-query records into windows and evaluates the specs.
+    """The window of finished queries; evaluates the specs over it.
 
     ``events`` receives ``slo.burn`` / ``slo.recovered`` transitions;
     the default :data:`~repro.obs.events.NULL_EVENTS` keeps evaluation
-    silent.  ``clock`` must match the one used for the timestamps
-    passed to :meth:`record` (the engine uses ``time.monotonic``).
+    silent.  ``clock`` stamps each record and ends each window (the
+    default is ``time.monotonic``).  A record is live while its
+    timestamp is inside ``(now - window_s, now]``.
     """
 
     def __init__(
@@ -143,22 +166,16 @@ class SLOTracker:
         events=NULL_EVENTS,
         clock: Callable[[], float] | None = None,
     ) -> None:
+        if window_s <= 0:
+            raise ValueError("window_s must be positive")
         self.specs = tuple(specs)
         self.window_s = float(window_s)
         self.events = events
-        self._total = SlidingCounter(window_s, clock=clock)
-        self._ok = SlidingCounter(window_s, clock=clock)
-        self._fast = SlidingCounter(window_s, clock=clock)
-        self._escaped = SlidingCounter(window_s, clock=clock)
-        self._shed = SlidingCounter(window_s, clock=clock)
+        self._clock = clock or time.monotonic
+        self._lock = threading.Lock()
+        # Time-ordered: each record is stamped under the lock.
+        self._records: deque[_Record] = deque(maxlen=MAX_RECORDS)
         self._alerting: dict[str, bool] = {s.name: False for s in self.specs}
-        # Last budget-spending query ID per spec kind (exemplars).
-        self._exemplars: dict[str, str] = {}
-        # One latency bound serves every latency spec; multiple bounds
-        # would need one counter per spec — keep the common case cheap.
-        self._latency_bounds = sorted(
-            {s.threshold_s for s in self.specs if s.kind == "latency"}
-        )
 
     # ------------------------------------------------------------------
     # Recording
@@ -170,64 +187,107 @@ class SLOTracker:
         latency_s: float,
         escaped: int = 0,
         shed: bool = False,
-        ts: float | None = None,
         query_id: str | None = None,
     ) -> None:
-        """One served query: success flag, latency, escaped-fault count,
-        and whether the service load-shed it instead of running it.
-        ``query_id`` tags budget-spending records as the per-kind
-        exemplar surfaced in :class:`SLOStatus` and burn events."""
-        self._total.inc(ts=ts)
-        if ok:
-            self._ok.inc(ts=ts)
-        elif query_id:
-            self._exemplars["availability"] = query_id
-        fast = False
-        for bound in self._latency_bounds:
-            if latency_s <= bound:
-                self._fast.inc(ts=ts)
-                fast = True
-                break
-        if self._latency_bounds and not fast and query_id:
-            self._exemplars["latency"] = query_id
-        if escaped:
-            self._escaped.inc(escaped, ts=ts)
-            if query_id:
-                self._exemplars["zero"] = query_id
-        if shed:
-            self._shed.inc(ts=ts)
-            if query_id:
-                self._exemplars["shed"] = query_id
+        """One finished query: success flag, latency, escaped-fault
+        count, and whether the service load-shed it instead of running
+        it.  ``query_id`` is the exemplar surfaced in
+        :class:`SLOStatus`, burn events and :meth:`summary`."""
+        with self._lock:
+            now = self._clock()
+            self._records.append(
+                _Record(now, float(latency_s), ok, shed, escaped, query_id)
+            )
+            self._prune(now)
+
+    def _prune(self, now: float) -> None:
+        cutoff = now - self.window_s
+        records = self._records
+        while records and records[0].ts <= cutoff:
+            records.popleft()
+
+    def _live(self) -> list[_Record]:
+        with self._lock:
+            self._prune(self._clock())
+            return list(self._records)
+
+    # ------------------------------------------------------------------
+    # Window views
+    # ------------------------------------------------------------------
+    def count(self) -> int:
+        """Finished queries in the window."""
+        return len(self._live())
+
+    def quantile(self, q: float) -> float:
+        """Nearest-rank latency quantile over the window (``0.0`` when
+        the window is empty; ``q`` outside [0, 1] raises)."""
+        return nearest_rank(sorted(r.latency_s for r in self._live()), q)
+
+    def summary(self) -> dict:
+        """count/mean/p50/p95/max latency over the window.
+
+        ``max_exemplar`` names the slowest query that carried an ID —
+        the one to pull up when the p95 looks wrong.  The empty window
+        keeps the all-zero shape without it.
+        """
+        live = self._live()
+        xs = sorted(r.latency_s for r in live)
+        if not xs:
+            return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
+        out = {
+            "count": len(xs),
+            "mean": sum(xs) / len(xs),
+            "p50": nearest_rank(xs, 0.5),
+            "p95": nearest_rank(xs, 0.95),
+            "max": xs[-1],
+        }
+        tagged = [r for r in live if r.query_id is not None]
+        if tagged:
+            out["max_exemplar"] = max(tagged, key=lambda r: r.latency_s).query_id
+        return out
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _sli(self, spec: SLOSpec, now: float | None) -> tuple[float, float, float]:
-        total = self._total.total(now=now)
+    @staticmethod
+    def _spends_budget(spec: SLOSpec, r: _Record) -> bool:
         if spec.kind == "availability":
-            good = self._ok.total(now=now)
-        elif spec.kind == "latency":
-            good = self._fast.total(now=now)
-        elif spec.kind == "shed":
-            good = total - self._shed.total(now=now)
-        else:  # zero
-            bad = self._escaped.total(now=now)
-            return (1.0 if bad == 0 else 0.0), (0.0 if bad else 1.0), bad
-        if total == 0:
-            return 1.0, 0.0, 0.0  # an idle window burns no budget
-        return good / total, good, total
+            return not r.ok
+        if spec.kind == "latency":
+            return r.latency_s > spec.threshold_s
+        if spec.kind == "shed":
+            return r.shed
+        return r.escaped > 0  # zero
 
-    def evaluate(self, *, now: float | None = None) -> list[SLOStatus]:
+    def _sli(
+        self, spec: SLOSpec, live: list[_Record]
+    ) -> tuple[float, float, float, str | None]:
+        """(sli, good, total, exemplar): the exemplar is the latest
+        budget-spending query of the window."""
+        bad = [r for r in live if self._spends_budget(spec, r)]
+        exemplar = next(
+            (r.query_id for r in reversed(bad) if r.query_id), None
+        )
+        if spec.kind == "zero":
+            escaped = float(sum(r.escaped for r in bad))
+            return (0.0 if bad else 1.0), (0.0 if bad else 1.0), escaped, exemplar
+        total = float(len(live))
+        if total == 0:
+            return 1.0, 0.0, 0.0, None  # an idle window burns no budget
+        good = total - len(bad)
+        return good / total, good, total, exemplar
+
+    def evaluate(self) -> list[SLOStatus]:
         """Every spec's current status; emits burn-state transitions."""
+        live = self._live()
         out = []
         for spec in self.specs:
-            sli, good, total = self._sli(spec, now)
+            sli, good, total, exemplar = self._sli(spec, live)
             budget = 1.0 - spec.objective
             if budget <= 0.0:  # exact objective (the "zero" kind)
                 burn = 0.0 if sli >= 1.0 else float("inf")
             else:
                 burn = (1.0 - sli) / budget
-            exemplar = self._exemplars.get(spec.kind)
             alerting = burn > spec.alert_burn
             was = self._alerting[spec.name]
             if alerting != was:

@@ -1,21 +1,19 @@
-"""Sliding-window aggregation for live service metrics.
+"""Sliding-window counting for the serving policy's telemetry.
 
 The lifetime counters in :class:`~repro.obs.metrics.MetricsRegistry`
 are the right unit of exchange for run profiles (deterministic,
-diffable), but a *serving* system needs recency: ``service.qps`` and
-the latency percentiles must reflect the last minute of traffic, not
-the whole process lifetime.  This module provides the two windowed
-primitives the engine uses:
+diffable), but the serving policy's ``resilience.policy.*_per_s`` and
+``shed_rate`` gauges must reflect the last minute of its decisions
+(admitted, shed, retried, ...), not the whole process lifetime.
+:class:`SlidingCounter` is a bucketed ring covering ``window_s``
+seconds; ``total()``/``rate()`` cover only the still-live buckets.
+(Finished queries have their own exact window,
+:class:`~repro.obs.slo.SLOTracker`.)
 
-* :class:`SlidingCounter` — a bucketed ring covering ``window_s``
-  seconds; ``total()``/``rate()`` cover only the still-live buckets.
-* :class:`SlidingHistogram` — timestamped observations pruned to the
-  window; quantiles over what remains.
-
-Both accept explicit per-observation timestamps, tolerate
-*out-of-order* arrivals (late observations land in their own
-time slot as long as they are still inside the window; anything older
-is counted in ``dropped`` rather than silently mis-binned), and are
+It accepts explicit per-observation timestamps, tolerates
+*out-of-order* arrivals (late observations land in their own time
+slot as long as they are still inside the window; anything older is
+counted in ``dropped`` rather than silently mis-binned), and is
 thread-safe — worker threads record, the admin thread reads.
 
 Clocks are injectable (``clock=...``, defaulting to
@@ -29,7 +27,7 @@ import threading
 import time
 from typing import Callable
 
-__all__ = ["SlidingCounter", "SlidingHistogram"]
+__all__ = ["SlidingCounter"]
 
 
 class SlidingCounter:
@@ -94,120 +92,3 @@ class SlidingCounter:
     def rate(self, *, now: float | None = None) -> float:
         """Observations per second over the window."""
         return self.total(now=now) / self.window_s
-
-
-class SlidingHistogram:
-    """Timestamped observations pruned to a sliding window.
-
-    ``quantile``/``count``/``mean`` summarize only the observations
-    whose timestamp is inside ``[now - window_s, now]``.  Like
-    :meth:`~repro.obs.metrics.Histogram.quantile`, an empty window
-    yields the documented ``0.0`` sentinel rather than NaN.
-    """
-
-    def __init__(
-        self,
-        window_s: float = 60.0,
-        *,
-        max_samples: int = 100_000,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        self.window_s = float(window_s)
-        self.max_samples = max_samples
-        self._clock = clock or time.monotonic
-        self._lock = threading.Lock()
-        # (ts, value, exemplar) — exemplar is an opaque correlation ID
-        # (the engine passes query IDs) or None.
-        self._samples: list[tuple[float, float, object]] = []
-        self.dropped = 0
-
-    def observe(
-        self, value: float, *, ts: float | None = None, exemplar=None
-    ) -> None:
-        now = self._clock()
-        ts = now if ts is None else ts
-        with self._lock:
-            if ts <= now - self.window_s:
-                self.dropped += 1
-                return
-            self._samples.append((ts, float(value), exemplar))
-            if len(self._samples) > self.max_samples:
-                self._prune_locked(now)
-                # Still over budget inside the window: shed oldest.
-                if len(self._samples) > self.max_samples:
-                    self._samples.sort(key=lambda s: s[0])
-                    excess = len(self._samples) - self.max_samples
-                    del self._samples[:excess]
-                    self.dropped += excess
-
-    def _prune_locked(self, now: float) -> None:
-        cutoff = now - self.window_s
-        self._samples = [s for s in self._samples if s[0] > cutoff]
-
-    def _live_values(self, now: float | None) -> list[float]:
-        now = self._clock() if now is None else now
-        with self._lock:
-            self._prune_locked(now)
-            return [v for _, v, _ in self._samples]
-
-    def max_exemplar(self, *, now: float | None = None):
-        """The exemplar attached to the window's largest observation
-        (``None`` when the window is empty or untagged) — the query to
-        pull up when the p95 looks wrong."""
-        now = self._clock() if now is None else now
-        with self._lock:
-            self._prune_locked(now)
-            live = [s for s in self._samples if s[2] is not None]
-        if not live:
-            return None
-        return max(live, key=lambda s: s[1])[2]
-
-    def count(self, *, now: float | None = None) -> int:
-        return len(self._live_values(now))
-
-    def mean(self, *, now: float | None = None) -> float:
-        xs = self._live_values(now)
-        return sum(xs) / len(xs) if xs else 0.0
-
-    def quantile(self, q: float, *, now: float | None = None) -> float:
-        """Nearest-rank quantile over the live window.
-
-        ``q`` must lie in [0, 1].  Returns the ``0.0`` sentinel for an
-        empty window; a single observation answers every quantile.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        xs = sorted(self._live_values(now))
-        if not xs:
-            return 0.0
-        idx = min(len(xs) - 1, max(0, math.ceil(q * len(xs)) - 1))
-        return xs[idx]
-
-    def summary(self, *, now: float | None = None) -> dict[str, float]:
-        """count/mean/p50/p95/max over the live window.
-
-        When the max observation carries an exemplar, a
-        ``max_exemplar`` key rides along; the empty-window sentinel
-        shape is unchanged.
-        """
-        now = self._clock() if now is None else now
-        xs = sorted(self._live_values(now))
-        if not xs:
-            return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-
-        def q(frac: float) -> float:
-            return xs[min(len(xs) - 1, max(0, math.ceil(frac * len(xs)) - 1))]
-
-        out = {
-            "count": len(xs),
-            "mean": sum(xs) / len(xs),
-            "p50": q(0.5),
-            "p95": q(0.95),
-            "max": xs[-1],
-        }
-        exemplar = self.max_exemplar(now=now)
-        if exemplar is not None:
-            out["max_exemplar"] = exemplar
-        return out

@@ -16,14 +16,13 @@ four classic operational endpoints:
   :class:`~repro.obs.profile.RunProfile` as JSON (requires
   ``ServiceConfig.keep_profile``; ``404`` until a query has executed).
 * ``/debugz``    — the flight recorder's black box: ring-buffer tails
-  (events, outcomes, span summaries, metric snapshots) plus the list
-  of recent postmortem bundles on disk (requires the recorder, which
+  (events, outcomes, span summaries) plus the list of recent
+  postmortem bundles on disk (requires the recorder, which
   ``ServiceConfig`` arms by default; ``404`` when disabled).
 
 Metric names are sanitized for Prometheus (dots → underscores, a
 ``repro_`` namespace prefix); counters and gauges carry ``# TYPE``
-lines, and each histogram's ``.count``/``.sum``/``.min``/``.max``
-satellites render as untyped samples of the same family.
+lines.
 
 The server binds ``port=0`` for an OS-assigned port (tests), serves
 each request on its own thread, and never touches solver state — it
@@ -202,8 +201,8 @@ class _Handler(BaseHTTPRequestHandler):
                         404,
                         {
                             "error": "flight recorder disabled",
-                            "hint": "needs ServiceConfig.recorder (on by "
-                            "default; --no-recorder turns it off)",
+                            "hint": "needs ServiceConfig.postmortem_dir (on "
+                            "by default; --no-recorder turns it off)",
                         },
                     )
                 else:

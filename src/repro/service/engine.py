@@ -62,10 +62,9 @@ from pathlib import Path
 from ..errors import Overloaded
 from ..obs.events import get_event_log
 from ..obs.metrics import MetricsRegistry
-from ..obs.recorder import FlightRecorder, RecorderConfig
+from ..obs.recorder import FlightRecorder
 from ..obs.slo import SLOTracker
 from ..obs.trace import Tracer
-from ..obs.window import SlidingCounter, SlidingHistogram
 from ..resilience.policy import PolicyConfig, ResiliencePolicy
 from .cache import LRUCache
 from .outcome import (
@@ -110,10 +109,9 @@ class ServiceConfig:
     # load testing (GPUSpec.slowed, behind the --slowdown flags).
     policy: PolicyConfig | None = None
     slowdown: float = 1.0
-    # Always-on flight recorder (None = off).  The default instance is
-    # frozen and shared; it only sizes ring buffers and names the
-    # postmortem directory, so sharing is safe.
-    recorder: RecorderConfig | None = RecorderConfig()
+    # Where the always-on flight recorder writes postmortem bundles
+    # (None = recorder off).
+    postmortem_dir: str | None = "postmortems"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -394,18 +392,15 @@ class MSTService:
         # runs) feeds its rings — even when the user-facing log is the
         # NULL_EVENTS default.
         self.recorder: FlightRecorder | None = None
-        if self.config.recorder is not None and self.config.recorder.enabled:
+        if self.config.postmortem_dir is not None:
             self.recorder = FlightRecorder(
-                self.config.recorder, registry=self.registry
+                self.config.postmortem_dir, registry=self.registry
             ).attach(self)
             self.events = self.recorder.tee(self.events)
         self.results = LRUCache(self.config.result_cache_size)
         self.graphs = LRUCache(self.config.graph_cache_size)
-        # Sliding windows behind service.qps / p50 / p95 and the SLOs:
-        # recent traffic, not process lifetime (the lifetime histogram
-        # still exists for totals).
-        self._lat_window = SlidingHistogram(window_s=WINDOW_S)
-        self._done_window = SlidingCounter(window_s=WINDOW_S)
+        # The one window of finished queries: behind service.qps /
+        # p50 / p95, the /statusz window block and the SLOs.
         self.slo = SLOTracker(window_s=WINDOW_S, events=self.events)
         self.started_at = time.time()
         self.latest_profile: dict | None = None
@@ -978,7 +973,6 @@ class MSTService:
         out = replace(
             raw, id=ticket.query.id, served_by=served, latency_s=latency
         )
-        self.registry.histogram("service.latency").observe(latency)
         self._observe_done(out, latency, query=ticket.query)
         if out.status == "timeout":
             self.registry.counter("service.timeouts").inc()
@@ -987,17 +981,15 @@ class MSTService:
     def _observe_done(
         self, out: QueryOutcome, latency: float, query: Query | None = None
     ) -> None:
-        """Feed one finished waiter into the sliding windows, SLOs, and
-        the flight recorder.
+        """Feed one finished waiter into the window of finished queries
+        and the flight recorder.
 
         Availability counts *served* outcomes — a degraded answer is
         still an answer — while shed queries feed the shed-rate SLO.
         Without the policy, served == ok and shed never happens, so
         the accounting is unchanged.  The outcome's query ID rides
-        along as the exemplar for the latency window and SLOs.
+        along as the exemplar for the latency summary and SLOs.
         """
-        self._lat_window.observe(latency, exemplar=out.id)
-        self._done_window.inc()
         escaped = 0
         res = out.resilience
         if isinstance(res, dict):
@@ -1009,17 +1001,14 @@ class MSTService:
             shed=out.status == "shed",
             query_id=out.id,
         )
-        rec = self.recorder
-        if rec is not None:
-            rec.observe_outcome(out, query=query)
-            rec.maybe_snapshot(self)
+        if self.recorder is not None:
+            self.recorder.observe_outcome(out, query=query)
 
     def _timeout_outcome(
         self, ticket: Ticket, timeout: float | None, why: str
     ) -> QueryOutcome:
         self.registry.counter("service.timeouts").inc()
         latency = time.perf_counter() - ticket.submitted_at
-        self.registry.histogram("service.latency").observe(latency)
         if self.events.enabled:
             self.events.emit(
                 "service.timeout",
@@ -1070,7 +1059,6 @@ class MSTService:
         executor dropped it at shutdown)."""
         latency = time.perf_counter() - ticket.submitted_at
         self.registry.counter("service.cancelled").inc()
-        self.registry.histogram("service.latency").observe(latency)
         if self.events.enabled:
             self.events.emit(
                 "service.cancelled",
@@ -1125,18 +1113,13 @@ class MSTService:
         reg.gauge("service.cache_hit_ratio").set(
             hits / queries if queries else 0.0
         )
-        # p50/p95/qps reflect the sliding window (recent traffic), not
-        # the process lifetime: a long-lived service reports what it is
-        # doing *now*.  The lifetime histogram stays in the registry
-        # for totals (service.latency.count / .sum).
-        reg.gauge("service.p50_latency").set(self._lat_window.quantile(0.5))
-        reg.gauge("service.p95_latency").set(self._lat_window.quantile(0.95))
-        reg.gauge("service.qps").set(self._done_window.rate())
-        out = {
-            k: v
-            for k, v in reg.as_dict().items()
-            if not k.startswith("service.latency.")
-        }
+        # p50/p95/qps reflect the window of finished queries (recent
+        # traffic), not the process lifetime: a long-lived service
+        # reports what it is doing *now*.
+        reg.gauge("service.p50_latency").set(self.slo.quantile(0.5))
+        reg.gauge("service.p95_latency").set(self.slo.quantile(0.95))
+        reg.gauge("service.qps").set(self.slo.count() / WINDOW_S)
+        out = reg.as_dict()
         out["service.graph_cache_size"] = float(len(self.graphs))
         out["service.result_cache_size"] = float(len(self.results))
         if self.policy is not None:
@@ -1156,6 +1139,7 @@ class MSTService:
 
         with self._lock:
             depth = self._depth
+        latency = self.slo.summary()
         return {
             "version": __version__,
             "uptime_s": time.time() - self.started_at,
@@ -1172,9 +1156,9 @@ class MSTService:
                 "graphs": len(self.graphs),
             },
             "window": {
-                "completed": self._done_window.total(),
-                "qps": self._done_window.rate(),
-                "latency": self._lat_window.summary(),
+                "completed": latency["count"],
+                "qps": latency["count"] / WINDOW_S,
+                "latency": latency,
             },
             "slos": [s.to_dict() for s in self.slo_statuses()],
             "policy": (
@@ -1185,7 +1169,7 @@ class MSTService:
             "recorder": (
                 {
                     "enabled": True,
-                    "dir": str(self.recorder.config.dir),
+                    "dir": self.recorder.dir,
                     "bundles_written": self.recorder.bundles_written,
                 }
                 if self.recorder is not None

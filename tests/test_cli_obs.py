@@ -1,4 +1,4 @@
-"""CLI tests for the observability subcommands (trace/profile)."""
+"""CLI tests for ``profile``: run profiles and their span traces."""
 
 import json
 
@@ -10,8 +10,13 @@ SCALE = "0.06"
 
 
 class TestTrace:
+    """The span trace ``profile --format chrome|ndjson`` emits."""
+
     def test_chrome_output(self, capsys):
-        assert main(["trace", "internet", "--scale", SCALE]) == 0
+        assert (
+            main(["profile", "internet", "--scale", SCALE, "--format", "chrome"])
+            == 0
+        )
         events = json.loads(capsys.readouterr().out)
         assert isinstance(events, list) and events
         for e in events:
@@ -19,7 +24,7 @@ class TestTrace:
 
     def test_ndjson_output(self, capsys):
         assert (
-            main(["trace", "internet", "--scale", SCALE, "--format", "ndjson"])
+            main(["profile", "internet", "--scale", SCALE, "--format", "ndjson"])
             == 0
         )
         lines = capsys.readouterr().out.strip().splitlines()
@@ -29,16 +34,15 @@ class TestTrace:
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "trace.json"
-        assert (
-            main(["trace", "internet", "--scale", SCALE, "--out", str(path)])
-            == 0
-        )
+        argv = ["profile", "internet", "--scale", SCALE, "--format", "chrome"]
+        assert main([*argv, "--out", str(path)]) == 0
         assert isinstance(json.loads(path.read_text()), list)
 
     def test_traced_baseline_code(self, capsys):
         assert (
             main(
-                ["trace", "internet", "--scale", SCALE, "--code", "Jucele GPU"]
+                ["profile", "internet", "--scale", SCALE, "--format", "chrome",
+                 "--code", "Jucele GPU"]
             )
             == 0
         )

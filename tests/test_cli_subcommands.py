@@ -82,7 +82,6 @@ class TestBadInputs:
         [
             ["mst", "nosuch"],
             ["chaos", "nosuch", "--faults", "1"],
-            ["trace", "nosuch"],
             ["profile", "nosuch"],
             ["run", "ECL-MST", "nosuch"],
         ],

@@ -101,8 +101,9 @@ class TestConfigSurface:
 
     A new knob must show up here as a test diff.  ``pool`` is gone;
     ``window_s``, the ladder's retry/backoff/fallback switches,
-    ``shed_depth_frac``, ``breaker_probes`` and ``stale_max_age_s``
-    are module constants.
+    ``shed_depth_frac``, ``breaker_probes``, ``stale_max_age_s`` and
+    the flight recorder's capacities, cooldown and bundle limit are
+    module constants.
     """
 
     @staticmethod
@@ -119,7 +120,7 @@ class TestConfigSurface:
             "keep_profile",
             "policy",
             "slowdown",
-            "recorder",
+            "postmortem_dir",
         ]
 
     def test_resilience_config_fields(self):

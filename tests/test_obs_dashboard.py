@@ -59,22 +59,6 @@ class TestRenderDashboard:
         assert "<b>run" not in html
         assert "&lt;b&gt;run &amp; fun&lt;/b&gt;" in html
 
-    def test_service_section_renders_slos(self, profile):
-        service = {"service.cache_hit_ratio": 0.5, "service.qps": 2.0}
-        slos = [
-            {
-                "name": "availability",
-                "kind": "availability",
-                "objective": 0.99,
-                "sli": 1.0,
-                "burn_rate": 0.0,
-                "alerting": False,
-            }
-        ]
-        html = render_dashboard(profile, service=service, slos=slos)
-        assert "availability" in html
-        assert "ok" in html
-
     def test_dark_mode_is_selected_not_flipped(self, profile):
         html = render_dashboard(profile)
         assert "prefers-color-scheme: dark" in html

@@ -6,12 +6,12 @@ import threading
 import pytest
 
 from repro.errors import EXIT_REPLAY_DIVERGED, BundleError
+from repro.obs import recorder
 from repro.obs.events import NULL_EVENTS, EventLog, ListSink
 from repro.obs.metrics import metric_direction
 from repro.obs.recorder import (
     BUNDLE_SCHEMA,
     FlightRecorder,
-    RecorderConfig,
     TeeEventLog,
     bundle_summary,
     load_bundle,
@@ -20,7 +20,6 @@ from repro.obs.recorder import (
     replay_bundle,
 )
 from repro.obs.slo import SLOTracker
-from repro.obs.window import SlidingHistogram
 from repro.resilience.policy import CircuitBreaker, PolicyConfig
 from repro.service.engine import MSTService, ServiceConfig
 from repro.service.query import Query
@@ -47,15 +46,9 @@ def fault_query(qid="boom", seed=7):
     )
 
 
-def recorder_config(tmp_path, **kw):
-    kw.setdefault("dir", str(tmp_path / "pm"))
-    kw.setdefault("snapshot_interval_s", 0.0)
-    return RecorderConfig(**kw)
-
-
 def service(tmp_path, **kw):
     kw.setdefault("workers", 2)
-    kw.setdefault("recorder", recorder_config(tmp_path))
+    kw.setdefault("postmortem_dir", str(tmp_path / "pm"))
     return MSTService(ServiceConfig(**kw))
 
 
@@ -67,31 +60,32 @@ def bundles_in(tmp_path):
 # Ring buffers and the tee
 # ---------------------------------------------------------------------------
 class TestRingsAndTee:
-    def test_event_ring_is_bounded(self):
-        rec = FlightRecorder(RecorderConfig(enabled=False, events_capacity=4))
+    def test_event_ring_is_bounded(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(recorder, "EVENTS_CAPACITY", 4)
+        rec = FlightRecorder(tmp_path)
         for i in range(10):
             rec.record_event("e", "info", {"i": i})
         tail = rec.debug_snapshot()["events"]
         assert [e["i"] for e in tail] == [6, 7, 8, 9]
 
-    def test_tee_keeps_debug_detail_on_a_silent_log(self):
-        rec = FlightRecorder(RecorderConfig(enabled=False))
+    def test_tee_keeps_debug_detail_on_a_silent_log(self, tmp_path):
+        rec = FlightRecorder(tmp_path)
         tee = rec.tee(NULL_EVENTS)
         assert tee.enabled and tee.would_emit("debug")
         tee.emit("solver.round", level="debug", round=3)
         assert rec.debug_snapshot()["events"][-1]["round"] == 3
 
-    def test_tee_forwards_to_inner_log_with_bound_fields(self):
+    def test_tee_forwards_to_inner_log_with_bound_fields(self, tmp_path):
         sink = ListSink()
         inner = EventLog(level="info", sinks=[sink])
-        rec = FlightRecorder(RecorderConfig(enabled=False))
+        rec = FlightRecorder(tmp_path)
         tee = rec.tee(inner).bind(query="q9")
         tee.emit("service.execute", level="info", code="ECL-MST")
         assert sink.events[0].fields["query"] == "q9"
         assert rec.debug_snapshot()["events"][-1]["query"] == "q9"
 
-    def test_tee_bind_composes(self):
-        rec = FlightRecorder(RecorderConfig(enabled=False))
+    def test_tee_bind_composes(self, tmp_path):
+        rec = FlightRecorder(tmp_path)
         tee = rec.tee(NULL_EVENTS).bind(query="a").bind(run="r1")
         assert isinstance(tee, TeeEventLog)
         tee.emit("x")
@@ -129,15 +123,16 @@ class TestCapture:
         assert metrics["service.postmortem.bundles"] == 1.0
         assert metrics["service.postmortem.suppressed"] >= 1.0
 
-    def test_bundle_dir_is_pruned_to_limit(self, tmp_path):
-        cfg = recorder_config(tmp_path, bundle_limit=2, bundle_cooldown_s=0.0)
-        with service(tmp_path, recorder=cfg) as svc:
+    def test_bundle_dir_is_pruned_to_limit(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(recorder, "BUNDLE_LIMIT", 2)
+        monkeypatch.setattr(recorder, "BUNDLE_COOLDOWN_S", 0.0)
+        with service(tmp_path) as svc:
             # Distinct seeds -> distinct specs -> distinct cooldown keys.
             svc.run_batch([fault_query(f"b{i}", seed=i) for i in range(5)])
         assert len(bundles_in(tmp_path)) == 2
 
     def test_trigger_event_on_tee_captures(self, tmp_path):
-        rec = FlightRecorder(recorder_config(tmp_path))
+        rec = FlightRecorder(tmp_path / "pm")
         tee = rec.tee(NULL_EVENTS)
         tee.emit("invariant.violated", level="error", invariant="parent-root")
         (path,) = bundles_in(tmp_path)
@@ -149,7 +144,7 @@ class TestCapture:
     def test_breaker_open_captures_without_deadlock(self, tmp_path):
         cfg = ServiceConfig(
             workers=2,
-            recorder=recorder_config(tmp_path),
+            postmortem_dir=str(tmp_path / "pm"),
             policy=PolicyConfig(breaker_threshold=1),
         )
         done = []
@@ -172,7 +167,7 @@ class TestCapture:
         assert "breaker.open" in reasons or "outcome-error" in reasons
 
     def test_disabled_recorder_never_writes(self, tmp_path):
-        with service(tmp_path, recorder=None) as svc:
+        with service(tmp_path, postmortem_dir=None) as svc:
             out = svc.run_batch([fault_query()])[0]
             assert svc.recorder is None
             assert out.status == "error"
@@ -180,7 +175,7 @@ class TestCapture:
         assert not (tmp_path / "pm").exists()
 
     def test_capture_crash_records_last_words(self, tmp_path):
-        rec = FlightRecorder(recorder_config(tmp_path))
+        rec = FlightRecorder(tmp_path / "pm")
         path = rec.capture_crash(RuntimeError("worker pool exploded"))
         bundle = load_bundle(path)
         assert bundle["reason"] == "crash"
@@ -258,8 +253,8 @@ class TestReplay:
         assert "MATCH" in report.render()
 
     def test_ok_outcome_replays_full_payload(self, tmp_path):
-        rec = FlightRecorder(recorder_config(tmp_path))
-        with service(tmp_path, recorder=None) as svc:
+        rec = FlightRecorder(tmp_path / "pm")
+        with service(tmp_path, postmortem_dir=None) as svc:
             q = ok_query()
             out = svc.run_batch([q])[0]
         path = rec.capture(reason="manual", query=q, outcome=out)
@@ -282,7 +277,7 @@ class TestReplay:
         assert report.to_dict()["diffs"]["exit_code"]["recorded"] == 99
 
     def test_bundle_without_query_is_not_replayable(self, tmp_path):
-        rec = FlightRecorder(recorder_config(tmp_path))
+        rec = FlightRecorder(tmp_path / "pm")
         path = rec.capture(reason="slo.burn")
         with pytest.raises(BundleError, match="no captured query"):
             replay_bundle(load_bundle(path))
@@ -300,7 +295,7 @@ class TestBitIdentity:
         ]
         with service(tmp_path) as svc_on:
             on = svc_on.run_batch([q for q in queries])
-        with service(tmp_path, recorder=None) as svc_off:
+        with service(tmp_path, postmortem_dir=None) as svc_off:
             off = svc_off.run_batch([q for q in queries])
         for a, b in zip(on, off):
             assert a.replay_identity() == b.replay_identity()
@@ -320,17 +315,6 @@ class TestExemplarsAndMetrics:
             "service.postmortem.capture_errors",
         ):
             assert metric_direction(name) == "info"
-
-    def test_sliding_histogram_exemplar(self):
-        h = SlidingHistogram(window_s=60.0)
-        assert h.summary() == {
-            "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0,
-        }  # empty sentinel shape is part of the API
-        h.observe(0.1, exemplar="fast")
-        h.observe(2.5, exemplar="slow")
-        h.observe(0.2)
-        assert h.max_exemplar() == "slow"
-        assert h.summary()["max_exemplar"] == "slow"
 
     def test_slo_exemplar_surfaces_on_burn(self):
         t = SLOTracker(window_s=60.0)
@@ -354,5 +338,5 @@ class TestExemplarsAndMetrics:
     def test_statusz_carries_recorder_block(self, tmp_path):
         with service(tmp_path) as svc:
             assert svc.status()["recorder"]["enabled"] is True
-        with service(tmp_path, recorder=None) as svc:
+        with service(tmp_path, postmortem_dir=None) as svc:
             assert svc.status()["recorder"] == {"enabled": False}

@@ -1,7 +1,11 @@
 """Declarative SLOs: burn rates, windows, and alert transitions."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.obs import slo
 from repro.obs.events import EventLog, ListSink
 from repro.obs.slo import DEFAULT_SLOS, SLOSpec, SLOTracker
 
@@ -109,13 +113,13 @@ class TestTransitions:
         log = ListSinkLog()
         t = SLOTracker((spec,), window_s=60.0, events=log, clock=clk)
         for _ in range(10):
-            t.record(ok=False, latency_s=0.1, ts=clk.t)
-        t.evaluate(now=clk.t)
-        t.evaluate(now=clk.t)  # still burning: no duplicate event
+            t.record(ok=False, latency_s=0.1)
+        t.evaluate()
+        t.evaluate()  # still burning: no duplicate event
         assert log.names == ["slo.burn"]
         clk.t += 120.0  # the window rolls clean
-        t.evaluate(now=clk.t)
-        t.evaluate(now=clk.t)
+        t.evaluate()
+        t.evaluate()
         assert log.names == ["slo.burn", "slo.recovered"]
 
     def test_burn_event_carries_identity(self):
@@ -138,10 +142,96 @@ class TestWindowing:
         spec = SLOSpec(name="avail", kind="availability", objective=0.99)
         clk = FakeClock(0.0)
         t = SLOTracker((spec,), window_s=60.0, clock=clk)
-        t.record(ok=False, latency_s=0.1, ts=0.0)
+        t.record(ok=False, latency_s=0.1)
         clk.t = 30.0
-        (st,) = t.evaluate(now=clk.t)
+        (st,) = t.evaluate()
         assert st.alerting
         clk.t = 120.0
-        (st,) = t.evaluate(now=clk.t)
+        (st,) = t.evaluate()
         assert st.sli == 1.0 and not st.alerting
+
+
+# ---------------------------------------------------------------------------
+# The window of finished queries: latency views over the same records
+# ---------------------------------------------------------------------------
+class TestQueryWindow:
+    def test_quantiles_over_live_window_only(self):
+        clk = FakeClock(0.0)
+        t = SLOTracker(window_s=60, clock=clk)
+        t.record(ok=True, latency_s=100.0)  # will expire
+        clk.t = 70.0
+        for v in (1.0, 2.0, 3.0, 4.0):
+            t.record(ok=True, latency_s=v)
+        assert t.count() == 4
+        assert t.quantile(0.5) == 2.0
+        assert t.quantile(1.0) == 4.0
+        assert t.summary()["mean"] == pytest.approx(2.5)
+
+    def test_empty_window_sentinel(self):
+        t = SLOTracker(window_s=60, clock=FakeClock(0.0))
+        assert t.count() == 0
+        assert t.quantile(0.5) == 0.0
+        assert t.summary() == {
+            "count": 0,
+            "mean": 0.0,
+            "p50": 0.0,
+            "p95": 0.0,
+            "max": 0.0,
+        }  # the empty shape is part of the /statusz API
+
+    def test_single_observation_answers_every_quantile(self):
+        t = SLOTracker(window_s=60, clock=FakeClock(5.0))
+        t.record(ok=True, latency_s=7.0)
+        for q in (0.0, 0.5, 0.95, 1.0):
+            assert t.quantile(q) == 7.0
+
+    def test_out_of_range_quantile_raises(self):
+        t = SLOTracker(window_s=60, clock=FakeClock(0.0))
+        for bad in (-0.1, 1.1, float("nan")):
+            with pytest.raises(ValueError):
+                t.quantile(bad)
+
+    def test_max_records_sheds_oldest(self, monkeypatch):
+        monkeypatch.setattr(slo, "MAX_RECORDS", 10)
+        clk = FakeClock(0.0)
+        t = SLOTracker(window_s=1000.0, clock=clk)
+        for i in range(25):
+            clk.t = float(i)
+            t.record(ok=True, latency_s=float(i))
+        assert t.count() == 10
+        # The newest observations survive the shed.
+        assert t.quantile(0.0) == 15.0
+        assert t.quantile(1.0) == 24.0
+
+    def test_max_exemplar_names_the_slowest_tagged_query(self):
+        t = SLOTracker(window_s=60.0)
+        t.record(ok=True, latency_s=0.1, query_id="fast")
+        t.record(ok=True, latency_s=2.5, query_id="slow")
+        t.record(ok=True, latency_s=9.0)  # untagged
+        assert t.summary()["max_exemplar"] == "slow"
+
+    def test_concurrent_records_are_all_kept_in_time_order(self):
+        t = SLOTracker(window_s=3600.0)
+        threads, per_thread = 8, 500
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [
+                        t.record(ok=True, latency_s=0.01)
+                        for _ in range(per_thread)
+                    ]
+                )
+                for _ in range(threads)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30.0)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert t.count() == threads * per_thread
+        stamps = [r.ts for r in t._records]
+        assert stamps == sorted(stamps)

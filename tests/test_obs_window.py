@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.obs.metrics import Histogram
-from repro.obs.window import SlidingCounter, SlidingHistogram
+from repro.obs.window import SlidingCounter
 
 
 class FakeClock:
@@ -79,71 +79,6 @@ class TestSlidingCounter:
             SlidingCounter(window_s=0)
         with pytest.raises(ValueError):
             SlidingCounter(window_s=10, buckets=0)
-
-
-# ---------------------------------------------------------------------------
-# SlidingHistogram
-# ---------------------------------------------------------------------------
-class TestSlidingHistogram:
-    def test_quantiles_over_live_window_only(self):
-        clk = FakeClock(0.0)
-        h = SlidingHistogram(window_s=60, clock=clk)
-        h.observe(100.0)  # will expire
-        clk.t = 70.0
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        assert h.count() == 4
-        assert h.quantile(0.5) == 2.0
-        assert h.quantile(1.0) == 4.0
-        assert h.mean() == pytest.approx(2.5)
-
-    def test_empty_window_sentinel(self):
-        h = SlidingHistogram(window_s=60, clock=FakeClock(0.0))
-        assert h.quantile(0.5) == 0.0
-        assert h.mean() == 0.0
-        assert h.summary() == {
-            "count": 0,
-            "mean": 0.0,
-            "p50": 0.0,
-            "p95": 0.0,
-            "max": 0.0,
-        }
-
-    def test_single_observation_answers_every_quantile(self):
-        clk = FakeClock(5.0)
-        h = SlidingHistogram(window_s=60, clock=clk)
-        h.observe(7.0)
-        for q in (0.0, 0.5, 0.95, 1.0):
-            assert h.quantile(q) == 7.0
-
-    def test_out_of_range_quantile_raises(self):
-        h = SlidingHistogram(window_s=60, clock=FakeClock(0.0))
-        for bad in (-0.1, 1.1, float("nan")):
-            with pytest.raises(ValueError):
-                h.quantile(bad)
-
-    def test_late_observation_dropped(self):
-        clk = FakeClock(100.0)
-        h = SlidingHistogram(window_s=60, clock=clk)
-        h.observe(9.0, ts=1.0)
-        assert h.count() == 0
-        assert h.dropped == 1
-
-    def test_out_of_order_within_window_counts(self):
-        clk = FakeClock(30.0)
-        h = SlidingHistogram(window_s=60, clock=clk)
-        h.observe(9.0, ts=2.0)
-        assert h.count() == 1
-
-    def test_max_samples_sheds_oldest(self):
-        clk = FakeClock(0.0)
-        h = SlidingHistogram(window_s=1000.0, max_samples=10, clock=clk)
-        for i in range(25):
-            clk.t = float(i)
-            h.observe(float(i))
-        assert h.count() <= 10
-        # The newest observations survive the shed.
-        assert h.quantile(1.0) == 24.0
 
 
 # ---------------------------------------------------------------------------

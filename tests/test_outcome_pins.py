@@ -25,7 +25,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.recorder import RecorderConfig
 from repro.service import MSTService, ServiceConfig, run_batch_lines
 
 PINS_PATH = Path(__file__).with_name("outcome_pins.json")
@@ -63,9 +62,7 @@ def outcome_digest(row: dict) -> str:
 
 def serve_stream(postmortem_dir: str) -> dict[str, dict]:
     """Serve :data:`BATCHES` in order; each outcome's ``to_dict()`` by id."""
-    config = ServiceConfig(
-        workers=1, recorder=RecorderConfig(dir=postmortem_dir)
-    )
+    config = ServiceConfig(workers=1, postmortem_dir=postmortem_dir)
     rows: dict[str, dict] = {}
     with MSTService(config) as service:
         for batch in BATCHES:

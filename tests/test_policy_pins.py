@@ -42,7 +42,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.recorder import RecorderConfig
 from repro.resilience.policy import PolicyConfig
 from repro.service import MSTService, Query, ServiceConfig
 
@@ -81,7 +80,7 @@ def poison(query_id: str, **kw) -> Query:
 def _service(postmortem_dir: str, policy: PolicyConfig | None = None):
     return MSTService(
         ServiceConfig(
-            workers=1, policy=policy, recorder=RecorderConfig(dir=postmortem_dir)
+            workers=1, policy=policy, postmortem_dir=postmortem_dir
         )
     )
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
+import threading
 
 import pytest
 
+from repro.obs.metrics import Histogram
 from repro.service import (
     LRUCache,
     MSTService,
@@ -208,11 +211,25 @@ class TestResultCache:
 
 class TestDedup:
     def test_concurrent_identical_queries_execute_once(self):
+        n = 6
+        submitted = threading.Event()
         with service(workers=4) as svc:
-            n = 6
-            outs = svc.run_batch(
-                [q(id=f"d{i}", input="2d-2e20.sym", scale=0.2) for i in range(n)]
-            )
+            resolve = svc._resolve_graph
+
+            def held(query):
+                # Keep the primary in flight until every submit has
+                # returned, so none can miss it and hit the cache.
+                if not submitted.wait(timeout=60.0):
+                    raise TimeoutError("submits never finished")
+                return resolve(query)
+
+            svc._resolve_graph = held
+            tickets = [
+                svc.submit(q(id=f"d{i}", input="2d-2e20.sym", scale=0.2))
+                for i in range(n)
+            ]
+            submitted.set()
+            outs = [t.outcome() for t in tickets]
             m = svc.metrics()
         assert all(o.ok for o in outs)
         assert m["service.executed"] == 1.0
@@ -231,6 +248,26 @@ class TestDedup:
         assert all(o.ok for o in outs)
         assert m["service.executed"] == 2.0
         assert m["service.dedup_hits"] == 0.0
+
+
+class TestBoundedTelemetry:
+    def test_served_queries_leave_no_per_query_growth(self):
+        def sizes(svc):
+            return {
+                name: len(pickle.dumps(metric))
+                for name, metric in svc.registry._metrics.items()
+            }
+
+        with service(result_cache_size=0, postmortem_dir=None) as svc:
+            svc.run_batch([q(id=f"a{i}") for i in range(100)])
+            after_100 = sizes(svc)
+            svc.run_batch([q(id=f"b{i}") for i in range(100)])
+            after_200 = sizes(svc)
+            kinds = {type(m) for m in svc.registry._metrics.values()}
+            assert svc.metrics()["service.queries"] == 200.0
+        assert Histogram not in kinds
+        # A family first touched by the second batch is not growth.
+        assert {name: after_200[name] for name in after_100} == after_100
 
 
 class TestTimeout:

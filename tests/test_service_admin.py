@@ -14,8 +14,10 @@ import urllib.error
 import urllib.request
 
 import pytest
+from test_obs_slo import FakeClock
 
 from repro.obs.metrics import metric_direction
+from repro.obs.slo import SLOTracker
 from repro.service import MSTService, Query, ServiceConfig
 from repro.service.admin import (
     AdminServer,
@@ -146,12 +148,34 @@ class TestWindowedServiceMetrics:
     def test_latency_gauges_read_the_sliding_window(self):
         with service() as svc:
             for v in (0.010, 0.020, 0.030, 0.040):
-                svc._lat_window.observe(v)
-                svc._done_window.inc()
+                svc.slo.record(ok=True, latency_s=v)
             flat = svc.metrics()
-        assert flat["service.p50_latency"] == svc._lat_window.quantile(0.5)
-        assert flat["service.p95_latency"] == svc._lat_window.quantile(0.95)
+        assert flat["service.p50_latency"] == svc.slo.quantile(0.5) == 0.020
+        assert flat["service.p95_latency"] == svc.slo.quantile(0.95) == 0.040
         assert flat["service.qps"] == pytest.approx(4.0 / WINDOW_S)
+
+    def test_every_window_view_agrees(self):
+        """qps, /statusz and the SLO totals count the same queries as
+        the latency percentiles, right at a record's expiry edge."""
+        clk = FakeClock(0.2)
+        with service(postmortem_dir=None) as svc:
+            svc.slo = SLOTracker(window_s=WINDOW_S, events=svc.events, clock=clk)
+            for t in (0.2, 0.9, 30.0):
+                clk.t = t
+                svc.slo.record(ok=True, latency_s=0.01, query_id=f"q{t}")
+            for t, live in ((60.1, 3), (60.5, 2), (61.0, 1)):
+                clk.t = t
+                window = svc.status()["window"]
+                slos = {s.spec.name: s for s in svc.slo.evaluate()}
+                views = (
+                    svc.slo.count(),
+                    svc.slo.summary()["count"],
+                    window["completed"],
+                    window["latency"]["count"],
+                    round(svc.metrics()["service.qps"] * WINDOW_S),
+                    slos["availability"].total,
+                )
+                assert views == (live,) * 6, (t, views)
 
     def test_idle_service_reports_zero_not_nan(self):
         with service() as svc:
@@ -171,8 +195,6 @@ class TestWindowedServiceMetrics:
             "service.p50_latency",
             "service.p95_latency",
             "service.qps",
-            "service.latency.count",
-            "service.latency.p50",
         ):
             assert metric_direction(name) == "info", name
         # The gate still treats real costs as gating.
@@ -262,12 +284,7 @@ class TestEndpoints:
         assert headers["Content-Type"].startswith("application/json")
         doc = json.loads(body)
         assert doc["enabled"] is True
-        assert set(doc["rings"]) == {
-            "events",
-            "outcomes",
-            "spans",
-            "snapshots",
-        }
+        assert set(doc["rings"]) == {"events", "outcomes", "spans"}
         # The seed query left tracks in every observation ring.
         assert doc["rings"]["outcomes"]["len"] >= 1
         assert any(o["id"] == "seed" for o in doc["outcomes"])
@@ -287,7 +304,7 @@ class TestProfilezGating:
 
 class TestDebugzGating:
     def test_404_when_recorder_disabled(self):
-        with service(recorder=None) as svc:
+        with service(postmortem_dir=None) as svc:
             with AdminServer(svc) as admin:
                 status, _, body = get(admin.url + "/debugz")
         assert status == 404
@@ -301,14 +318,8 @@ class TestConcurrentReads:
     def test_profilez_and_debugz_under_concurrent_queries(self, tmp_path):
         import threading
 
-        from repro.obs.recorder import RecorderConfig
-
         cfg = ServiceConfig(
-            workers=4,
-            keep_profile=True,
-            recorder=RecorderConfig(
-                dir=str(tmp_path / "pm"), snapshot_interval_s=0.0
-            ),
+            workers=4, keep_profile=True, postmortem_dir=str(tmp_path / "pm")
         )
         failures: list[str] = []
         stop = threading.Event()
