@@ -1,12 +1,6 @@
 """Simulated GPU/CPU execution substrate with exact atomic semantics,
 hardware counters and an analytic cost model."""
 
-from .analysis import (
-    KernelClassification,
-    bound_summary,
-    classify_kernel,
-    classify_run,
-)
 from .atomics import (
     KEY_INFINITY,
     atomic_min_u64,
@@ -39,7 +33,6 @@ __all__ = [
     "GPUSpec",
     "HYBRID_DEGREE_THRESHOLD",
     "KEY_INFINITY",
-    "KernelClassification",
     "KernelCounters",
     "PCIE_BANDWIDTH_GBS",
     "RTX_3080_TI",
@@ -48,9 +41,6 @@ __all__ = [
     "TITAN_V",
     "XEON_GOLD_6226R_X2",
     "atomic_min_u64",
-    "bound_summary",
-    "classify_kernel",
-    "classify_run",
     "cpu_phase_seconds",
     "edge_centric_cycles",
     "gpu_kernel_seconds",

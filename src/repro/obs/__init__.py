@@ -19,8 +19,6 @@ and modeled time go":
 * :mod:`~repro.obs.events` — leveled structured events with
   correlation IDs (run → query → span), NDJSON/console sinks, and a
   zero-overhead null log;
-* :mod:`~repro.obs.window` — sliding-window counters behind the
-  serving policy's recent-rate gauges;
 * :mod:`~repro.obs.slo` — the window of finished queries: declarative
   SLOs evaluated into burn rates and alert transitions, and the
   service's windowed latency and qps;
@@ -75,7 +73,6 @@ from .recorder import (
 from .roofline import BoundReport, KernelRoofline, launch_shares, roofline_report
 from .slo import DEFAULT_SLOS, SLOSpec, SLOStatus, SLOTracker
 from .trace import NULL_TRACER, NullTracer, Span, Tracer, host_hotspots
-from .window import SlidingCounter
 
 __all__ = [
     "BoundReport",
@@ -92,7 +89,6 @@ __all__ = [
     "SLOSpec",
     "SLOStatus",
     "SLOTracker",
-    "SlidingCounter",
     "Gauge",
     "Histogram",
     "KernelBreakdown",

@@ -43,43 +43,13 @@ _HIGHER_IS_BETTER = {
     "atomics.elision_rate",
     "filter.edges_elided",
     "run.throughput_meps",
-    "service.cache_hit_ratio",
 }
 _EXACT = {
     "run.total_weight",
     "run.mst_edges",
     "filter.active",
 }
-_INFO = {
-    "filter.threshold",
-    # Service occupancy/volume gauges describe load, not performance.
-    "service.queue_depth",
-    "service.queries",
-    "service.graph_cache_size",
-    "service.result_cache_size",
-    # Wall-clock latency is host noise: informative for operators,
-    # never a regression signal.
-    "service.p50_latency",
-    "service.p95_latency",
-    "service.qps",
-    # Policy decisions are load-dependent serving behavior, not solver
-    # performance: shed/retry/breaker counts describe the traffic the
-    # service faced, so they inform operators only.
-    "resilience.policy.admitted",
-    "resilience.policy.shed",
-    "resilience.policy.retries",
-    "resilience.policy.breaker_fastfail",
-    "resilience.policy.degraded",
-    "resilience.policy.quarantined",
-}
-# Flight-recorder ring occupancy and postmortem-bundle counts describe
-# what the black box observed, never solver performance — operator
-# info.
-_INFO_PREFIXES = (
-    "resilience.policy.",
-    "obs.recorder.",
-    "service.postmortem.",
-)
+_INFO = {"filter.threshold"}
 
 
 def metric_direction(name: str) -> str:
@@ -87,7 +57,7 @@ def metric_direction(name: str) -> str:
     metric name (see the registry comment above)."""
     if name in _EXACT:
         return "exact"
-    if name in _INFO or name.startswith(_INFO_PREFIXES):
+    if name in _INFO:
         return "info"
     if name in _HIGHER_IS_BETTER:
         return "higher"

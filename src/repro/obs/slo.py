@@ -12,7 +12,8 @@ so ``burn == 1`` means the service is spending its error budget
 exactly as fast as the objective allows, and ``burn > alert_burn``
 raises an ``slo.burn`` event (see :mod:`~repro.obs.events`) on the
 transition into the alerting state (and an ``slo.recovered`` event on
-the way back out).
+the way back out).  The service evaluates as each query finishes and
+on every read, so a burn is reported without any reader.
 
 Spec kinds:
 
@@ -174,8 +175,15 @@ class SLOTracker:
         self._clock = clock or time.monotonic
         self._lock = threading.Lock()
         # Time-ordered: each record is stamped under the lock.
-        self._records: deque[_Record] = deque(maxlen=MAX_RECORDS)
-        self._alerting: dict[str, bool] = {s.name: False for s in self.specs}
+        self._records: deque[_Record] = deque()
+        # Running tallies over the live records, per spec: how many
+        # spend its budget, and the newest such record with a query ID
+        # (the exemplar).  Kept on append and prune, so evaluation
+        # never scans the window.
+        self._bad = [0] * len(self.specs)
+        self._tagged: list[_Record | None] = [None] * len(self.specs)
+        self._escaped = 0  # escaped faults across the live records
+        self._alerting = [False] * len(self.specs)
 
     # ------------------------------------------------------------------
     # Recording
@@ -195,16 +203,35 @@ class SLOTracker:
         :class:`SLOStatus`, burn events and :meth:`summary`."""
         with self._lock:
             now = self._clock()
-            self._records.append(
-                _Record(now, float(latency_s), ok, shed, escaped, query_id)
-            )
+            r = _Record(now, float(latency_s), ok, shed, escaped, query_id)
+            if len(self._records) == MAX_RECORDS:
+                self._forget(self._records.popleft())
+            self._records.append(r)
+            self._escaped += r.escaped
+            for i, spec in enumerate(self.specs):
+                if self._spends_budget(spec, r):
+                    self._bad[i] += 1
+                    if r.query_id:
+                        self._tagged[i] = r
             self._prune(now)
+
+    def _forget(self, r: _Record) -> None:
+        """Take the oldest live record out of the running tallies.
+
+        Records leave oldest first, so when a spec's exemplar leaves,
+        no newer budget-spending record with an ID is live."""
+        self._escaped -= r.escaped
+        for i, spec in enumerate(self.specs):
+            if self._spends_budget(spec, r):
+                self._bad[i] -= 1
+                if self._tagged[i] is r:
+                    self._tagged[i] = None
 
     def _prune(self, now: float) -> None:
         cutoff = now - self.window_s
         records = self._records
         while records and records[0].ts <= cutoff:
-            records.popleft()
+            self._forget(records.popleft())
 
     def _live(self) -> list[_Record]:
         with self._lock:
@@ -216,7 +243,9 @@ class SLOTracker:
     # ------------------------------------------------------------------
     def count(self) -> int:
         """Finished queries in the window."""
-        return len(self._live())
+        with self._lock:
+            self._prune(self._clock())
+            return len(self._records)
 
     def quantile(self, q: float) -> float:
         """Nearest-rank latency quantile over the window (``0.0`` when
@@ -260,61 +289,71 @@ class SLOTracker:
         return r.escaped > 0  # zero
 
     def _sli(
-        self, spec: SLOSpec, live: list[_Record]
+        self, i: int, spec: SLOSpec, live: int
     ) -> tuple[float, float, float, str | None]:
-        """(sli, good, total, exemplar): the exemplar is the latest
-        budget-spending query of the window."""
-        bad = [r for r in live if self._spends_budget(spec, r)]
-        exemplar = next(
-            (r.query_id for r in reversed(bad) if r.query_id), None
-        )
+        """(sli, good, total, exemplar) from the running tallies over
+        ``live`` records: the exemplar is the latest budget-spending
+        query of the window."""
+        bad = self._bad[i]
+        tagged = self._tagged[i]
+        exemplar = tagged.query_id if tagged is not None else None
         if spec.kind == "zero":
-            escaped = float(sum(r.escaped for r in bad))
-            return (0.0 if bad else 1.0), (0.0 if bad else 1.0), escaped, exemplar
-        total = float(len(live))
+            sli = 0.0 if bad else 1.0
+            return sli, sli, float(self._escaped), exemplar
+        total = float(live)
         if total == 0:
             return 1.0, 0.0, 0.0, None  # an idle window burns no budget
-        good = total - len(bad)
+        good = total - bad
         return good / total, good, total, exemplar
 
     def evaluate(self) -> list[SLOStatus]:
-        """Every spec's current status; emits burn-state transitions."""
-        live = self._live()
+        """Every spec's current status; emits burn-state transitions.
+
+        O(#specs): it reads the running tallies, never the window.
+        Transitions are decided under the lock but emitted after it is
+        released — a ``slo.burn`` may capture a postmortem bundle,
+        whose status snapshot evaluates again.
+        """
         out = []
-        for spec in self.specs:
-            sli, good, total, exemplar = self._sli(spec, live)
-            budget = 1.0 - spec.objective
-            if budget <= 0.0:  # exact objective (the "zero" kind)
-                burn = 0.0 if sli >= 1.0 else float("inf")
-            else:
-                burn = (1.0 - sli) / budget
-            alerting = burn > spec.alert_burn
-            was = self._alerting[spec.name]
-            if alerting != was:
-                self._alerting[spec.name] = alerting
-                fields = {
-                    "slo": spec.name,
-                    "kind": spec.kind,
-                    "sli": round(sli, 6),
-                    "burn_rate": burn if burn != float("inf") else "inf",
-                    "objective": spec.objective,
-                }
-                if alerting and exemplar:
-                    fields["exemplar"] = exemplar
-                self.events.emit(
-                    "slo.burn" if alerting else "slo.recovered",
-                    level="error" if alerting else "info",
-                    **fields,
+        transitions = []
+        with self._lock:
+            self._prune(self._clock())
+            live = len(self._records)
+            for i, spec in enumerate(self.specs):
+                sli, good, total, exemplar = self._sli(i, spec, live)
+                budget = 1.0 - spec.objective
+                if budget <= 0.0:  # exact objective (the "zero" kind)
+                    burn = 0.0 if sli >= 1.0 else float("inf")
+                else:
+                    burn = (1.0 - sli) / budget
+                alerting = burn > spec.alert_burn
+                if alerting != self._alerting[i]:
+                    self._alerting[i] = alerting
+                    fields = {
+                        "slo": spec.name,
+                        "kind": spec.kind,
+                        "sli": round(sli, 6),
+                        "burn_rate": burn if burn != float("inf") else "inf",
+                        "objective": spec.objective,
+                    }
+                    if alerting and exemplar:
+                        fields["exemplar"] = exemplar
+                    transitions.append((alerting, fields))
+                out.append(
+                    SLOStatus(
+                        spec=spec,
+                        sli=sli,
+                        good=good,
+                        total=total,
+                        burn_rate=burn,
+                        alerting=alerting,
+                        exemplar=exemplar if alerting else None,
+                    )
                 )
-            out.append(
-                SLOStatus(
-                    spec=spec,
-                    sli=sli,
-                    good=good,
-                    total=total,
-                    burn_rate=burn,
-                    alerting=alerting,
-                    exemplar=exemplar if alerting else None,
-                )
+        for alerting, fields in transitions:
+            self.events.emit(
+                "slo.burn" if alerting else "slo.recovered",
+                level="error" if alerting else "info",
+                **fields,
             )
         return out

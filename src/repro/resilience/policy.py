@@ -44,7 +44,6 @@ from time import monotonic
 from typing import Callable
 
 from ..obs.events import NULL_EVENTS
-from ..obs.window import SlidingCounter
 
 __all__ = [
     "AdmissionController",
@@ -541,14 +540,15 @@ class Quarantine:
 class ResiliencePolicy:
     """One object bundling admission, breakers, retries and quarantine.
 
-    Also owns the ``resilience.policy.*`` telemetry: lifetime counters
-    go into ``registry`` (when given), recent-traffic rates into
-    sliding windows surfaced by :meth:`windowed_metrics`, and every
-    decision is a structured event.  ``sleeper`` is injectable so retry
+    Also owns the ``resilience.policy.*`` telemetry: one lifetime
+    counter per decision in ``registry`` (when given), each registered
+    at construction so every family is present from the first scrape,
+    and every decision is a structured event.  Windowed shedding is the
+    service's ``shed-rate`` SLO.  ``sleeper`` is injectable so retry
     tests never actually sleep.
     """
 
-    WINDOW_KEYS = (
+    COUNTERS = (
         "admitted",
         "shed",
         "retries",
@@ -564,7 +564,6 @@ class ResiliencePolicy:
         max_queue_depth: int,
         registry=None,
         events=NULL_EVENTS,
-        window_s: float = 60.0,
         clock: Callable[[], float] | None = None,
         sleeper: Callable[[float], None] | None = None,
     ) -> None:
@@ -585,34 +584,20 @@ class ResiliencePolicy:
         self.quarantine = Quarantine(cfg, events=events)
         self._breakers: dict[str, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
-        self._windows = {
-            k: SlidingCounter(window_s, clock=clock) for k in self.WINDOW_KEYS
-        }
+        if registry is not None:
+            for key in self.COUNTERS:
+                registry.counter(f"resilience.policy.{key}")
 
     # -- telemetry helpers ---------------------------------------------
-    def _count(self, key: str, amount: float = 1.0) -> None:
-        self._windows[key].inc(amount)
+    def _count(self, key: str) -> None:
         if self.registry is not None:
-            self.registry.counter(f"resilience.policy.{key}").inc(amount)
+            self.registry.counter(f"resilience.policy.{key}").inc()
 
-    def windowed_metrics(self) -> dict[str, float]:
-        """Recent-traffic policy gauges (the ``/metrics`` surface)."""
-        out = {
-            f"resilience.policy.{k}_per_s": w.rate()
-            for k, w in self._windows.items()
-        }
-        admitted = self._windows["admitted"].total()
-        shed = self._windows["shed"].total()
-        seen = admitted + shed
-        out["resilience.policy.shed_rate"] = shed / seen if seen else 0.0
-        out["resilience.policy.breakers_open"] = float(
-            sum(
-                1
-                for b in self._breakers.values()
-                if b.state != BREAKER_CLOSED
-            )
-        )
-        return out
+    def breakers_open(self) -> int:
+        """Breakers not closed (the ``breakers_open`` gauge)."""
+        with self._breaker_lock:
+            breakers = list(self._breakers.values())
+        return sum(1 for b in breakers if b.state != BREAKER_CLOSED)
 
     # -- admission -----------------------------------------------------
     def admit(self, *, priority: int, queue_depth: int) -> AdmissionDecision:
@@ -707,18 +692,16 @@ class ResiliencePolicy:
         self._count("degraded")
 
     def note_quarantined(self) -> None:
+        """Account one query refused because its spec is quarantined
+        (the quarantine edge itself is the ``policy.quarantine``
+        event)."""
         self._count("quarantined")
 
     # -- snapshots ------------------------------------------------------
     def status(self) -> dict:
         """JSON-friendly policy block for ``/statusz``."""
-        win = {k: w.total() for k, w in self._windows.items()}
-        admitted, shed = win["admitted"], win["shed"]
-        seen = admitted + shed
         return {
             "config": self.cfg.to_dict(),
-            "window": win,
-            "shed_rate": shed / seen if seen else 0.0,
             "breakers": self.breaker_snapshots(),
             "quarantined": self.quarantine.snapshot(),
         }

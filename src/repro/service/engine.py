@@ -83,9 +83,8 @@ __all__ = ["MSTService", "ServiceConfig", "Ticket", "execute_query"]
 # already a registered baseline runner.
 _FALLBACK_CODE = "PBBS Ser."
 
-# The sliding window (seconds) behind service.qps / p50 / p95, the SLO
-# burn rates and the policy's windowed rates: recent traffic, not
-# process lifetime.
+# The sliding window (seconds) behind service.qps / p50 / p95 and the
+# SLO burn rates: recent traffic, not process lifetime.
 WINDOW_S = 60.0
 # The oldest cached result (seconds) the policy may still serve as a
 # degraded stale answer.
@@ -416,7 +415,6 @@ class MSTService:
                 max_queue_depth=self.config.max_queue_depth,
                 registry=self.registry,
                 events=self.events,
-                window_s=WINDOW_S,
             )
         # When each result-cache entry was stored (staleness metadata
         # for degraded serving); maintained only with the policy on.
@@ -764,10 +762,12 @@ class MSTService:
             self.recorder.record_spans(query.id, tracer)
         if pol is not None:
             pol.breaker_record(digest, ok=outcome.ok, query_id=query.id)
-            if pol.cfg.quarantine_on and pol.quarantine.record(
-                query.spec_key(), ok=outcome.ok, error_kind=outcome.error_kind
-            ):
-                pol.note_quarantined()
+            if pol.cfg.quarantine_on:
+                pol.quarantine.record(
+                    query.spec_key(),
+                    ok=outcome.ok,
+                    error_kind=outcome.error_kind,
+                )
         if outcome.ok:
             self._cache_result(rkey, outcome)
         else:
@@ -982,13 +982,16 @@ class MSTService:
         self, out: QueryOutcome, latency: float, query: Query | None = None
     ) -> None:
         """Feed one finished waiter into the window of finished queries
-        and the flight recorder.
+        and the flight recorder, then evaluate the SLOs.
 
         Availability counts *served* outcomes — a degraded answer is
         still an answer — while shed queries feed the shed-rate SLO.
         Without the policy, served == ok and shed never happens, so
         the accounting is unchanged.  The outcome's query ID rides
         along as the exemplar for the latency summary and SLOs.
+        Evaluating here reports a burn (``slo.burn`` and its bundle)
+        without any reader; it runs after the recorder so a failed
+        outcome's bundle is captured first.
         """
         escaped = 0
         res = out.resilience
@@ -1003,6 +1006,7 @@ class MSTService:
         )
         if self.recorder is not None:
             self.recorder.observe_outcome(out, query=query)
+        self.slo.evaluate()
 
     def _timeout_outcome(
         self, ticket: Ticket, timeout: float | None, why: str
@@ -1123,7 +1127,9 @@ class MSTService:
         out["service.graph_cache_size"] = float(len(self.graphs))
         out["service.result_cache_size"] = float(len(self.results))
         if self.policy is not None:
-            out.update(self.policy.windowed_metrics())
+            out["resilience.policy.breakers_open"] = float(
+                self.policy.breakers_open()
+            )
         if self.recorder is not None:
             out.update(self.recorder.metrics())
         return out

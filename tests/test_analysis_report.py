@@ -1,44 +1,53 @@
-"""Tests for the kernel classifier and the one-command report."""
+"""Tests for run-level bound shares and the one-command report."""
 
 import pytest
 
 from repro.core.config import EclMstConfig
 from repro.core.eclmst import ecl_mst
-from repro.gpusim.analysis import bound_summary, classify_kernel, classify_run
+from repro.gpusim.costmodel import gpu_kernel_seconds
 from repro.gpusim.counters import KernelCounters, RunCounters
 from repro.gpusim.spec import RTX_3080_TI
+from repro.obs.roofline import launch_shares, roofline_report
+
+
+def bound_of(**kw) -> str:
+    """The largest roofline share of one launch priced like
+    ``Device.launch`` would price it."""
+    k = KernelCounters("k", **kw)
+    k.modeled_seconds = gpu_kernel_seconds(RTX_3080_TI, k)
+    shares = launch_shares(RTX_3080_TI, k)
+    return max(shares, key=shares.get)
+
+
+def run_shares(counters: RunCounters) -> dict[str, float]:
+    """Fraction of a run's modeled time under each bound (empty for a
+    run without launches)."""
+    report = roofline_report(counters, RTX_3080_TI)
+    out: dict[str, float] = {}
+    for k in report.kernels:
+        for bound, secs in k.shares.items():
+            out[bound] = out.get(bound, 0.0) + secs / report.total_seconds
+    return out
 
 
 class TestClassifier:
     def test_memory_bound_kernel(self):
-        k = KernelCounters("k", bytes=1e9)
-        c = classify_kernel(RTX_3080_TI, k)
-        assert c.bound == "memory"
+        assert bound_of(bytes=1e9) == "memory"
 
     def test_compute_bound_kernel(self):
-        k = KernelCounters("k", cycles=1e12)
-        assert classify_kernel(RTX_3080_TI, k).bound == "compute"
+        assert bound_of(cycles=1e12) == "compute"
 
     def test_atomic_bound_kernel(self):
-        k = KernelCounters("k", atomics=10**9)
-        assert classify_kernel(RTX_3080_TI, k).bound == "atomic"
+        assert bound_of(atomics=10**9) == "atomic"
 
     def test_critical_path_bound(self):
-        k = KernelCounters("k", critical_items=10**8)
-        assert classify_kernel(RTX_3080_TI, k).bound == "critical-path"
+        assert bound_of(critical_items=10**8) == "serial"
 
     def test_launch_bound_when_empty(self):
-        assert classify_kernel(RTX_3080_TI, KernelCounters("k")).bound == "launch"
-
-    def test_run_classification_excludes_syncs(self, medium_graph):
-        r = ecl_mst(medium_graph)
-        classes = classify_run(RTX_3080_TI, r.counters)
-        assert all(c.name != "host_sync" for c in classes)
-        assert len(classes) < r.counters.num_launches  # syncs dropped
+        assert bound_of() == "launch"
 
     def test_shares_sum_to_one(self, medium_graph):
-        r = ecl_mst(medium_graph)
-        shares = bound_summary(RTX_3080_TI, r.counters)
+        shares = run_shares(ecl_mst(medium_graph).counters)
         assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_ecl_is_mostly_memory_bound(self):
@@ -47,24 +56,19 @@ class TestClassifier:
         from repro.generators import suite
 
         g = suite.build("r4-2e23.sym", scale=0.5)
-        r = ecl_mst(g)
-        shares = bound_summary(RTX_3080_TI, r.counters)
-        assert shares.get("memory", 0.0) > 0.5
+        assert run_shares(ecl_mst(g).counters)["memory"] > 0.5
 
     def test_empty_run(self):
-        assert bound_summary(RTX_3080_TI, RunCounters()) == {}
+        assert run_shares(RunCounters()) == {}
 
     def test_unguarded_atomics_shift_the_bound(self):
         from repro.generators import suite
 
         g = suite.build("coPapersDBLP", scale=0.3)
-        guarded = bound_summary(
-            RTX_3080_TI, ecl_mst(g).counters
-        ).get("atomic", 0.0)
-        unguarded = bound_summary(
-            RTX_3080_TI,
-            ecl_mst(g, EclMstConfig(atomic_guards=False)).counters,
-        ).get("atomic", 0.0)
+        guarded = run_shares(ecl_mst(g).counters)["atomic"]
+        unguarded = run_shares(
+            ecl_mst(g, EclMstConfig(atomic_guards=False)).counters
+        )["atomic"]
         assert unguarded >= guarded
 
 

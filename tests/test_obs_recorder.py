@@ -8,7 +8,6 @@ import pytest
 from repro.errors import EXIT_REPLAY_DIVERGED, BundleError
 from repro.obs import recorder
 from repro.obs.events import NULL_EVENTS, EventLog, ListSink
-from repro.obs.metrics import metric_direction
 from repro.obs.recorder import (
     BUNDLE_SCHEMA,
     FlightRecorder,
@@ -303,19 +302,9 @@ class TestBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Exemplars and metric classification
+# Exemplars and the recorder status block
 # ---------------------------------------------------------------------------
 class TestExemplarsAndMetrics:
-    def test_recorder_metrics_classify_as_info(self):
-        for name in (
-            "obs.recorder.events",
-            "obs.recorder.outcomes",
-            "service.postmortem.bundles",
-            "service.postmortem.suppressed",
-            "service.postmortem.capture_errors",
-        ):
-            assert metric_direction(name) == "info"
-
     def test_slo_exemplar_surfaces_on_burn(self):
         t = SLOTracker(window_s=60.0)
         t.record(ok=True, latency_s=0.01, query_id="good")

@@ -1,7 +1,9 @@
 """Declarative SLOs: burn rates, windows, and alert transitions."""
 
+import random
 import sys
 import threading
+from collections import namedtuple
 
 import pytest
 
@@ -235,3 +237,110 @@ class TestQueryWindow:
         assert t.count() == threads * per_thread
         stamps = [r.ts for r in t._records]
         assert stamps == sorted(stamps)
+
+
+# ---------------------------------------------------------------------------
+# Running tallies against a full scan of the window
+# ---------------------------------------------------------------------------
+Rec = namedtuple("Rec", "ts latency_s ok shed escaped query_id")
+
+
+def spends_budget(spec, r):
+    if spec.kind == "availability":
+        return not r.ok
+    if spec.kind == "latency":
+        return r.latency_s > spec.threshold_s
+    if spec.kind == "shed":
+        return r.shed
+    return r.escaped > 0  # zero
+
+
+def full_scan_sli(spec, live):
+    """The full-scan evaluation the running tallies replace: the oracle."""
+    bad = [r for r in live if spends_budget(spec, r)]
+    exemplar = next((r.query_id for r in reversed(bad) if r.query_id), None)
+    if spec.kind == "zero":
+        escaped = float(sum(r.escaped for r in bad))
+        return (0.0 if bad else 1.0), (0.0 if bad else 1.0), escaped, exemplar
+    total = float(len(live))
+    if total == 0:
+        return 1.0, 0.0, 0.0, None
+    good = total - len(bad)
+    return good / total, good, total, exemplar
+
+
+def full_scan_status(spec, live) -> dict:
+    sli, good, total, exemplar = full_scan_sli(spec, live)
+    budget = 1.0 - spec.objective
+    if budget <= 0.0:
+        burn = 0.0 if sli >= 1.0 else float("inf")
+    else:
+        burn = (1.0 - sli) / budget
+    alerting = burn > spec.alert_burn
+    return {
+        "name": spec.name,
+        "kind": spec.kind,
+        "objective": spec.objective,
+        "sli": sli,
+        "good": good,
+        "total": total,
+        "burn_rate": burn,
+        "alerting": alerting,
+        "exemplar": exemplar if alerting else None,
+    }
+
+
+class TestIncrementalMatchesFullScan:
+    SPECS = (
+        *DEFAULT_SLOS,
+        SLOSpec(name="fast", kind="latency", objective=0.5, threshold_s=0.05),
+        SLOSpec(name="lenient", kind="availability", objective=0.5, alert_burn=1.5),
+    )
+
+    @pytest.mark.parametrize("cap", [None, 7])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_streams(self, seed, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(slo, "MAX_RECORDS", cap)
+        cap = slo.MAX_RECORDS
+        rng = random.Random(seed)
+        window_s = 10.0
+        clk = FakeClock(0.0)
+        log = ListSinkLog()
+        t = SLOTracker(self.SPECS, window_s=window_s, events=log, clock=clk)
+        stream: list[Rec] = []
+        alerting = {s.name: False for s in self.SPECS}
+        expected_events = []
+        for step in range(400):
+            # Mostly small steps; now and then a jump past the window.
+            clk.t += rng.choice((0.0, 0.1, 0.5, 2.0, 2.0, 11.0))
+            if rng.random() < 0.7:
+                r = Rec(
+                    clk.t,
+                    rng.expovariate(20.0),
+                    rng.random() < 0.8,
+                    rng.random() < 0.1,
+                    rng.choice((0, 0, 0, 0, 0, 0, 1, 3)),
+                    rng.choice((None, "", f"q{step}", f"q{step}")),
+                )
+                stream.append(r)
+                t.record(
+                    ok=r.ok,
+                    latency_s=r.latency_s,
+                    escaped=r.escaped,
+                    shed=r.shed,
+                    query_id=r.query_id,
+                )
+                continue
+            live = [r for r in stream[-cap:] if r.ts > clk.t - window_s]
+            want = [full_scan_status(spec, live) for spec in self.SPECS]
+            assert [s.to_dict() for s in t.evaluate()] == want
+            assert t.count() == len(live)
+            for row in want:
+                if row["alerting"] != alerting[row["name"]]:
+                    alerting[row["name"]] = row["alerting"]
+                    name = "slo.burn" if row["alerting"] else "slo.recovered"
+                    expected_events.append((name, row["name"]))
+        got = [(e.name, e.fields["slo"]) for e in log.sink.events]
+        assert got == expected_events
+        assert {"slo.burn", "slo.recovered"} <= {name for name, _ in got}

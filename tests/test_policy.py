@@ -339,8 +339,6 @@ class TestResiliencePolicy:
         assert pol.admit(priority=2, queue_depth=0).admitted
         assert pol.admit(priority=2, queue_depth=0).admitted
         assert not pol.admit(priority=2, queue_depth=0).admitted
-        m = pol.windowed_metrics()
-        assert m["resilience.policy.shed_rate"] == pytest.approx(1 / 3)
         assert reg.counter("resilience.policy.admitted").value == 2
         assert reg.counter("resilience.policy.shed").value == 1
 
@@ -352,7 +350,7 @@ class TestResiliencePolicy:
         pol.breaker_record("g", ok=False)
         assert not pol.breaker_allows("g")
         assert pol.breaker_rejects_fast("g")
-        assert pol.windowed_metrics()["resilience.policy.breakers_open"] == 1.0
+        assert pol.breakers_open() == 1
 
     def test_allow_fallback_uses_lowest_priority_reserve(self):
         pol, _, _ = self.make(admission_rate=0.001, admission_burst=4)
@@ -366,11 +364,4 @@ class TestResiliencePolicy:
         pol, _, _ = self.make(admission_rate=5.0, breaker_threshold=1)
         pol.admit(priority=1, queue_depth=0)
         status = pol.status()
-        assert set(status) == {
-            "config",
-            "window",
-            "shed_rate",
-            "breakers",
-            "quarantined",
-        }
-        assert status["window"]["admitted"] == 1
+        assert set(status) == {"config", "breakers", "quarantined"}

@@ -22,11 +22,15 @@ coalescing.  Each scenario drives its own one-worker
 * ``serial-fallback`` — ``degrade_serial`` answers a failed poison
   query with the serial-Kruskal baseline;
 * ``coalesced`` — on the single worker, a duplicate pair queued behind
-  another query runs once; the second waiter attaches to it.
+  another query runs once; the second waiter attaches to it;
+* ``timeout`` — the single worker is held on a :class:`threading.Event`
+  by the first query, so a second query with ``timeout_s=0.05`` is
+  cancelled while still queued.
 
 None of the scenarios depends on a clock: the bucket never refills a
-token, the breaker never cools down, and the stale entry only needs to
-be older than a microsecond.
+token, the breaker never cools down, the stale entry only needs to
+be older than a microsecond, and the timed-out query cannot start
+before its waiter gives up, however long that takes.
 
 Regenerate only for a change that is meant to alter outcomes::
 
@@ -38,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -123,6 +128,24 @@ def coalesced(svc: MSTService) -> dict:
     return outcomes[-1].to_dict()
 
 
+def timeout(svc: MSTService) -> dict:
+    release = threading.Event()
+    job = svc._thread_job
+
+    def held(*args):
+        release.wait()
+        return job(*args)
+
+    svc._thread_job = held
+    first = svc.submit(q("held"))
+    svc._thread_job = job
+    late = svc.submit(q("timeout", config={"filtering": False}, timeout_s=0.05))
+    out = late.outcome()
+    release.set()
+    assert first.outcome().ok
+    return out.to_dict()
+
+
 BREAKER = dict(breaker_threshold=1, breaker_cooldown_s=3600.0)
 SCENARIOS = {
     "admission-shed": (
@@ -137,6 +160,7 @@ SCENARIOS = {
     ),
     "serial-fallback": (serial_fallback, PolicyConfig(degrade_serial=True)),
     "coalesced": (coalesced, None),
+    "timeout": (timeout, None),
 }
 
 
@@ -174,6 +198,8 @@ def test_each_scenario_reaches_its_policy_path(served):
     assert served["serial-fallback"]["served_by"] == "serial-fallback"
     assert served["serial-fallback"]["status"] == "degraded"
     assert served["coalesced"]["served_by"] == "coalesced"
+    assert served["timeout"]["status"] == "timeout"
+    assert served["timeout"]["error"].startswith("cancelled while queued")
 
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))

@@ -16,7 +16,6 @@ import urllib.request
 import pytest
 from test_obs_slo import FakeClock
 
-from repro.obs.metrics import metric_direction
 from repro.obs.slo import SLOTracker
 from repro.service import MSTService, Query, ServiceConfig
 from repro.service.admin import (
@@ -189,16 +188,6 @@ class TestWindowedServiceMetrics:
             svc.run_batch([q(id="a")])
             flat = svc.metrics()
         assert not any(k.startswith("service.latency.") for k in flat)
-
-    def test_latency_metrics_classified_as_info(self):
-        for name in (
-            "service.p50_latency",
-            "service.p95_latency",
-            "service.qps",
-        ):
-            assert metric_direction(name) == "info", name
-        # The gate still treats real costs as gating.
-        assert metric_direction("run.modeled_total_s") == "lower"
 
 
 # ----------------------------------------------------------------------

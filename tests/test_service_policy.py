@@ -16,9 +16,12 @@ import time
 import pytest
 
 from repro.errors import EXIT_OVERLOADED, DeadlineExceeded, DeviceFault
+from repro.obs.events import EventLog, ListSink
+from repro.obs.recorder import load_bundle
 from repro.resilience import run_service_campaign
-from repro.resilience.policy import PolicyConfig
+from repro.resilience.policy import PolicyConfig, ResiliencePolicy
 from repro.service import MSTService, Query, ServiceConfig, execute_query
+from repro.service.admin import render_prometheus
 from repro.service.engine import Ticket
 from repro.service.outcome import SERVED_FALLBACK, SERVED_STALE, QueryOutcome
 
@@ -78,6 +81,21 @@ class TestConfig:
             )
             assert off.status()["policy"] == {"enabled": False}
 
+    def test_policy_families_present_from_first_scrape(self):
+        with service(policy=PolicyConfig(max_retries=1)) as svc:
+            types = {
+                line.split(" ")[2]: line.split(" ")[3]
+                for line in render_prometheus(svc).splitlines()
+                if line.startswith("# TYPE repro_resilience_policy_")
+            }
+        assert types == {
+            "repro_resilience_policy_breakers_open": "gauge",
+            **{
+                f"repro_resilience_policy_{key}": "counter"
+                for key in ResiliencePolicy.COUNTERS
+            },
+        }
+
 
 # ----------------------------------------------------------------------
 # Admission / shedding
@@ -119,11 +137,34 @@ class TestShedding:
                 q(id="b", priority=2, config={"filtering": False})
             ).outcome()
             m = svc.metrics()
-            assert m["resilience.policy.shed_rate"] == pytest.approx(0.5)
+            assert m["resilience.policy.admitted"] == 1
+            assert m["resilience.policy.shed"] == 1
             shed_slo = next(
                 s for s in svc.slo_statuses() if s.spec.name == "shed-rate"
             )
             assert shed_slo.sli == pytest.approx(0.5)
+
+    def test_shed_burn_is_reported_without_any_reader(self, tmp_path):
+        # No status(), metrics() or /metrics scrape: the SLOs are
+        # evaluated as each query finishes.
+        pol = PolicyConfig(admission_rate=0.001, admission_burst=1)
+        sink = ListSink()
+        config = ServiceConfig(
+            workers=1, policy=pol, postmortem_dir=str(tmp_path)
+        )
+        with MSTService(config, events=EventLog(sinks=[sink])) as svc:
+            assert svc.submit(q(id="in", priority=2)).outcome().ok
+            for i in range(3):
+                out = svc.submit(
+                    q(id=f"out{i}", priority=2, scale=SCALE * (i + 2))
+                ).outcome()
+                assert out.status == "shed"
+        burned = {
+            e.fields["slo"] for e in sink.events if e.name == "slo.burn"
+        }
+        assert "shed-rate" in burned
+        reasons = [load_bundle(p)["reason"] for p in tmp_path.glob("PM_*.bundle")]
+        assert reasons.count("slo.burn") == 1
 
     def test_cache_hits_bypass_admission(self):
         pol = PolicyConfig(admission_rate=0.001, admission_burst=1)
@@ -355,6 +396,18 @@ class TestQuarantine:
             ok = svc.submit(q(id="healthy")).outcome()
             assert ok.ok
             assert svc.status()["policy"]["quarantined"]
+
+    def test_quarantined_counter_counts_refused_queries_only(self):
+        pol = PolicyConfig(quarantine_after=2)
+        with service(policy=pol) as svc:
+            for i in range(2):
+                assert svc.submit(poison(id=f"try{i}")).outcome().status == "error"
+            counter = svc.registry.counter("resilience.policy.quarantined")
+            assert counter.value == 0  # the edge is the policy.quarantine event
+            for i in range(2):
+                out = svc.submit(poison(id=f"refused{i}")).outcome()
+                assert out.status == "quarantined"
+            assert counter.value == 2
 
 
 # ----------------------------------------------------------------------
