@@ -31,6 +31,7 @@ from .config import EclMstConfig
 from .filtering import FilterPlan, plan_filtering
 from .kernels import (
     MstState,
+    candidate_edges,
     kernel1_reserve,
     kernel2_union,
     kernel3_reset,
@@ -116,17 +117,7 @@ def _run_topology_driven_loop(
     no worklist exists, so the same entries — including long-dead
     cycle edges — are found and discarded again each round.
     """
-    g, cfg = state.graph, state.config
-    src = g.edge_sources().astype(np.int64)
-    dst = g.col_idx.astype(np.int64)
-    w = g.weights.astype(np.int64)
-    eid = g.edge_ids.astype(np.int64)
-    mask = src < dst if cfg.single_direction else np.ones(src.size, dtype=bool)
-    if threshold is not None:
-        mask &= (w < threshold) if phase == 1 else (w >= threshold)
-    from .worklist import EdgeList
-
-    all_entries = EdgeList(src[mask], dst[mask], w[mask], eid[mask])
+    all_entries = candidate_edges(state.graph, state.config, threshold, phase)
 
     tracer = state.device.tracer
     rounds = 0

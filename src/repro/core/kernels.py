@@ -42,7 +42,14 @@ from .arena import ScratchArena
 from .config import EclMstConfig
 from .worklist import EdgeList, Worklist
 
-__all__ = ["MstState", "kernel_init_populate", "kernel1_reserve", "kernel2_union", "kernel3_reset"]
+__all__ = [
+    "MstState",
+    "candidate_edges",
+    "kernel_init_populate",
+    "kernel1_reserve",
+    "kernel2_union",
+    "kernel3_reset",
+]
 
 
 @dataclass
@@ -76,10 +83,9 @@ class MstState:
     # topology-driven loop re-presents the identical arrays each round.
     _vcount_key: np.ndarray | None = None
     _vcount: np.ndarray | None = None
-    # int64 views of the CSR edge columns plus the expanded source
-    # column, materialized once per run: the init kernel runs twice
-    # under filtering and these conversions are full-edge-list copies.
-    _init_cols: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+    # Init's graph-invariant pricing ``(cycles, critical_items)``:
+    # the init kernel runs twice under filtering.
+    _init_price: tuple[float, int] | None = None
 
     @classmethod
     def create(cls, graph: CSRGraph, config: EclMstConfig, device: Device) -> "MstState":
@@ -92,21 +98,6 @@ class MstState:
             min_edge=np.full(n, KEY_INFINITY, dtype=np.uint64),
             in_mst=np.zeros(graph.num_edges, dtype=bool),
         )
-
-    # ------------------------------------------------------------------
-    def init_columns(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(src, dst, w, eid)`` int64 edge columns, cached per run."""
-        if self._init_cols is None:
-            g = self.graph
-            self._init_cols = (
-                g.edge_sources().astype(np.int64),
-                g.col_idx.astype(np.int64),
-                g.weights.astype(np.int64),
-                g.edge_ids.astype(np.int64),
-            )
-        return self._init_cols
 
     # ------------------------------------------------------------------
     def vertex_counts(self, v: np.ndarray) -> np.ndarray:
@@ -200,6 +191,54 @@ def _entry_loop_cycles(state: MstState, v_entries: np.ndarray, per_item: float) 
 # ----------------------------------------------------------------------
 # Kernel: initialization + worklist population
 # ----------------------------------------------------------------------
+def candidate_edges(
+    graph: CSRGraph, cfg: EclMstConfig, threshold: int | None, phase: int
+) -> EdgeList:
+    """The entries one phase starts from, in CSR slot order.
+
+    Single-direction runs select from the graph's cached one-direction
+    view, both-direction runs from every slot.  With a ``threshold``,
+    phase 1 keeps weights strictly under it and phase 2 the rest.  The
+    columns keep the CSR's 32-bit dtypes and are always fresh arrays:
+    worklist entries are mutable state and must not alias the graph.
+    """
+    if cfg.single_direction:
+        cols = graph.one_direction_edges()
+    else:
+        cols = (graph.edge_sources(), graph.col_idx, graph.weights, graph.edge_ids)
+    if threshold is None:
+        return EdgeList(*(c.copy() for c in cols))
+    w = cols[2]
+    sel = np.flatnonzero(w < threshold if phase == 1 else w >= threshold)
+    return EdgeList(*(c[sel] for c in cols))
+
+
+def _init_walk_price(state: MstState) -> tuple[float, int]:
+    """Init's graph-invariant ``(cycles, critical_items)``, once per run.
+
+    The CSR walk costs the same in both filtering phases: the outer
+    vertex loop over ``degrees()`` plus the per-vertex overhead, and
+    the longest single-thread chain — hybrid splits a heavy vertex's
+    adjacency across a warp (its lanes stride the list), while vertices
+    below the threshold, and every vertex in thread mode, serialize on
+    one thread.
+    """
+    if state._init_price is None:
+        g, cfg = state.graph, state.config
+        degrees = g.degrees()
+        cycles = _outer_loop_cycles(state, degrees, costs.INIT_NEIGHBOR_CYCLES)
+        cycles += g.num_vertices * costs.INIT_VERTEX_CYCLES
+        dmax = int(degrees.max()) if degrees.size else 0
+        if cfg.hybrid_parallelization:
+            critical = max(
+                -(-dmax // 32), min(dmax, max(0, cfg.hybrid_threshold - 1))
+            )
+        else:
+            critical = dmax
+        state._init_price = (cycles, critical)
+    return state._init_price
+
+
 def kernel_init_populate(
     state: MstState, threshold: int | None, phase: int
 ) -> int:
@@ -214,40 +253,24 @@ def kernel_init_populate(
     Returns the number of entries appended.
     """
     g, cfg, dev = state.graph, state.config, state.device
-    src, dst, w, eid = state.init_columns()
-
-    if cfg.single_direction:
-        mask = src < dst
-    else:
-        mask = np.ones(src.size, dtype=bool)
-    if threshold is not None:
-        if phase == 1:
-            mask &= w < threshold
-        else:
-            mask &= w >= threshold
-
-    sel = np.flatnonzero(mask)
-    v_sel, n_sel, w_sel, e_sel = src[sel], dst[sel], w[sel], eid[sel]
+    entries = candidate_edges(g, cfg, threshold, phase)
     find_loads = 0
     if phase == 2:
         # Filtering: replace endpoints by representatives and drop the
         # edges that have become internal to a component (cycles).
-        p, q, find_loads, _ = state.find_entries(v_sel, n_sel)
+        p, q, find_loads, _ = state.find_entries(entries.v, entries.n)
         keep = np.flatnonzero(p != q)
         if cfg.implicit_path_compression:
             v_sel, n_sel = p[keep], q[keep]
         else:
-            v_sel, n_sel = v_sel[keep], n_sel[keep]
-        w_sel, e_sel = w_sel[keep], e_sel[keep]
+            v_sel, n_sel = entries.v[keep], entries.n[keep]
+        entries = EdgeList(v_sel, n_sel, entries.w[keep], entries.eid[keep])
 
-    entries = EdgeList(v_sel, n_sel, w_sel, e_sel)
     state.wl.fill_front(entries)
     appended = len(entries)
 
     # --- accounting: this kernel walks the CSR structure ------------
-    degrees = g.degrees()
-    cycles = _outer_loop_cycles(state, degrees, costs.INIT_NEIGHBOR_CYCLES)
-    cycles += g.num_vertices * costs.INIT_VERTEX_CYCLES
+    cycles, critical = _init_walk_price(state)
     cycles += appended * costs.entry_access_cycles(cfg)
     cycles += find_loads * costs.FIND_JUMP_CYCLES
     slot_bytes = (
@@ -261,17 +284,6 @@ def kernel_init_populate(
         + costs.entry_bytes(cfg) * appended  # worklist writes
         + costs.FIND_JUMP_BYTES * find_loads  # parent loads in phase 2
     )
-    # Longest single-thread chain: hybrid splits a heavy vertex's
-    # adjacency across a warp (its lanes stride the list), while
-    # vertices below the threshold — and every vertex in thread mode —
-    # serialize on one thread.
-    dmax = int(degrees.max()) if degrees.size else 0
-    if cfg.hybrid_parallelization:
-        critical = max(
-            -(-dmax // 32), min(dmax, max(0, cfg.hybrid_threshold - 1))
-        )
-    else:
-        critical = dmax
     dev.launch(
         "init",
         items=g.num_directed_edges,

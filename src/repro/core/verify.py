@@ -50,8 +50,9 @@ def verify_mst(result: MstResult) -> None:
             f"{result.algorithm} on {graph.name}: edge set differs from the "
             f"serial Kruskal reference ({extra} extra, {missing} missing)"
         )
-    u, v, w, eid = graph.undirected_edges()
-    ref_weight = int(w[ref[eid]].sum())
+    # From the graph's cached per-edge-ID weight table, so the
+    # reference builds the only undirected edge list of this verify.
+    ref_weight = int(graph.edge_weight_table()[ref].sum(dtype=np.int64))
     if result.total_weight != ref_weight:
         raise VerificationError(
             f"total weight {result.total_weight} != reference {ref_weight}"

@@ -187,7 +187,9 @@ def find_many_columns(
     walked in order, so the first column that reaches the corruption
     raises.
     """
-    arrs = [np.asarray(c) for c in cols]
+    # Widened once: the table path gathers each column twice, and an
+    # int32 index costs NumPy an intp conversion per gather.
+    arrs = [np.asarray(c, dtype=np.int64) for c in cols]
     lanes = sum(c.size for c in arrs)
     # Negative lanes wrap differently in the two evaluations.
     if (

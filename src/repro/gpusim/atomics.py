@@ -32,14 +32,19 @@ __all__ = [
 KEY_INFINITY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _as_u64(a: np.ndarray) -> np.ndarray:
+def _as_unsigned(a: np.ndarray) -> np.ndarray:
+    """``a`` as an unsigned array of the same width.
+
+    Signed 32- and 64-bit inputs are reinterpreting views (values are
+    non-negative), which skips the copy an ``astype`` would make.
+    """
     a = np.asarray(a)
-    if a.dtype == np.uint64:
+    if a.dtype.kind == "u":
         return a
     if a.dtype == np.int64:
-        # Same bit width: a reinterpreting view skips the copy the
-        # astype conversion would make (values are non-negative).
         return a.view(np.uint64)
+    if a.dtype == np.int32:
+        return a.view(np.uint32)
     return a.astype(np.uint64)
 
 
@@ -52,14 +57,15 @@ def pack_keys(
     a ``uint64`` array of matching length), so hot callers can reuse a
     scratch buffer instead of allocating per round.
     """
-    w = _as_u64(weights)
-    e = _as_u64(edge_ids)
+    w = _as_unsigned(weights)
+    e = _as_unsigned(edge_ids)
     if w.size and int(w.max()) >= (1 << 31):
         raise ValueError("weights must fit in 31 bits below the sentinel")
     if out is None:
-        return (w << np.uint64(32)) | e
-    np.left_shift(w, np.uint64(32), out=out)
-    np.bitwise_or(out, e, out=out)
+        out = np.empty(w.shape, dtype=np.uint64)
+    # The explicit loop dtype widens 32-bit columns before the shift.
+    np.left_shift(w, np.uint64(32), out=out, dtype=np.uint64)
+    np.bitwise_or(out, e, out=out, dtype=np.uint64)
     return out
 
 

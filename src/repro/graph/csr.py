@@ -63,6 +63,9 @@ class CSRGraph:
     _edge_weight_cache: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _one_direction_cache: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _digest_cache: str | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -160,17 +163,32 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Undirected edge list
     # ------------------------------------------------------------------
+    def one_direction_edges(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(src, dst, w, eid)`` of the ``src < dst`` slots (cached, read-only).
+
+        One entry per undirected edge, in CSR slot order and the CSR's
+        own 32-bit dtypes: the edge set ECL-MST's "process edges in
+        only one direction" optimization works on.  Copy before
+        mutating.
+        """
+        if self._one_direction_cache is None:
+            src = self.edge_sources()
+            sel = np.flatnonzero(src < self.col_idx)
+            cols = (src[sel], self.col_idx[sel], self.weights[sel], self.edge_ids[sel])
+            for c in cols:
+                c.flags.writeable = False
+            self._one_direction_cache = cols
+        return self._one_direction_cache
+
     def undirected_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(u, v, w, eid)`` arrays with one entry per undirected edge.
 
-        Only the ``u < v`` direction of each mirrored pair is returned,
-        ordered by edge ID, which matches the "process edges in only one
-        direction" convention of ECL-MST.
+        The one-direction view (``u < v``) reordered by edge ID; the
+        arrays are fresh copies.
         """
-        src = self.edge_sources()
-        mask = src < self.col_idx
-        u, v = src[mask], self.col_idx[mask]
-        w, eid = self.weights[mask], self.edge_ids[mask]
+        u, v, w, eid = self.one_direction_edges()
         order = np.argsort(eid, kind="stable")
         return u[order], v[order], w[order], eid[order]
 

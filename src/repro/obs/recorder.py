@@ -272,7 +272,7 @@ class FlightRecorder:
         """
         if getattr(self._local, "capturing", False):
             return None
-        key = self._cooldown_key(reason, query, outcome)
+        key = self._cooldown_key(reason, trigger, query, outcome)
         now = time.monotonic()
         with self._cd_lock:
             last = self._cooldowns.get(key)
@@ -321,9 +321,13 @@ class FlightRecorder:
             },
         )
 
-    def _cooldown_key(self, reason: str, query, outcome) -> str:
+    def _cooldown_key(self, reason: str, trigger, query, outcome) -> str:
         spec = ""
-        if query is not None:
+        if trigger is not None and "slo" in trigger:
+            # Each SLO burns on its own: two burning together get a
+            # bundle each.
+            spec = str(trigger["slo"])
+        elif query is not None:
             try:
                 spec = query.spec_key()
             except Exception:

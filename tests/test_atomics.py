@@ -35,6 +35,21 @@ class TestPacking:
         keys = pack_keys([2**30], [2**32 - 1])
         assert keys[0] < KEY_INFINITY
 
+    def test_int32_columns_pack_like_int64(self):
+        # The solver's worklist keeps the CSR's int32 weight and ID
+        # columns; they are packed through unsigned views.
+        w = np.array([0, 1, 77, 2**31 - 1], dtype=np.int32)
+        e = np.array([2**31 - 1, 0, 5, 12], dtype=np.int32)
+        want = pack_keys(w.astype(np.int64), e.astype(np.int64))
+        assert want.dtype == np.uint64
+        assert np.array_equal(pack_keys(w, e), want)
+        out = np.empty(w.size, dtype=np.uint64)
+        assert pack_keys(w, e, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(unpack_weight(want), w)
+        with pytest.raises(ValueError, match="31 bits"):
+            pack_keys(np.array([-1], dtype=np.int32), e[:1])
+
     def test_overflowing_weight_rejected(self):
         with pytest.raises(ValueError, match="31 bits"):
             pack_keys([2**31], [0])

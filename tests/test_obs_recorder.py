@@ -122,6 +122,31 @@ class TestCapture:
         assert metrics["service.postmortem.bundles"] == 1.0
         assert metrics["service.postmortem.suppressed"] >= 1.0
 
+    def test_each_burning_slo_gets_its_own_bundle(self, tmp_path):
+        # A shed-only overload burns availability and shed-rate within
+        # one cooldown window: the cooldown is per SLO, so neither
+        # burn's bundle is suppressed.
+        pol = PolicyConfig(admission_rate=0.001, admission_burst=1)
+        with service(tmp_path, workers=1, policy=pol) as svc:
+            assert svc.submit(ok_query("in", priority=2)).outcome().ok
+            for i in range(3):
+                shed = Query(
+                    id=f"out{i}",
+                    input="internet",
+                    code="ECL-MST",
+                    scale=SCALE * (i + 2),
+                    priority=2,
+                )
+                out = svc.submit(shed).outcome()
+                assert out.status == "shed"
+            metrics = svc.metrics()
+        burns = [load_bundle(p) for p in bundles_in(tmp_path)]
+        slos = sorted(
+            b["trigger"]["slo"] for b in burns if b["reason"] == "slo.burn"
+        )
+        assert slos == ["availability", "shed-rate"]
+        assert metrics.get("service.postmortem.suppressed", 0.0) == 0.0
+
     def test_bundle_dir_is_pruned_to_limit(self, monkeypatch, tmp_path):
         monkeypatch.setattr(recorder, "BUNDLE_LIMIT", 2)
         monkeypatch.setattr(recorder, "BUNDLE_COOLDOWN_S", 0.0)

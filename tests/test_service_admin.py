@@ -13,6 +13,7 @@ import re
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 from test_obs_slo import FakeClock
 
@@ -152,6 +153,20 @@ class TestWindowedServiceMetrics:
         assert flat["service.p50_latency"] == svc.slo.quantile(0.5) == 0.020
         assert flat["service.p95_latency"] == svc.slo.quantile(0.95) == 0.040
         assert flat["service.qps"] == pytest.approx(4.0 / WINDOW_S)
+
+    def test_latency_gauges_match_quantiles_on_a_seeded_window(self):
+        # metrics() reads p50/p95 from one summary() of the window; the
+        # values must be the per-quantile nearest-rank answers.
+        rng = np.random.default_rng(20261018)
+        with service() as svc:
+            for v in rng.exponential(0.05, size=501):
+                svc.slo.record(ok=True, latency_s=float(v))
+            flat = svc.metrics()
+            p50, p95 = svc.slo.quantile(0.5), svc.slo.quantile(0.95)
+        assert p50 < p95
+        assert flat["service.p50_latency"] == p50
+        assert flat["service.p95_latency"] == p95
+        assert flat["service.qps"] == pytest.approx(501 / WINDOW_S)
 
     def test_every_window_view_agrees(self):
         """qps, /statusz and the SLO totals count the same queries as
