@@ -384,7 +384,6 @@ def _policy_from_args(args):
     policy = PolicyConfig(
         admission_rate=args.admission_rate,
         admission_burst=args.admission_burst,
-        max_retries=args.max_retries,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         serve_stale=args.serve_stale,
@@ -895,13 +894,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="admission token-bucket capacity",
         )
         p.add_argument(
-            "--max-retries",
-            type=int,
-            default=0,
-            dest="max_retries",
-            help="per-query retry budget for transient failures (0 = off)",
-        )
-        p.add_argument(
             "--breaker-threshold",
             type=int,
             default=0,
@@ -936,7 +928,7 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             dest="degrade_serial",
             help="fall back to serial Kruskal (reduced priority) when "
-            "retries are exhausted or the breaker is open",
+            "an execution fails or the breaker is open",
         )
         p.add_argument(
             "--quarantine-after",
@@ -951,7 +943,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=0,
             dest="policy_seed",
-            help="seed for backoff jitter and breaker cooldown jitter",
+            help="seed for the breaker cooldown jitter",
         )
         p.add_argument(
             "--slowdown",

@@ -140,8 +140,8 @@ class DeadlineExceeded(ReproError, TimeoutError):
     :func:`~repro.core.eclmst.ecl_mst`, which checks them at round
     boundaries (the same cadence the invariant sweeps use) and aborts
     with this error instead of burning worker time on an answer nobody
-    is waiting for.  Classified as a timeout outcome, never retried
-    past the deadline.
+    is waiting for.  Classified as a timeout outcome and never
+    retried: past the deadline nobody waits for another attempt.
     """
 
 

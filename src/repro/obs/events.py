@@ -4,7 +4,7 @@ Where :mod:`~repro.obs.trace` answers "where did the time go" after a
 run, the event log answers "what is the system doing *right now*": the
 service engine emits enqueue/dedup/cache-hit/timeout events, the
 resilience ladder emits fault/violation/recovery events, the serving
-policy emits shed/retry/degrade/quarantine decisions plus the
+policy emits shed/degrade/quarantine decisions plus the
 edge-triggered ``breaker.open``/``breaker.closed`` transitions, and
 the core solver emits phase/round transitions — all as flat,
 JSON-renderable

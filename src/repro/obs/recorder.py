@@ -687,9 +687,9 @@ def render_postmortem(
 # ----------------------------------------------------------------------
 # Deterministic replay
 # ----------------------------------------------------------------------
-# Always compared; the error string joins them when the recorded
-# outcome never went through seed-salted policy retries.
-_REPLAY_FIELDS = ("status", "error_kind", "exit_code")
+# Always compared: a recorded failure replays with its own fault seed,
+# so its error text reproduces too.
+_REPLAY_FIELDS = ("status", "error_kind", "exit_code", "error")
 # Compared when both outcomes carry the success payload: this is the
 # bit-identity surface (same fields the cold-vs-warm cache tests use).
 _PAYLOAD_FIELDS = (
@@ -790,10 +790,7 @@ def replay_bundle(bundle: dict, *, bundle_path="") -> ReplayReport:
     slowdown = float(repro.get("slowdown") or 1.0)
     replayed = execute_query(query, slowdown=slowdown).to_dict()
 
-    retries = (recorded.get("policy") or {}).get("retries", 0)
     fields = list(_REPLAY_FIELDS)
-    if not retries:
-        fields.append("error")
     payload = recorded.get("status") in ("ok", "degraded")
     if payload:
         fields.extend(_PAYLOAD_FIELDS)
@@ -816,12 +813,6 @@ def replay_bundle(bundle: dict, *, bundle_path="") -> ReplayReport:
         notes.append(
             "the recorded outcome was a wall-clock timeout; scheduling "
             "is not part of the replay key, so divergence is expected"
-        )
-    if retries:
-        notes.append(
-            f"the recorded outcome survived {retries} policy retries "
-            "with attempt-salted fault seeds; the replay runs the "
-            "original seed once, so the error text may differ"
         )
     if recorded.get("served_by") in ("stale-cache", "serial-fallback"):
         notes.append(

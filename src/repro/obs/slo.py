@@ -13,7 +13,10 @@ exactly as fast as the objective allows, and ``burn > alert_burn``
 raises an ``slo.burn`` event (see :mod:`~repro.obs.events`) on the
 transition into the alerting state (and an ``slo.recovered`` event on
 the way back out).  The service evaluates as each query finishes and
-on every read, so a burn is reported without any reader.
+on every :meth:`~repro.service.engine.MSTService.slo_statuses` read,
+so a burn is reported without any reader; ``/statusz`` and postmortem
+bundles take a :meth:`SLOTracker.statuses` snapshot that decides
+nothing.
 
 Spec kinds:
 
@@ -306,50 +309,68 @@ class SLOTracker:
         good = total - bad
         return good / total, good, total, exemplar
 
+    def _statuses_locked(self) -> list[SLOStatus]:
+        self._prune(self._clock())
+        live = len(self._records)
+        out = []
+        for i, spec in enumerate(self.specs):
+            sli, good, total, exemplar = self._sli(i, spec, live)
+            budget = 1.0 - spec.objective
+            if budget <= 0.0:  # exact objective (the "zero" kind)
+                burn = 0.0 if sli >= 1.0 else float("inf")
+            else:
+                burn = (1.0 - sli) / budget
+            alerting = burn > spec.alert_burn
+            out.append(
+                SLOStatus(
+                    spec=spec,
+                    sli=sli,
+                    good=good,
+                    total=total,
+                    burn_rate=burn,
+                    alerting=alerting,
+                    exemplar=exemplar if alerting else None,
+                )
+            )
+        return out
+
+    def statuses(self) -> list[SLOStatus]:
+        """Every spec's current status, deciding no transitions.
+
+        A snapshot for readers that must not alert — a postmortem
+        bundle's ``/statusz`` copy is built inside a capture, where a
+        ``slo.burn`` could not capture its own bundle; the next
+        :meth:`evaluate` still reports the transition.
+        """
+        with self._lock:
+            return self._statuses_locked()
+
     def evaluate(self) -> list[SLOStatus]:
         """Every spec's current status; emits burn-state transitions.
 
         O(#specs): it reads the running tallies, never the window.
         Transitions are decided under the lock but emitted after it is
-        released — a ``slo.burn`` may capture a postmortem bundle,
-        whose status snapshot evaluates again.
+        released — a ``slo.burn`` may capture a postmortem bundle.
         """
-        out = []
         transitions = []
         with self._lock:
-            self._prune(self._clock())
-            live = len(self._records)
-            for i, spec in enumerate(self.specs):
-                sli, good, total, exemplar = self._sli(i, spec, live)
-                budget = 1.0 - spec.objective
-                if budget <= 0.0:  # exact objective (the "zero" kind)
-                    burn = 0.0 if sli >= 1.0 else float("inf")
-                else:
-                    burn = (1.0 - sli) / budget
-                alerting = burn > spec.alert_burn
-                if alerting != self._alerting[i]:
-                    self._alerting[i] = alerting
-                    fields = {
-                        "slo": spec.name,
-                        "kind": spec.kind,
-                        "sli": round(sli, 6),
-                        "burn_rate": burn if burn != float("inf") else "inf",
-                        "objective": spec.objective,
-                    }
-                    if alerting and exemplar:
-                        fields["exemplar"] = exemplar
-                    transitions.append((alerting, fields))
-                out.append(
-                    SLOStatus(
-                        spec=spec,
-                        sli=sli,
-                        good=good,
-                        total=total,
-                        burn_rate=burn,
-                        alerting=alerting,
-                        exemplar=exemplar if alerting else None,
-                    )
-                )
+            out = self._statuses_locked()
+            for i, st in enumerate(out):
+                if st.alerting == self._alerting[i]:
+                    continue
+                self._alerting[i] = st.alerting
+                fields = {
+                    "slo": st.spec.name,
+                    "kind": st.spec.kind,
+                    "sli": round(st.sli, 6),
+                    "burn_rate": (
+                        st.burn_rate if st.burn_rate != float("inf") else "inf"
+                    ),
+                    "objective": st.spec.objective,
+                }
+                if st.exemplar:
+                    fields["exemplar"] = st.exemplar
+                transitions.append((st.alerting, fields))
         for alerting, fields in transitions:
             self.events.emit(
                 "slo.burn" if alerting else "slo.recovered",

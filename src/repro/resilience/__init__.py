@@ -18,9 +18,8 @@ The robustness layer of the simulated GPU substrate:
   injected/detected/recovered/escaped counts (``repro-mst chaos``),
   including the chaos-under-load *service* campaign;
 * :mod:`~repro.resilience.policy` — the overload-safe **serving**
-  policy (admission control/load shedding, budgeted retries with
-  decorrelated-jitter backoff, per-graph circuit breakers, poison-
-  query quarantine), attached to the service via
+  policy (admission control/load shedding, per-graph circuit
+  breakers, poison-query quarantine), attached to the service via
   ``ServiceConfig.policy``.
 """
 
@@ -47,7 +46,6 @@ from .policy import (
     PolicyConfig,
     Quarantine,
     ResiliencePolicy,
-    RetryPolicy,
     TokenBucket,
 )
 from .recovery import ResilienceConfig, ResilienceStats, RoundGuard
@@ -71,7 +69,6 @@ __all__ = [
     "ResilienceConfig",
     "ResiliencePolicy",
     "ResilienceStats",
-    "RetryPolicy",
     "RoundGuard",
     "ServiceCampaignReport",
     "TokenBucket",

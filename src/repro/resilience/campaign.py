@@ -426,9 +426,6 @@ def run_service_campaign(
         policy = PolicyConfig(
             admission_rate=50.0,
             admission_burst=max(2, n_queries // 3),
-            max_retries=2,
-            backoff_base_s=0.001,
-            backoff_cap_s=0.02,
             breaker_threshold=3,
             breaker_cooldown_s=0.15,
             serve_stale=True,
@@ -525,6 +522,7 @@ def run_service_campaign(
 
         # Phase 3 — open the breaker with distinct failing specs.
         if policy.breaker_on:
+            time.sleep(0.1)  # refill, so the break queries are admitted
             say("phase 3: tripping the circuit breaker")
             breaker = svc.policy.breaker(digest)
             for j in range(policy.breaker_threshold + 2):

@@ -1,9 +1,9 @@
-"""Overload-safe serving policy: admission, retries, breakers, quarantine.
+"""Overload-safe serving policy: admission, breakers, quarantine.
 
 Where the rest of :mod:`repro.resilience` protects one *solver run*
 against device faults, this module protects the *service* against its
 own traffic: a burst of slow queries must degrade into predictable
-typed outcomes instead of a timeout cascade.  Four cooperating
+typed outcomes instead of a timeout cascade.  Three cooperating
 mechanisms, armed by :class:`PolicyConfig` and all deterministic
 under a seed + injectable clock:
 
@@ -13,23 +13,21 @@ under a seed + injectable clock:
   for its priority; low-priority queries are shed first (they need
   bucket headroom and tolerate less depth), so background traffic
   yields to interactive traffic under pressure.
-* :class:`RetryPolicy` — **exponential backoff with decorrelated
-  jitter** (the AWS-style ``min(cap, uniform(base, 3 * prev))``
-  recurrence) for transient fault/timeout outcomes, budgeted per query
-  and deadline-aware: a retry whose backoff would land past the
-  query's deadline is not attempted.
 * :class:`CircuitBreaker` — **per-graph-fingerprint** failure tracking
   with the classic closed → open → half-open automaton.  While open,
   queries against that graph fail fast (or degrade); cooldowns grow
   exponentially with seeded jitter so probe scheduling is reproducible
   trial-for-trial.  Transitions are edge-triggered ``breaker.open`` /
   ``breaker.closed`` events and are recorded in order for tests.
-* :class:`Quarantine` — **poison-query isolation**: a spec that keeps
-  failing after its retries is quarantined; later identical
-  submissions resolve immediately to a typed ``quarantined`` outcome
-  instead of re-entering the retry loop.
+* :class:`Quarantine` — **poison-query isolation**: a spec whose
+  executions keep failing is quarantined; later identical submissions
+  resolve immediately to a typed ``quarantined`` outcome instead of
+  executing again.
 
-:class:`ResiliencePolicy` bundles the four behind one facade the
+Retrying a failed run is not the policy's job: the solver's recovery
+ladder (:mod:`repro.resilience.recovery`) retries every guarded run.
+
+:class:`ResiliencePolicy` bundles the three behind one facade the
 :class:`~repro.service.engine.MSTService` consults; with
 ``PolicyConfig()`` (everything off) the facade is never constructed
 and the serving path is bit-identical to a policy-free service.
@@ -52,7 +50,6 @@ __all__ = [
     "PolicyConfig",
     "Quarantine",
     "ResiliencePolicy",
-    "RetryPolicy",
     "TokenBucket",
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
@@ -73,11 +70,6 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
-# Retryable failure families: transient device faults and timeouts.
-# Input and verification errors are deterministic — retrying them
-# reproduces the failure and burns the budget for nothing.
-RETRYABLE_ERROR_KINDS = ("fault", "timeout")
-
 # Queue-depth fraction (of max_queue_depth) at which LOW / NORMAL /
 # HIGH priority queries are shed instead of queued.
 SHED_DEPTH_FRAC = (0.5, 0.9, 1.0)
@@ -89,7 +81,7 @@ BREAKER_PROBES = 1
 class PolicyConfig:
     """The serving-policy knobs (attach via ``ServiceConfig.policy``).
 
-    The defaults leave **everything off**: admission, retries, breaker,
+    The defaults leave **everything off**: admission, breaker,
     degradation, and quarantine each activate only when their knob is
     nonzero/true, and a fully-off config makes the service skip policy
     construction entirely (bit-identical serving path).
@@ -98,10 +90,6 @@ class PolicyConfig:
     # --- admission control / load shedding ---
     admission_rate: float = 0.0  # sustained queries/s; 0 = gate off
     admission_burst: int = 8  # token-bucket capacity
-    # --- retries ---
-    max_retries: int = 0  # per-query retry budget; 0 = off
-    backoff_base_s: float = 0.01  # decorrelated-jitter floor
-    backoff_cap_s: float = 0.25  # per-attempt backoff ceiling
     # --- circuit breaker (per graph fingerprint) ---
     breaker_threshold: int = 0  # consecutive failures to open; 0 = off
     breaker_cooldown_s: float = 1.0  # open duration before half-open
@@ -112,25 +100,21 @@ class PolicyConfig:
     # --- poison-query quarantine ---
     quarantine_after: int = 0  # consecutive failed executions; 0 = off
     # --- determinism ---
-    seed: int = 0  # jitter RNG seed (backoff + breaker cooldowns)
+    seed: int = 0  # breaker-cooldown jitter RNG seed
 
     def __post_init__(self) -> None:
         if self.admission_rate < 0:
             raise ValueError("admission_rate must be >= 0")
         if self.admission_burst < 1:
             raise ValueError("admission_burst must be >= 1")
-        if self.max_retries < 0 or self.breaker_threshold < 0:
-            raise ValueError("retry/breaker thresholds must be >= 0")
+        if self.breaker_threshold < 0:
+            raise ValueError("breaker_threshold must be >= 0")
         if self.quarantine_after < 0:
             raise ValueError("quarantine_after must be >= 0")
 
     @property
     def admission_on(self) -> bool:
         return self.admission_rate > 0
-
-    @property
-    def retries_on(self) -> bool:
-        return self.max_retries > 0
 
     @property
     def breaker_on(self) -> bool:
@@ -149,7 +133,6 @@ class PolicyConfig:
         """Whether *any* mechanism is active (off ⇒ no policy object)."""
         return (
             self.admission_on
-            or self.retries_on
             or self.breaker_on
             or self.quarantine_on
             or self.degradation_on
@@ -159,7 +142,6 @@ class PolicyConfig:
         return {
             "admission_rate": self.admission_rate,
             "admission_burst": self.admission_burst,
-            "max_retries": self.max_retries,
             "breaker_threshold": self.breaker_threshold,
             "breaker_cooldown_s": self.breaker_cooldown_s,
             "serve_stale": self.serve_stale,
@@ -266,58 +248,6 @@ class AdmissionController:
         if not self.bucket.try_take(1.0, reserve=reserve):
             return AdmissionDecision(False, "token-bucket")
         return AdmissionDecision(True)
-
-
-# ----------------------------------------------------------------------
-# Retry with decorrelated jitter
-# ----------------------------------------------------------------------
-class RetryPolicy:
-    """Per-query retry scheduler (create one per query via
-    :meth:`ResiliencePolicy.retry_for`).
-
-    Backoff follows the decorrelated-jitter recurrence: each delay is
-    drawn uniformly from ``[base, 3 * previous]`` and capped.  The RNG
-    is seeded from ``(policy seed, query key)``, so the exact delay
-    sequence — and therefore every downstream decision — replays for a
-    given seed regardless of thread interleaving.
-    """
-
-    def __init__(self, cfg: PolicyConfig, key: str) -> None:
-        self.cfg = cfg
-        self._rng = random.Random(f"retry:{cfg.seed}:{key}")
-        self._prev = cfg.backoff_base_s
-        self.attempts_used = 0
-        self.delays: list[float] = []
-
-    def next_delay(self) -> float:
-        """Draw (and record) the next backoff delay in seconds."""
-        delay = min(
-            self.cfg.backoff_cap_s,
-            self._rng.uniform(self.cfg.backoff_base_s, 3.0 * self._prev),
-        )
-        self._prev = max(delay, self.cfg.backoff_base_s)
-        return delay
-
-    def should_retry(
-        self,
-        *,
-        error_kind: str,
-        delay: float,
-        now: float,
-        deadline: float | None,
-    ) -> bool:
-        """Budget + transience + deadline check for one more attempt."""
-        if self.attempts_used >= self.cfg.max_retries:
-            return False
-        if error_kind not in RETRYABLE_ERROR_KINDS:
-            return False
-        if deadline is not None and now + delay >= deadline:
-            return False  # never retry past the query's deadline
-        return True
-
-    def note_attempt(self, delay: float) -> None:
-        self.attempts_used += 1
-        self.delays.append(delay)
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +411,7 @@ class Quarantine:
 
     Reaching ``quarantine_after`` quarantines the spec: later identical
     submissions resolve immediately (typed ``quarantined`` outcome)
-    instead of re-entering the execute/retry loop.  A successful
+    instead of executing again.  A successful
     execution of the spec (e.g. after an operator clears it) resets
     the count.
     """
@@ -499,7 +429,7 @@ class Quarantine:
             return self._entries.get(key)
 
     def record(self, key: str, *, ok: bool, error_kind: str = "") -> bool:
-        """Feed one final (post-retry) execution result; returns True
+        """Feed one execution result; returns True
         on the edge where the spec becomes quarantined."""
         with self._lock:
             if ok:
@@ -538,20 +468,18 @@ class Quarantine:
 # The facade the service talks to
 # ----------------------------------------------------------------------
 class ResiliencePolicy:
-    """One object bundling admission, breakers, retries and quarantine.
+    """One object bundling admission, breakers and quarantine.
 
     Also owns the ``resilience.policy.*`` telemetry: one lifetime
     counter per decision in ``registry`` (when given), each registered
     at construction so every family is present from the first scrape,
     and every decision is a structured event.  Windowed shedding is the
-    service's ``shed-rate`` SLO.  ``sleeper`` is injectable so retry
-    tests never actually sleep.
+    service's ``shed-rate`` SLO.
     """
 
     COUNTERS = (
         "admitted",
         "shed",
-        "retries",
         "breaker_fastfail",
         "degraded",
         "quarantined",
@@ -565,17 +493,11 @@ class ResiliencePolicy:
         registry=None,
         events=NULL_EVENTS,
         clock: Callable[[], float] | None = None,
-        sleeper: Callable[[float], None] | None = None,
     ) -> None:
         self.cfg = cfg
         self.events = events
         self.registry = registry
         self._clock = clock or monotonic
-        if sleeper is None:
-            import time as _time
-
-            sleeper = _time.sleep
-        self.sleep = sleeper
         self.admission = (
             AdmissionController(cfg, max_queue_depth, clock=clock)
             if cfg.admission_on
@@ -679,13 +601,6 @@ class ResiliencePolicy:
         with self._breaker_lock:
             breakers = list(self._breakers.values())
         return [b.snapshot() for b in breakers]
-
-    # -- retries -------------------------------------------------------
-    def retry_for(self, key: str) -> RetryPolicy:
-        return RetryPolicy(self.cfg, key)
-
-    def note_retry(self) -> None:
-        self._count("retries")
 
     # -- degradation / quarantine accounting ---------------------------
     def note_degraded(self) -> None:

@@ -37,12 +37,9 @@ counters — via :meth:`MSTService.metrics`.
 
 * admission control sheds excess queries *before* they queue (typed
   ``shed`` outcomes, lowest ``Query.priority`` first);
-* transient ``fault``/``timeout`` failures retry with decorrelated-
-  jitter backoff, budgeted per query and never past its deadline
-  (deadlines also propagate into the solver's round loop);
 * a per-graph-fingerprint circuit breaker fails fast while a graph
   keeps failing, probing deterministically on a seeded cooldown;
-* shed/broken/exhausted queries optionally degrade to a stale cached
+* shed/broken/failed queries optionally degrade to a stale cached
   result (``served_by: stale-cache``) or the serial-Kruskal fallback
   (``served_by: serial-fallback``), and poison specs are quarantined.
 
@@ -755,8 +752,16 @@ class MSTService:
                 input=query.input,
                 code=query.code,
             )
-        outcome = self._execute_with_retries(
-            query, graph, tracer, deadline, rkey
+        outcome = execute_query(
+            query,
+            graph,
+            tracer=tracer,
+            profile_sink=(
+                self._store_profile if self.config.keep_profile else None
+            ),
+            slowdown=self.config.slowdown,
+            deadline=deadline,
+            events=self.events,
         )
         if self.recorder is not None:
             self.recorder.record_spans(query.id, tracer)
@@ -785,95 +790,13 @@ class MSTService:
                     graph,
                     rkey,
                     tracer,
-                    cause=f"retries-exhausted:{outcome.error_kind}",
+                    cause=f"failed:{outcome.error_kind}",
                 )
                 if degraded is not None:
                     degraded.policy.setdefault(
                         "original_error", outcome.error_kind
                     )
                     return degraded
-        return outcome
-
-    def _execute_with_retries(
-        self,
-        query: Query,
-        graph,
-        tracer,
-        deadline: float | None,
-        rkey: str,
-    ) -> QueryOutcome:
-        """Execute, retrying transient failures under the policy budget.
-
-        Backoff follows the per-query seeded decorrelated-jitter
-        schedule; a retry is only attempted for ``fault``/``timeout``
-        outcomes, within the budget, and never past the deadline.
-        Chaos queries (seeded fault injection) re-run with an
-        attempt-salted fault seed so the injected fault actually moves
-        — exactly as a real transient would — while the *result*
-        stays keyed (and cached) under the original spec.
-        """
-        sink = self._store_profile if self.config.keep_profile else None
-        outcome = execute_query(
-            query,
-            graph,
-            tracer=tracer,
-            profile_sink=sink,
-            slowdown=self.config.slowdown,
-            deadline=deadline,
-            events=self.events,
-        )
-        pol = self.policy
-        if pol is None or not pol.cfg.retries_on:
-            return outcome
-        retry = pol.retry_for(rkey)
-        attempt = 0
-        while not outcome.ok:
-            delay = retry.next_delay()
-            if not retry.should_retry(
-                error_kind=outcome.error_kind,
-                delay=delay,
-                now=time.perf_counter(),
-                deadline=deadline,
-            ):
-                break
-            retry.note_attempt(delay)
-            pol.note_retry()
-            if self.events.enabled:
-                self.events.emit(
-                    "policy.retry",
-                    level="warning",
-                    query=query.id,
-                    attempt=retry.attempts_used,
-                    delay_s=round(delay, 6),
-                    error_kind=outcome.error_kind,
-                )
-            pol.sleep(delay)
-            attempt += 1
-            attempt_query = query
-            if query.n_faults > 0:
-                attempt_query = replace(
-                    query,
-                    fault_seed=(query.fault_seed or 0) + 1_000_003 * attempt,
-                )
-            outcome = execute_query(
-                attempt_query,
-                graph,
-                tracer=Tracer(),
-                profile_sink=sink,
-                slowdown=self.config.slowdown,
-                deadline=deadline,
-                events=self.events,
-            )
-        if retry.attempts_used:
-            if outcome.ok:
-                # Re-key a salted chaos retry back to the original spec
-                # so caching/dedup see one query, not per-attempt ones.
-                outcome = replace(outcome, result_key=rkey)
-            outcome.policy = {
-                **outcome.policy,
-                "retries": retry.attempts_used,
-                "backoff_s": round(sum(retry.delays), 6),
-            }
         return outcome
 
     def _degraded_answer(
@@ -1167,7 +1090,9 @@ class MSTService:
                 "qps": latency["count"] / WINDOW_S,
                 "latency": latency,
             },
-            "slos": [s.to_dict() for s in self.slo_statuses()],
+            # A snapshot: a postmortem bundle builds this inside its
+            # capture, so it must not decide (and swallow) a burn.
+            "slos": [s.to_dict() for s in self.slo.statuses()],
             "policy": (
                 {"enabled": True, **self.policy.status()}
                 if self.policy is not None

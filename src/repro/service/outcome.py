@@ -14,7 +14,7 @@ With the serving policy on (PR 7), four more statuses appear:
 ran — exit code 6), ``degraded`` (answered, but via a stale cached
 result or the serial fallback; carries the full success payload plus
 ``policy`` metadata saying how), ``quarantined`` (a poison spec
-refused before the retry loop), and ``cancelled`` (still queued when
+refused before it could execute), and ``cancelled`` (still queued when
 the service shut down).  ``degraded`` counts as *served* for
 availability accounting; the rest count against it.
 """
@@ -124,7 +124,7 @@ class QueryOutcome:
     mst_digest: str = ""
     metrics: dict = field(default_factory=dict)
     resilience: dict = field(default_factory=dict)
-    # Serving-policy metadata (retries used, staleness, shed reason…).
+    # Serving-policy metadata (staleness, shed reason, degrade cause…).
     policy: dict = field(default_factory=dict)
     # Service accounting (never part of identity comparisons).
     result_key: str = ""

@@ -162,7 +162,6 @@ class TestServe:
             ["--queue-depth", "0"],
             ["--slowdown", "0.5"],
             ["--admission-burst", "0"],
-            ["--max-retries", "-1"],
         ],
     )
     def test_rejected_flag_value_is_a_usage_error(self, tmp_path, capsys, flags):

@@ -130,9 +130,6 @@ class TestConfigSurface:
         assert self.names(PolicyConfig) == [
             "admission_rate",
             "admission_burst",
-            "max_retries",
-            "backoff_base_s",
-            "backoff_cap_s",
             "breaker_threshold",
             "breaker_cooldown_s",
             "serve_stale",

@@ -87,12 +87,13 @@ def test_fingerprint_matches_pin(pins, name):
 
 
 def test_replaced_query_gets_a_fresh_spec_key():
-    # The chaos retry path re-seeds a query with dataclasses.replace.
+    # The serial fallback re-specs a query with dataclasses.replace;
+    # the copy must not keep the original's cached keys.
     query = Query(input="internet", scale=SCALE, n_faults=1, fault_seed=3)
-    retried = dataclasses.replace(query, fault_seed=4)
-    assert retried.spec_key() != query.spec_key()
-    assert retried.config_hash() != query.config_hash()
-    assert retried.spec_key() == Query(
+    reseeded = dataclasses.replace(query, fault_seed=4)
+    assert reseeded.spec_key() != query.spec_key()
+    assert reseeded.config_hash() != query.config_hash()
+    assert reseeded.spec_key() == Query(
         input="internet", scale=SCALE, n_faults=1, fault_seed=4
     ).spec_key()
 

@@ -55,6 +55,17 @@ def bundles_in(tmp_path):
     return sorted((tmp_path / "pm").glob("PM_*.bundle"))
 
 
+def outcome_bundle(tmp_path):
+    """The one outcome-triggered bundle (a failed query's availability
+    burn leaves its own ``slo.burn`` bundle beside it)."""
+    (path,) = [
+        p
+        for p in bundles_in(tmp_path)
+        if load_bundle(p)["reason"].startswith("outcome-")
+    ]
+    return path
+
+
 # ---------------------------------------------------------------------------
 # Ring buffers and the tee
 # ---------------------------------------------------------------------------
@@ -100,7 +111,7 @@ class TestCapture:
         with service(tmp_path) as svc:
             out = svc.run_batch([fault_query()])[0]
         assert out.status == "error" and out.exit_code == 5
-        (path,) = bundles_in(tmp_path)
+        path = outcome_bundle(tmp_path)
         bundle = load_bundle(path)
         assert bundle["schema"] == BUNDLE_SCHEMA
         assert bundle["reason"] == "outcome-error"
@@ -117,9 +128,9 @@ class TestCapture:
             svc.run_batch([fault_query(f"b{i}", seed=7) for i in range(4)])
             metrics = svc.metrics()
         # Same spec failing repeatedly inside the cooldown window: one
-        # bundle, the rest counted as suppressed.
-        assert len(bundles_in(tmp_path)) == 1
-        assert metrics["service.postmortem.bundles"] == 1.0
+        # outcome bundle, the rest counted as suppressed.
+        outcome_bundle(tmp_path)
+        assert metrics["service.postmortem.bundles"] == len(bundles_in(tmp_path))
         assert metrics["service.postmortem.suppressed"] >= 1.0
 
     def test_each_burning_slo_gets_its_own_bundle(self, tmp_path):
@@ -146,6 +157,19 @@ class TestCapture:
         )
         assert slos == ["availability", "shed-rate"]
         assert metrics.get("service.postmortem.suppressed", 0.0) == 0.0
+
+    def test_failed_query_burn_gets_its_own_bundle(self, tmp_path):
+        # The outcome bundle snapshots /statusz inside its capture
+        # without deciding the availability burn, so the burn fires
+        # after it, outside any capture, and writes its own bundle.
+        with service(tmp_path) as svc:
+            assert svc.run_batch([fault_query()])[0].status == "error"
+        captured = {
+            (b["reason"], (b["trigger"] or {}).get("slo"))
+            for b in map(load_bundle, bundles_in(tmp_path))
+        }
+        assert ("outcome-error", None) in captured
+        assert ("slo.burn", "availability") in captured
 
     def test_bundle_dir_is_pruned_to_limit(self, monkeypatch, tmp_path):
         monkeypatch.setattr(recorder, "BUNDLE_LIMIT", 2)
@@ -236,15 +260,16 @@ class TestBundleFiles:
             svc.run_batch([fault_query()])
         (tmp_path / "pm" / "PM_garbage.bundle").write_text("nope")
         rows = recent_bundles(tmp_path / "pm")
-        assert len(rows) == 1
-        assert rows[0]["query"] == "boom"
-        assert rows[0]["exit_code"] == 5
+        assert len(rows) == len(bundles_in(tmp_path)) - 1  # no garbage
+        (row,) = [r for r in rows if r["reason"] == "outcome-error"]
+        assert row["query"] == "boom"
+        assert row["exit_code"] == 5
         assert recent_bundles(tmp_path / "absent") == []
 
     def test_render_postmortem_report(self, tmp_path):
         with service(tmp_path, keep_profile=True) as svc:
             svc.run_batch([ok_query(), fault_query()])
-        (path,) = bundles_in(tmp_path)
+        path = outcome_bundle(tmp_path)
         report = render_postmortem(load_bundle(path))
         assert "postmortem: outcome-error" in report
         assert "query boom" in report
@@ -267,7 +292,7 @@ class TestReplay:
     def test_seeded_fault_replays_bit_identically(self, tmp_path):
         with service(tmp_path) as svc:
             recorded = svc.run_batch([fault_query()])[0]
-        (path,) = bundles_in(tmp_path)
+        path = outcome_bundle(tmp_path)
         report = replay_bundle(load_bundle(path), bundle_path=path)
         assert report.matched, report.diffs
         assert report.exit_code == 0
@@ -290,7 +315,7 @@ class TestReplay:
     def test_divergence_is_reported_with_exit_7(self, tmp_path):
         with service(tmp_path) as svc:
             svc.run_batch([fault_query()])
-        (path,) = bundles_in(tmp_path)
+        path = outcome_bundle(tmp_path)
         bundle = load_bundle(path)
         bundle["outcome"]["exit_code"] = 99  # tamper the record
         report = replay_bundle(bundle, bundle_path=path)

@@ -1,7 +1,7 @@
 """Unit tests for the serving-policy primitives (repro.resilience.policy).
 
 Everything here runs on fake clocks and injected seeds: the point is
-that admission, backoff, breaker transitions, and quarantine decisions
+that admission, breaker transitions, and quarantine decisions
 are *deterministic* — same seed and same failure sequence means the
 same decisions, regardless of wall-clock or thread interleaving.
 """
@@ -21,7 +21,6 @@ from repro.resilience.policy import (
     PolicyConfig,
     Quarantine,
     ResiliencePolicy,
-    RetryPolicy,
     TokenBucket,
 )
 
@@ -44,14 +43,13 @@ class TestPolicyConfig:
     def test_defaults_are_fully_off(self):
         cfg = PolicyConfig()
         assert not cfg.enabled
-        assert not (cfg.admission_on or cfg.retries_on or cfg.breaker_on)
+        assert not (cfg.admission_on or cfg.breaker_on)
         assert not (cfg.quarantine_on or cfg.degradation_on)
 
     @pytest.mark.parametrize(
         "kw",
         [
             {"admission_rate": 10.0},
-            {"max_retries": 1},
             {"breaker_threshold": 2},
             {"quarantine_after": 3},
             {"serve_stale": True},
@@ -67,7 +65,7 @@ class TestPolicyConfig:
         with pytest.raises(ValueError):
             PolicyConfig(admission_burst=0)
         with pytest.raises(ValueError):
-            PolicyConfig(max_retries=-1)
+            PolicyConfig(breaker_threshold=-1)
         with pytest.raises(ValueError):
             PolicyConfig(quarantine_after=-1)
 
@@ -142,66 +140,6 @@ class TestAdmission:
         ctl = AdmissionController(self.cfg(), 10, clock=FakeClock())
         assert not ctl.decide(priority=-5, queue_depth=5).admitted  # LOW
         assert ctl.decide(priority=99, queue_depth=9).admitted  # HIGH
-
-
-# ----------------------------------------------------------------------
-# Retry backoff
-# ----------------------------------------------------------------------
-class TestRetryPolicy:
-    def cfg(self, **kw):
-        kw.setdefault("max_retries", 3)
-        kw.setdefault("backoff_base_s", 0.01)
-        kw.setdefault("backoff_cap_s", 0.25)
-        return PolicyConfig(**kw)
-
-    def test_delays_replay_for_same_seed_and_key(self):
-        a = [RetryPolicy(self.cfg(seed=7), "k1").next_delay() for _ in range(1)]
-        seq1 = RetryPolicy(self.cfg(seed=7), "k1")
-        seq2 = RetryPolicy(self.cfg(seed=7), "k1")
-        assert [seq1.next_delay() for _ in range(5)] == [
-            seq2.next_delay() for _ in range(5)
-        ]
-        other_key = RetryPolicy(self.cfg(seed=7), "k2")
-        other_seed = RetryPolicy(self.cfg(seed=8), "k1")
-        assert other_key.next_delay() != a[0] or other_seed.next_delay() != a[0]
-
-    def test_delays_bounded_by_base_and_cap(self):
-        retry = RetryPolicy(self.cfg(), "k")
-        for _ in range(50):
-            d = retry.next_delay()
-            assert 0.01 <= d <= 0.25
-
-    def test_budget_exhausts(self):
-        retry = RetryPolicy(self.cfg(max_retries=2), "k")
-        for _ in range(2):
-            assert retry.should_retry(
-                error_kind="fault", delay=0.01, now=0.0, deadline=None
-            )
-            retry.note_attempt(0.01)
-        assert not retry.should_retry(
-            error_kind="fault", delay=0.01, now=0.0, deadline=None
-        )
-        assert retry.attempts_used == 2
-
-    def test_only_transient_kinds_retry(self):
-        retry = RetryPolicy(self.cfg(), "k")
-        for kind in ("fault", "timeout"):
-            assert retry.should_retry(
-                error_kind=kind, delay=0.01, now=0.0, deadline=None
-            )
-        for kind in ("input", "verify", "error", "internal", ""):
-            assert not retry.should_retry(
-                error_kind=kind, delay=0.01, now=0.0, deadline=None
-            )
-
-    def test_never_retries_past_deadline(self):
-        retry = RetryPolicy(self.cfg(), "k")
-        assert retry.should_retry(
-            error_kind="fault", delay=0.05, now=10.0, deadline=10.1
-        )
-        assert not retry.should_retry(
-            error_kind="fault", delay=0.05, now=10.0, deadline=10.04
-        )
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +268,6 @@ class TestResiliencePolicy:
             max_queue_depth=10,
             registry=reg,
             clock=clock,
-            sleeper=lambda s: None,
         )
         return pol, reg, clock
 
@@ -357,7 +294,7 @@ class TestResiliencePolicy:
         assert pol.allow_fallback()  # 4 -> 3 (reserve 2)
         assert pol.allow_fallback()  # 3 -> 2
         assert not pol.allow_fallback()  # would dip below the reserve
-        off, _, _ = self.make(max_retries=1)  # admission off
+        off, _, _ = self.make(breaker_threshold=1)  # admission off
         assert off.allow_fallback()
 
     def test_status_shape(self):

@@ -5,8 +5,7 @@ outcomes that exist only because of the serving policy, plus request
 coalescing.  Each scenario drives its own one-worker
 :class:`MSTService` and pins one outcome as a sha256 of
 ``QueryOutcome.to_dict()`` minus the wall-clock fields, the in-memory
-``result_key``, and the wall-clock policy fields (``staleness_s``,
-``backoff_s``):
+``result_key``, and the wall-clock policy field ``staleness_s``:
 
 * ``admission-shed`` — a one-token bucket with no practical refill
   (``admission_rate=0.001``, ``admission_burst=1``) sheds the second
@@ -56,7 +55,7 @@ SCALE = 0.06
 # Wall-clock fields vary run to run; result_key embeds the in-memory
 # config hash, which is not a stable format.
 UNPINNED = ("load_seconds", "run_seconds", "latency_s", "result_key")
-UNPINNED_POLICY = ("staleness_s", "backoff_s")
+UNPINNED_POLICY = ("staleness_s",)
 
 
 def outcome_digest(row: dict) -> str:

@@ -3,7 +3,7 @@
 Covers the integration surface: typed shed/degraded/quarantined/
 cancelled outcomes and their exit codes, priority-ordered shedding,
 stale degraded serving, breaker open/recover through the service,
-retry recovery, the dedup-leak regression, ``close(wait=False)``
+solver-side timeouts, the dedup-leak regression, ``close(wait=False)``
 semantics, concurrent recovery-ladder chaos queries, and the
 chaos-under-load campaign.
 """
@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.errors import EXIT_OVERLOADED, DeadlineExceeded, DeviceFault
+from repro.errors import EXIT_OVERLOADED, DeadlineExceeded
 from repro.obs.events import EventLog, ListSink
 from repro.obs.recorder import load_bundle
 from repro.resilience import run_service_campaign
@@ -42,13 +42,6 @@ def poison(**kw):
 def service(policy=None, **kw):
     kw.setdefault("workers", 2)
     return MSTService(ServiceConfig(policy=policy, **kw))
-
-
-def no_sleep(svc):
-    """Retry backoffs resolve instantly (the schedule is still drawn)."""
-    assert svc.policy is not None
-    svc.policy.sleep = lambda s: None
-    return svc
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +75,7 @@ class TestConfig:
             assert off.status()["policy"] == {"enabled": False}
 
     def test_policy_families_present_from_first_scrape(self):
-        with service(policy=PolicyConfig(max_retries=1)) as svc:
+        with service(policy=PolicyConfig(breaker_threshold=1)) as svc:
             types = {
                 line.split(" ")[2]: line.split(" ")[3]
                 for line in render_prometheus(svc).splitlines()
@@ -228,75 +221,6 @@ class TestStaleServing:
 
 
 # ----------------------------------------------------------------------
-# Retries
-# ----------------------------------------------------------------------
-class TestRetries:
-    def test_transient_failure_retries_and_recovers(self, monkeypatch):
-        import repro.service.engine as engine
-
-        real = engine.execute_query
-        failures = {"left": 2}
-
-        def flaky(query, graph=None, **kw):
-            if query.id == "flaky" and failures["left"] > 0:
-                failures["left"] -= 1
-                return QueryOutcome.failure(query, DeviceFault("transient"))
-            return real(query, graph, **kw)
-
-        monkeypatch.setattr(engine, "execute_query", flaky)
-        pol = PolicyConfig(max_retries=3, backoff_base_s=1e-4, backoff_cap_s=1e-3)
-        with no_sleep(service(policy=pol)) as svc:
-            out = svc.submit(q(id="flaky")).outcome()
-            assert out.ok
-            assert out.policy["retries"] == 2
-            assert out.policy["backoff_s"] > 0
-            # The recovered result is cached under the original spec.
-            again = svc.submit(q(id="flaky-again")).outcome()
-            assert again.ok and again.cache_hit
-
-    def test_budget_exhaustion_returns_the_error(self):
-        pol = PolicyConfig(max_retries=2, backoff_base_s=1e-4, backoff_cap_s=1e-3)
-        with no_sleep(service(policy=pol)) as svc:
-            out = svc.submit(poison(id="doomed")).outcome()
-            assert out.status == "error"
-            assert out.error_kind == "fault"
-            assert out.policy["retries"] == 2
-
-    def test_nontransient_failures_never_retry(self):
-        pol = PolicyConfig(max_retries=3)
-        with no_sleep(service(policy=pol)) as svc:
-            out = svc.submit(q(id="bad", input="no-such-input")).outcome()
-            assert out.status == "error"
-            assert out.error_kind == "input"
-            assert "retries" not in out.policy
-
-    def test_retry_schedule_is_deterministic_per_seed(self, monkeypatch):
-        import repro.service.engine as engine
-
-        real = engine.execute_query
-
-        def run(seed):
-            failures = {"left": 2}
-
-            def flaky(query, graph=None, **kw):
-                if query.id.startswith("d") and failures["left"] > 0:
-                    failures["left"] -= 1
-                    return QueryOutcome.failure(query, DeviceFault("boom"))
-                return real(query, graph, **kw)
-
-            monkeypatch.setattr(engine, "execute_query", flaky)
-            delays = []
-            pol = PolicyConfig(max_retries=3, seed=seed)
-            with service(policy=pol) as svc:
-                svc.policy.sleep = delays.append
-                assert svc.submit(q(id="d1")).outcome().ok
-            return delays
-
-        assert run(5) == run(5)
-        assert run(5) != run(6)
-
-
-# ----------------------------------------------------------------------
 # Deadlines
 # ----------------------------------------------------------------------
 class TestDeadlines:
@@ -314,6 +238,38 @@ class TestDeadlines:
         )
         assert out.status == "error" or out.error_kind == "timeout"
         assert out.error_kind == "timeout"
+
+    def test_solver_timeout_is_never_retried_and_degrades(self, monkeypatch):
+        import repro.service.engine as engine
+
+        real_execute = engine.execute_query
+        real_resolve = MSTService._resolve_graph
+        executions = []
+
+        def counting_execute(query, graph=None, **kw):
+            if query.code != engine._FALLBACK_CODE:
+                executions.append(query.id)
+            return real_execute(query, graph, **kw)
+
+        def slow_resolve(self, query):
+            graph = real_resolve(self, query)
+            time.sleep(0.2)  # past the deadline, after the queue check
+            return graph
+
+        monkeypatch.setattr(engine, "execute_query", counting_execute)
+        monkeypatch.setattr(MSTService, "_resolve_graph", slow_resolve)
+        pol = PolicyConfig(degrade_serial=True)
+        with service(policy=pol) as svc:
+            ticket = svc.submit(q(id="late", timeout_s=0.1))
+            # The waiter gives up at the deadline; the worker's own
+            # answer (the solver raised DeadlineExceeded at round 0)
+            # is on the future.
+            out = ticket.future.result(timeout=30.0)
+        assert executions == ["late"]
+        assert "retries" not in out.policy
+        assert out.status == "degraded"
+        assert out.served_by == SERVED_FALLBACK
+        assert out.policy["original_error"] == "timeout"
 
 
 # ----------------------------------------------------------------------
@@ -506,8 +462,8 @@ class TestConcurrentChaos:
     def test_parallel_chaos_queries_all_recover(self):
         clean = execute_query(q(id="ref"))
         assert clean.ok
-        pol = PolicyConfig(max_retries=1, backoff_base_s=1e-4, backoff_cap_s=1e-3)
-        with no_sleep(service(policy=pol, workers=3)) as svc:
+        pol = PolicyConfig(breaker_threshold=3)
+        with service(policy=pol, workers=3) as svc:
             queries = [
                 q(
                     id=f"chaos-{i}",
