@@ -19,7 +19,7 @@ import numpy as np
 from ..core.config import EclMstConfig
 from ..core.filtering import plan_filtering
 from ..core.result import MstResult
-from ..dsu.vectorized import find_many
+from ..dsu.vectorized import find_many, link_winners
 from ..graph.csr import CSRGraph
 from ..gpusim.atomics import KEY_INFINITY, pack_keys
 from ..gpusim.costmodel import CpuMachine
@@ -57,17 +57,9 @@ def _phase(
         np.minimum.at(min_edge, p, keys)
         np.minimum.at(min_edge, q, keys)
         win = (keys == min_edge[p]) | (keys == min_edge[q])
-        commits = 0
-        for i in np.flatnonzero(win):
-            a, b = int(p[i]), int(q[i])
-            while parent[a] != a:
-                a = int(parent[a])
-            while parent[b] != b:
-                b = int(parent[b])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-                in_mst[eid[i]] = True
-                commits += 1
+        linked = link_winners(parent, p, q, np.flatnonzero(win))
+        in_mst[eid[linked]] = True
+        commits = linked.size
         min_edge[p] = KEY_INFINITY
         min_edge[q] = KEY_INFINITY
         # Implicit path compression: carry representatives forward.

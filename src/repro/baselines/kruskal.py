@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import MstResult
+from ..dsu.arrays import Compression, DisjointSet
 from ..graph.csr import CSRGraph
 from ..gpusim.atomics import pack_keys
 from ..gpusim.costmodel import CpuMachine
@@ -36,36 +37,8 @@ _PARTITION_OPS = 14.0
 _FILTER_EDGE_OPS = 20.0
 
 
-class _ScanDsu:
-    """Union-find with full path compression and operation counting."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = np.arange(n, dtype=np.int64)
-        self.loads = 0
-        self.unions = 0
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        self.loads += 1
-        while parent[root] != root:
-            root = int(parent[root])
-            self.loads += 1
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        self.unions += 1
-        return True
-
-
 def _scan_sorted(
-    dsu: _ScanDsu,
+    dsu: DisjointSet,
     u: np.ndarray,
     v: np.ndarray,
     eid: np.ndarray,
@@ -122,14 +95,14 @@ def kruskal_serial_mst(
         items=m,
         serial=True,
     )
-    dsu = _ScanDsu(graph.num_vertices)
+    dsu = DisjointSet(graph.num_vertices, Compression.FULL)
     in_mst = np.zeros(graph.num_edges, dtype=bool)
     needed = _max_tree_edges(graph)
     _scan_sorted(dsu, u[order], v[order], eid[order], in_mst, needed)
     machine.phase(
         "scan",
-        ops=_SCAN_EDGE_OPS * m + _FIND_LOAD_OPS * dsu.loads + _UNION_OPS * dsu.unions,
-        bytes_=12.0 * m + 8.0 * dsu.loads,
+        ops=_SCAN_EDGE_OPS * m + _FIND_LOAD_OPS * dsu.find_loads + _UNION_OPS * dsu.unions,
+        bytes_=12.0 * m + 8.0 * dsu.find_loads,
         items=m,
         serial=True,
     )
@@ -143,7 +116,7 @@ def qkruskal_mst(graph: CSRGraph, *, cpu: CPUSpec = XEON_GOLD_6226R_X2) -> MstRe
     u, v, w, eid = graph.undirected_edges()
     m = u.size
     in_mst = np.zeros(graph.num_edges, dtype=bool)
-    dsu = _ScanDsu(graph.num_vertices)
+    dsu = DisjointSet(graph.num_vertices, Compression.FULL)
     needed = _max_tree_edges(graph)
     if m == 0:
         return _finish(graph, in_mst, machine, "qkruskal")
@@ -169,12 +142,12 @@ def qkruskal_mst(graph: CSRGraph, *, cpu: CPUSpec = XEON_GOLD_6226R_X2) -> MstRe
             items=k,
             serial=True,
         )
-        loads0, unions0 = dsu.loads, dsu.unions
+        loads0, unions0 = dsu.find_loads, dsu.unions
         _scan_sorted(dsu, u[order], v[order], eid[order], in_mst, needed)
         machine.phase(
             "scan_half",
             ops=_SCAN_EDGE_OPS * k
-            + _FIND_LOAD_OPS * (dsu.loads - loads0)
+            + _FIND_LOAD_OPS * (dsu.find_loads - loads0)
             + _UNION_OPS * (dsu.unions - unions0),
             bytes_=12.0 * k,
             items=k,
@@ -193,7 +166,7 @@ def filter_kruskal_mst(
     machine = CpuMachine(cpu)
     u, v, w, eid = graph.undirected_edges()
     in_mst = np.zeros(graph.num_edges, dtype=bool)
-    dsu = _ScanDsu(graph.num_vertices)
+    dsu = DisjointSet(graph.num_vertices, Compression.FULL)
     needed = _max_tree_edges(graph)
     if base_size is None:
         base_size = max(64, graph.num_vertices // 4)
@@ -209,12 +182,12 @@ def filter_kruskal_mst(
             items=k,
             serial=True,
         )
-        loads0, unions0 = dsu.loads, dsu.unions
+        loads0, unions0 = dsu.find_loads, dsu.unions
         _scan_sorted(dsu, u[order], v[order], eid[order], in_mst, needed)
         machine.phase(
             "scan_base",
             ops=_SCAN_EDGE_OPS * k
-            + _FIND_LOAD_OPS * (dsu.loads - loads0)
+            + _FIND_LOAD_OPS * (dsu.find_loads - loads0)
             + _UNION_OPS * (dsu.unions - unions0),
             bytes_=12.0 * k,
             items=k,
@@ -241,7 +214,7 @@ def filter_kruskal_mst(
         if dsu.unions >= needed:
             return
         # Filter: drop heavy edges already inside one component.
-        loads0 = dsu.loads
+        loads0 = dsu.find_loads
         keep_mask = np.fromiter(
             (dsu.find(int(u[i])) != dsu.find(int(v[i])) for i in heavy),
             dtype=bool,
@@ -249,7 +222,7 @@ def filter_kruskal_mst(
         )
         machine.phase(
             "filter",
-            ops=_FILTER_EDGE_OPS * heavy.size + _FIND_LOAD_OPS * (dsu.loads - loads0),
+            ops=_FILTER_EDGE_OPS * heavy.size + _FIND_LOAD_OPS * (dsu.find_loads - loads0),
             bytes_=12.0 * heavy.size,
             items=heavy.size,
             serial=True,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import MstResult
-from ..dsu.vectorized import find_many
+from ..dsu.vectorized import find_many, link_winners
 from ..graph.csr import CSRGraph
 from ..gpusim.atomics import KEY_INFINITY, pack_keys
 from ..gpusim.costmodel import CpuMachine
@@ -64,16 +64,9 @@ def _reserve_and_commit(
             np.minimum.at(reservation, p, k)
             np.minimum.at(reservation, q, k)
             win = (k == reservation[p]) | (k == reservation[q])
-            # Commit winners sequentially (they are acyclic).
-            for i in np.flatnonzero(win):
-                a, b = int(p[i]), int(q[i])
-                while parent[a] != a:
-                    a = int(parent[a])
-                while parent[b] != b:
-                    b = int(parent[b])
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-                    in_mst[eid[live[i]]] = True
+            # Commit winners in order (they are acyclic).
+            linked = link_winners(parent, p, q, np.flatnonzero(win))
+            in_mst[eid[live[linked]]] = True
             reservation[touched] = KEY_INFINITY
             machine.phase(
                 "reserve_commit",

@@ -26,6 +26,7 @@ import heapq
 import numpy as np
 
 from ..core.result import MstResult
+from ..dsu.arrays import Compression, DisjointSet
 from ..graph.csr import CSRGraph
 from ..gpusim.costmodel import CpuMachine
 from ..gpusim.spec import CPUSpec, XEON_GOLD_6226R_X2
@@ -61,13 +62,7 @@ def setia_prim_mst(
     w, eids = graph.weights, graph.edge_ids
 
     owner = np.full(n, -1, dtype=np.int64)  # vertex -> tree id
-    tree_parent = np.arange(n_threads + n, dtype=np.int64)  # tree DSU
-
-    def tree_find(t: int) -> int:
-        while tree_parent[t] != t:
-            tree_parent[t] = tree_parent[tree_parent[t]]
-            t = int(tree_parent[t])
-        return t
+    trees = DisjointSet(n_threads + n, Compression.HALVING)
 
     in_mst = np.zeros(graph.num_edges, dtype=bool)
     heaps: dict[int, list] = {}
@@ -102,7 +97,7 @@ def setia_prim_mst(
         rounds += 1
         progressed = False
         for tid in list(alive):
-            root = tree_find(tid)
+            root = trees.find(tid)
             if root != tid:
                 if tid in alive:
                     alive.remove(tid)  # killed by a merge this round
@@ -117,7 +112,7 @@ def setia_prim_mst(
                 wt, eid, v = heapq.heappop(h)
                 heap_ops += 1
                 v_owner = owner[v]
-                if v_owner != -1 and tree_find(int(v_owner)) == tid:
+                if v_owner != -1 and trees.find(int(v_owner)) == tid:
                     continue  # internal edge, discard
                 progressed = True
                 in_mst[eid] = True
@@ -133,10 +128,9 @@ def setia_prim_mst(
                 else:
                     # Collision: merge into the lower-ID tree (critical
                     # section in the original code).
-                    other = tree_find(int(v_owner))
-                    lo, hi = min(tid, other), max(tid, other)
-                    tree_parent[hi] = lo
-                    survivor, victim = lo, hi
+                    other = trees.find(int(v_owner))
+                    trees.union(tid, other)
+                    survivor, victim = min(tid, other), max(tid, other)
                     merged = heaps.pop(victim, [])
                     if len(merged) > len(heaps[survivor]):
                         merged, heaps[survivor] = heaps[survivor], merged

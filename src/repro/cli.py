@@ -37,26 +37,9 @@ import sys
 from pathlib import Path
 
 from .bench.experiments import DEFAULT_SCALE, EXPERIMENTS
+from .graph.io import load_graph, resolve_input, save_graph
 
 __all__ = ["main"]
-
-_FORMAT_LOADERS = {
-    ".ecl": "load_ecl",
-    ".gr": "load_dimacs",
-    ".graph": "load_metis",
-    ".txt": "load_edge_list",
-}
-_FORMAT_SAVERS = {
-    ".ecl": "save_ecl",
-    ".gr": "save_dimacs",
-    ".graph": "save_metis",
-    ".txt": "save_edge_list",
-}
-
-
-class _InputError(Exception):
-    """An input name the suite does not know (one line, exit 3)."""
-
 
 def _scale(text: str) -> float:
     """``--scale``: a positive, finite float."""
@@ -69,43 +52,6 @@ def _scale(text: str) -> float:
             f"must be a positive, finite number, got {text!r}"
         )
     return value
-
-
-def _suite_graph(name: str, scale: float):
-    """Build the named suite input; an unknown name is an input error."""
-    from .generators import suite
-
-    if name not in suite.SUITE:
-        raise _InputError(
-            f"unknown input {name!r}; choose from {', '.join(suite.INPUT_NAMES)}"
-        )
-    return suite.build(name, scale=scale)
-
-
-def _load_graph(path: str):
-    from . import graph as graph_mod
-
-    suffix = Path(path).suffix
-    loader = _FORMAT_LOADERS.get(suffix)
-    if loader is None:
-        raise SystemExit(
-            f"unknown graph format {suffix!r}; use one of "
-            f"{', '.join(_FORMAT_LOADERS)}"
-        )
-    return getattr(graph_mod, loader)(path)
-
-
-def _save_graph(g, path: str) -> None:
-    from . import graph as graph_mod
-
-    suffix = Path(path).suffix
-    saver = _FORMAT_SAVERS.get(suffix)
-    if saver is None:
-        raise SystemExit(
-            f"unknown graph format {suffix!r}; use one of "
-            f"{', '.join(_FORMAT_SAVERS)}"
-        )
-    getattr(graph_mod, saver)(g, path)
 
 
 def _cmd_exp(args) -> int:
@@ -142,7 +88,7 @@ def _cmd_run(args) -> int:
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 2
-    g = _suite_graph(args.input, args.scale)
+    g = resolve_input(args.input, args.scale)[1]()
     try:
         r = runner.run(g, gpu=system.gpu, cpu=system.cpu)
     except NotConnectedError as exc:
@@ -202,13 +148,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _resolve_input(name: str, scale: float):
-    """A suite input name, or a path to a graph file in a known format."""
-    if Path(name).suffix in _FORMAT_LOADERS and Path(name).exists():
-        return _load_graph(name)
-    return _suite_graph(name, scale)
-
-
 def _traced_run(args):
     """Run one (instrumented) code under a tracer; shared by
     ``profile`` and ``dashboard``."""
@@ -223,7 +162,7 @@ def _traced_run(args):
     # Loading/generating the input is host work worth seeing in the
     # self-profile, so it happens under the tracer too.
     with tracer.span("load input", kind="host", input=args.input):
-        g = _resolve_input(args.input, args.scale)
+        g = resolve_input(args.input, args.scale)[1]()
     stage = getattr(args, "stage", None)
     code = getattr(args, "code", "ECL-MST")
     if stage is not None:
@@ -309,8 +248,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    g = _load_graph(args.src)
-    _save_graph(g, args.dst)
+    g = load_graph(args.src)
+    save_graph(g, args.dst)
     print(
         f"converted {args.src} -> {args.dst} "
         f"(|V|={g.num_vertices}, |E|={g.num_edges})"
@@ -354,7 +293,7 @@ def _cmd_chaos(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    g = _resolve_input(args.input, args.scale)
+    g = resolve_input(args.input, args.scale)[1]()
     resilience = ResilienceConfig(check_cadence=args.cadence)
     progress = (
         (lambda line: print(line, file=sys.stderr)) if args.verbose else None
@@ -518,7 +457,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_mst(args) -> int:
     from .core.eclmst import ecl_mst
 
-    g = _resolve_input(args.graph, args.scale)
+    g = resolve_input(args.graph, args.scale)[1]()
     r = ecl_mst(g, verify=args.verify)
     print(
         f"MSF of {args.graph}: {r.num_mst_edges} edges, "
@@ -1080,7 +1019,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.fn(args)
-    except (GraphFormatError, _InputError) as exc:
+    except GraphFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except VerificationError as exc:

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dsu.vectorized import find_many, link_winners
 from ..gpusim.atomics import KEY_INFINITY, pack_keys
 from ..graph.csr import CSRGraph
 
@@ -67,30 +68,6 @@ class RoundTrace:
         return frozenset(out)
 
 
-def _find_many(parent: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    cur = xs.copy()
-    while True:
-        nxt = parent[cur]
-        if np.array_equal(nxt, cur):
-            return cur
-        cur = nxt
-
-
-def _commit(parent: np.ndarray, p: np.ndarray, q: np.ndarray, win_idx):
-    """Sequentially apply the winning unions (CAS-equivalent)."""
-    committed = []
-    for i in win_idx:
-        a, b = int(p[i]), int(q[i])
-        while parent[a] != a:
-            a = int(parent[a])
-        while parent[b] != b:
-            b = int(parent[b])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-            committed.append(i)
-    return committed
-
-
 def kruskal_chunked_sorted(graph: CSRGraph, chunk_size: int | None = None) -> RoundTrace:
     """Parallel Kruskal, derivation mid-point: sorted edges, chunked
     processing, reservations by *relative edge index within the chunk*.
@@ -112,8 +89,8 @@ def kruskal_chunked_sorted(graph: CSRGraph, chunk_size: int | None = None) -> Ro
         stop = min(start + chunk_size, u.size)
         live = np.arange(start, stop, dtype=np.int64)
         while live.size:
-            p = _find_many(parent, u[live].astype(np.int64))
-            q = _find_many(parent, v[live].astype(np.int64))
+            p = find_many(parent, u[live])[0]
+            q = find_many(parent, v[live])[0]
             cross = p != q
             live, p, q = live[cross], p[cross], q[cross]
             if live.size == 0:
@@ -123,8 +100,8 @@ def kruskal_chunked_sorted(graph: CSRGraph, chunk_size: int | None = None) -> Ro
             np.minimum.at(reservation, p, idx)
             np.minimum.at(reservation, q, idx)
             win = (idx == reservation[p]) | (idx == reservation[q])
-            committed = _commit(parent, p, q, np.flatnonzero(win))
-            winners = frozenset(int(eid[live[i]]) for i in committed)
+            committed = link_winners(parent, p, q, np.flatnonzero(win))
+            winners = frozenset(eid[live[committed]].tolist())
             if winners:
                 in_mst[list(winners)] = True
                 trace.winners_per_round.append(winners)
@@ -149,8 +126,8 @@ def kruskal_unsorted(graph: CSRGraph) -> RoundTrace:
 
     live = np.arange(u.size, dtype=np.int64)
     while live.size:
-        p = _find_many(parent, u[live].astype(np.int64))
-        q = _find_many(parent, v[live].astype(np.int64))
+        p = find_many(parent, u[live])[0]
+        q = find_many(parent, v[live])[0]
         cross = p != q
         live, p, q = live[cross], p[cross], q[cross]
         if live.size == 0:
@@ -159,8 +136,8 @@ def kruskal_unsorted(graph: CSRGraph) -> RoundTrace:
         np.minimum.at(reservation, p, k)
         np.minimum.at(reservation, q, k)
         win = (k == reservation[p]) | (k == reservation[q])
-        committed = _commit(parent, p, q, np.flatnonzero(win))
-        winners = frozenset(int(eid[live[i]]) for i in committed)
+        committed = link_winners(parent, p, q, np.flatnonzero(win))
+        winners = frozenset(eid[live[committed]].tolist())
         if winners:
             in_mst[list(winners)] = True
             trace.winners_per_round.append(winners)
@@ -189,7 +166,7 @@ def boruvka_parallel(graph: CSRGraph) -> RoundTrace:
 
     while True:
         # Step 1: every vertex determines its set.
-        rep = _find_many(parent, np.arange(n, dtype=np.int64))
+        rep = find_many(parent, np.arange(n, dtype=np.int64))[0]
         p, q = rep[src], rep[dst]
         cross = p != q
         if not cross.any():
@@ -204,8 +181,8 @@ def boruvka_parallel(graph: CSRGraph) -> RoundTrace:
             (keys_all == min_edge[p]) | (keys_all == min_edge[q])
         )
         win_slots = np.flatnonzero(win)
-        committed = _commit(parent, p, q, win_slots)
-        winners = frozenset(int(eid[i]) for i in committed)
+        committed = link_winners(parent, p, q, win_slots)
+        winners = frozenset(eid[committed].tolist())
         # Mirrored duplicates commit only once; collect all marked IDs.
         marked = frozenset(int(e) for e in np.unique(eid[win_slots]))
         new = frozenset(e for e in marked if not in_mst[e])

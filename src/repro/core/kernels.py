@@ -26,6 +26,7 @@ import numpy as np
 from ..dsu.vectorized import (
     compress_halving_many,
     find_many_columns,
+    link_in_order,
     resolve_roots,
 )
 from ..errors import InvariantViolation
@@ -487,35 +488,6 @@ def _union_scalar(
 _PEEL_MIN_WINNERS = 1536
 
 
-def _overlay_walk(
-    ra: np.ndarray, rb: np.ndarray
-) -> tuple[dict[int, int], list[int], int]:
-    """The serial link walk over winners with start-of-call roots
-    ``(ra[k], rb[k])``, in order.
-
-    Returns ``(up, dups, hops)``: this walk's links ``up[hi] = lo`` in
-    the order they were made, the positions whose two roots met, and
-    the overlay hops taken.
-    """
-    up: dict[int, int] = {}
-    dups = []
-    hops = 0
-    for k, (a, b) in enumerate(zip(ra.tolist(), rb.tolist())):
-        while a in up:
-            a = up[a]
-            hops += 1
-        while b in up:
-            b = up[b]
-            hops += 1
-        if a < b:
-            up[b] = a
-        elif b < a:
-            up[a] = b
-        else:
-            dups.append(k)
-    return up, dups, hops
-
-
 def _peel_inert_leaves(
     ra: np.ndarray, rb: np.ndarray, arena: ScratchArena, n: int
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -580,7 +552,7 @@ def _union_overlay(
 
     Most winners skip the serial walk.  Peeling the inert leaves off
     the winner forest (:func:`_peel_inert_leaves`) leaves a core that
-    :func:`_overlay_walk` runs in worklist order.  When a peeled winner
+    :func:`link_in_order` runs in worklist order.  When a peeled winner
     ``i = (x, y)`` comes up, ``x``'s component is ``x`` plus vertices
     peeled earlier, all above ``x``, so the link is ``up[x] = root of
     y`` and no component minimum moves: no other winner's link or hop
@@ -605,10 +577,10 @@ def _union_overlay(
         for k, _, _ in rounds:
             core[k] = False
         core = np.flatnonzero(core)
-        up, core_dups, hops = _overlay_walk(ra[core], rb[core])
+        up, core_dups, hops = link_in_order(ra[core], rb[core])
         dups = core[core_dups]
     else:
-        up, dups, hops = _overlay_walk(ra, rb)
+        up, dups, hops = link_in_order(ra, rb)
     if up:
         keys = np.fromiter(up, np.int64, len(up))
         vals = np.fromiter(up.values(), np.int64, len(up))

@@ -19,6 +19,8 @@ from enum import Enum
 
 import numpy as np
 
+from .vectorized import _root_depth_table
+
 __all__ = ["Compression", "DisjointSet"]
 
 
@@ -39,19 +41,19 @@ class Compression(str, Enum):
 class DisjointSet:
     """Union-find over vertices ``0..n-1``.
 
-    Tracks ``finds``, ``find_loads`` (parent dereferences) and
-    ``compress_writes`` so the cost model can charge the *actual* work
-    of each scheme.
+    Tracks ``find_loads`` (parent dereferences, 1 + path length per
+    find) and ``unions`` so the cost models can charge the *actual*
+    work of each scheme.
     """
 
     def __init__(self, n: int, compression: Compression | str = Compression.NONE):
         self.parent = np.arange(n, dtype=np.int64)
         self.compression = Compression(compression)
-        self.finds = 0
+        # Decided once: an enum compare per find would cost the serial
+        # Kruskal scans ~15% of their time.
+        self._full = self.compression is Compression.FULL
         self.find_loads = 0
-        self.compress_writes = 0
         self.unions = 0
-        self.union_cas = 0
 
     @property
     def n(self) -> int:
@@ -63,9 +65,7 @@ class DisjointSet:
     def find(self, x: int) -> int:
         """Representative of ``x``'s set, applying the configured scheme."""
         parent = self.parent
-        self.finds += 1
-        scheme = self.compression
-        if scheme is Compression.FULL:
+        if self._full:
             root = x
             loads = 1
             while parent[root] != root:
@@ -73,34 +73,24 @@ class DisjointSet:
                 loads += 1
             # Second pass: point the whole path at the root.
             while parent[x] != root:
-                nxt = int(parent[x])
-                parent[x] = root
-                self.compress_writes += 1
-                x = nxt
+                parent[x], x = root, int(parent[x])
             self.find_loads += loads
             return root
 
+        scheme = self.compression
         cur = x
         loads = 1
         while parent[cur] != cur:
             nxt = int(parent[cur])
-            if scheme in (
-                Compression.HALVING,
-                Compression.SPLITTING,
-                Compression.INTERMEDIATE,
-            ):
+            loads += 1
+            if scheme is not Compression.NONE:
+                # Point cur at its grandparent (a no-op next to a root).
                 grand = int(parent[nxt])
                 loads += 1
-                if grand != nxt:
-                    parent[cur] = grand
-                    self.compress_writes += 1
+                parent[cur] = grand
                 if scheme is Compression.HALVING:
-                    cur = grand
-                else:  # splitting / intermediate advance one step
-                    cur = nxt
-            else:
-                cur = nxt
-            loads += 1
+                    nxt = grand  # splitting / intermediate step to nxt
+            cur = nxt
         self.find_loads += loads
         return int(cur)
 
@@ -110,21 +100,16 @@ class DisjointSet:
     def union(self, a: int, b: int) -> bool:
         """Join the sets of ``a`` and ``b``; return False if already one.
 
-        Simulates the ECL CAS loop: re-find roots until the link lands
-        (sequential execution means at most one iteration here, but the
-        retry structure and the ``union_cas`` count are preserved).
+        The ECL link: the higher-ID root goes beneath the lower-ID one
+        (``atomicCAS(&parent[hi], hi, lo)``, which cannot fail when
+        run sequentially).
         """
-        while True:
-            ra, rb = self.find(a), self.find(b)
-            if ra == rb:
-                return False
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            self.union_cas += 1
-            # atomicCAS(&parent[hi], hi, lo) — cannot fail sequentially.
-            if self.parent[hi] == hi:
-                self.parent[hi] = lo
-                self.unions += 1
-                return True
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        self.unions += 1
+        return True
 
     def same_set(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
@@ -136,9 +121,6 @@ class DisjointSet:
 
     def representatives(self) -> np.ndarray:
         """Root of every vertex (fully resolved, no mutation)."""
-        labels = self.parent.copy()
-        while True:
-            nxt = labels[labels]
-            if np.array_equal(nxt, labels):
-                return labels
-            labels = nxt
+        if self.n == 0:
+            return self.parent.copy()
+        return _root_depth_table(self.parent)[0].copy()

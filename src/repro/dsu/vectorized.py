@@ -39,6 +39,8 @@ __all__ = [
     "find_many",
     "find_many_columns",
     "compress_halving_many",
+    "link_in_order",
+    "link_winners",
     "resolve_roots",
 ]
 
@@ -206,6 +208,60 @@ def find_many_columns(
         roots, hops = resolve_roots(parent, c, kernel="find_many")
         out.append((roots, int(roots.size + int(hops.sum()))))
     return out
+
+
+def link_in_order(
+    ra: np.ndarray, rb: np.ndarray
+) -> tuple[dict[int, int], list[int], int]:
+    """The serial link walk over winners with start-of-call roots
+    ``(ra[k], rb[k])``, in order.
+
+    Returns ``(up, dups, hops)``: this walk's links ``up[hi] = lo`` in
+    the order they were made, the positions whose two roots met, and
+    the overlay hops taken.
+    """
+    up: dict[int, int] = {}
+    dups = []
+    hops = 0
+    for k, (a, b) in enumerate(zip(ra.tolist(), rb.tolist())):
+        while a in up:
+            a = up[a]
+            hops += 1
+        while b in up:
+            b = up[b]
+            hops += 1
+        if a < b:
+            up[b] = a
+        elif b < a:
+            up[a] = b
+        else:
+            dups.append(k)
+    return up, dups, hops
+
+
+def link_winners(
+    parent: np.ndarray, p: np.ndarray, q: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
+    """Link the winners ``(p[i], q[i])`` for ``i`` in ``idx``, in order,
+    by the ECL rule (higher-ID root beneath the lower); returns the
+    ``idx`` entries that linked.
+
+    Exactly the per-winner find-and-link loop: every link joins two
+    current roots, and a vertex that is not a root when the call
+    starts never changes parent during it, so each find is its
+    start-of-call root (:func:`resolve_roots`) followed by
+    :func:`link_in_order`'s walk over this call's links.  ``parent``
+    receives the links in one scatter.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    ra, _ = resolve_roots(parent, p[idx], kernel="link_winners")
+    rb, _ = resolve_roots(parent, q[idx], kernel="link_winners")
+    up, dups, _ = link_in_order(ra, rb)
+    if up:
+        parent[np.fromiter(up, np.int64, len(up))] = np.fromiter(
+            up.values(), np.int64, len(up)
+        )
+    return np.delete(idx, dups) if dups else idx
 
 
 def compress_halving_many(

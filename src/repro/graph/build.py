@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import GraphFormatError
 from .csr import CSRGraph, EDGE_ID_DTYPE, INDEX_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 from .weights import check_weight_bound
 
@@ -69,7 +70,7 @@ def build_csr(
     if u.size != v.size:
         raise ValueError("u and v must have equal length")
     if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= num_vertices):
-        raise ValueError("edge endpoint out of range")
+        raise GraphFormatError(f"edge endpoint out of range [0, {num_vertices})")
     if w is None:
         w = np.ones(u.size, dtype=np.int64)
     else:

@@ -21,16 +21,40 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import GraphFormatError
 from .build import build_csr
 from .csr import CSRGraph
 
-__all__ = ["load_dimacs", "save_dimacs", "load_metis", "save_metis"]
+__all__ = ["load_dimacs", "save_dimacs", "load_metis", "save_metis", "read_lines"]
 
 
-def _read_lines(path) -> list[str]:
-    if isinstance(path, io.TextIOBase):
-        return path.read().splitlines()
-    return Path(path).read_text().splitlines()
+def read_lines(path, name: str) -> tuple[list[str], str]:
+    """The lines of a text graph file or stream, and the ``where`` its
+    errors name (the path, or ``name`` for a stream).
+
+    The one line reader of the three text formats: text that is not
+    UTF-8 raises :class:`GraphFormatError` instead of a decode error.
+    """
+    stream = isinstance(path, io.TextIOBase)
+    where = name if stream else str(path)
+    try:
+        if stream:
+            return path.read().splitlines(), where
+        return Path(path).read_bytes().decode("utf-8").splitlines(), where
+    except UnicodeDecodeError as exc:
+        if not stream:  # the file's own bytes: name the line
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            where = f"{where}:{line}"
+        raise GraphFormatError(f"{where}: not UTF-8 text ({exc.reason})") from None
+
+
+def _ints(tokens: list[str], where: str, lineno: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise GraphFormatError(
+            f"{where}:{lineno}: non-integer token in {' '.join(tokens)!r}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -39,30 +63,39 @@ def _read_lines(path) -> list[str]:
 def load_dimacs(
     path: str | os.PathLike | io.TextIOBase, *, name: str = "dimacs"
 ) -> CSRGraph:
-    """Read a DIMACS shortest-path ``.gr`` file."""
-    n = None
+    """Read a DIMACS shortest-path ``.gr`` file; its arc lines must
+    number exactly the problem line's ``m``."""
+    lines, where = read_lines(path, name)
+    n = m = None
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []
-    for line in _read_lines(path):
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "sp":
-                raise ValueError(f"malformed problem line: {line!r}")
-            n = int(parts[2])
+                raise GraphFormatError(f"{where}:{lineno}: malformed problem line: {line!r}")
+            n, m = _ints(parts[2:], where, lineno)
         elif parts[0] == "a":
             if n is None:
-                raise ValueError("arc line before problem line")
-            us.append(int(parts[1]) - 1)
-            vs.append(int(parts[2]) - 1)
-            ws.append(int(parts[3]))
+                raise GraphFormatError(f"{where}:{lineno}: arc line before problem line")
+            if len(parts) != 4:
+                raise GraphFormatError(f"{where}:{lineno}: expected 'a u v w', got {line!r}")
+            a, b, c = _ints(parts[1:], where, lineno)
+            us.append(a - 1)
+            vs.append(b - 1)
+            ws.append(c)
         else:
-            raise ValueError(f"unknown DIMACS line type: {line!r}")
+            raise GraphFormatError(f"{where}:{lineno}: unknown DIMACS line type: {line!r}")
     if n is None:
-        raise ValueError("missing 'p sp' problem line")
+        raise GraphFormatError(f"{where}: missing 'p sp' problem line")
+    if len(us) != m:
+        raise GraphFormatError(
+            f"{where}: arc count mismatch: problem line says {m}, found {len(us)}"
+        )
     return build_csr(
         n,
         np.asarray(us, dtype=np.int64),
@@ -89,56 +122,54 @@ def save_dimacs(graph: CSRGraph, path: str | os.PathLike) -> None:
 def load_metis(
     path: str | os.PathLike | io.TextIOBase, *, name: str = "metis"
 ) -> CSRGraph:
-    """Read a METIS/Chaco ``.graph`` file (fmt 0 or 1)."""
-    raw = [l for l in _read_lines(path) if not l.lstrip().startswith("%")]
+    """Read a METIS/Chaco ``.graph`` file (fmt 0 or 1); its adjacency
+    entries must number exactly twice the header's ``m``."""
+    lines, where = read_lines(path, name)
+    rows = [(i, l) for i, l in enumerate(lines, 1) if not l.lstrip().startswith("%")]
     # The header is the first non-blank line; adjacency lines may be
     # blank (isolated vertices), so only leading/trailing blanks drop.
-    while raw and not raw[0].strip():
-        raw.pop(0)
-    while raw and not raw[-1].strip():
-        raw.pop()
-    lines = raw
-    if not lines:
-        raise ValueError("empty METIS file")
-    header = lines[0].split()
-    n, m = int(header[0]), int(header[1])
-    fmt = header[2] if len(header) > 2 else "0"
+    while rows and not rows[0][1].strip():
+        rows.pop(0)
+    while rows and not rows[-1][1].strip():
+        rows.pop()
+    if not rows:
+        raise GraphFormatError(f"{where}: empty METIS file")
+    (hline, header), rows = rows[0], rows[1:]
+    fields = header.split()
+    if len(fields) < 2:
+        raise GraphFormatError(f"{where}:{hline}: expected header 'n m [fmt]', got {header!r}")
+    n, m = _ints(fields[:2], where, hline)
+    fmt = fields[2] if len(fields) > 2 else "0"
     has_weights = fmt in ("1", "01", "11")
     if fmt not in ("0", "1", "01", "11", "00"):
-        raise ValueError(f"unsupported METIS fmt {fmt!r}")
-    if len(lines) - 1 > n:
-        raise ValueError(
-            f"expected {n} adjacency lines, found {len(lines) - 1}"
-        )
-    # Trailing isolated vertices may appear as trimmed blank lines.
-    lines = lines + [""] * (n - (len(lines) - 1))
+        raise GraphFormatError(f"{where}:{hline}: unsupported METIS fmt {fmt!r}")
+    # Fewer lines than n: trailing isolated vertices whose blank lines
+    # were trimmed.
+    if len(rows) > n:
+        raise GraphFormatError(f"{where}: expected {n} adjacency lines, found {len(rows)}")
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []
-    for v, line in enumerate(lines[1:]):
-        tokens = line.split()
-        step = 2 if has_weights else 1
-        for i in range(0, len(tokens), step):
-            u = int(tokens[i]) - 1
-            w = int(tokens[i + 1]) if has_weights else 1
-            us.append(v)
-            vs.append(u)
-            ws.append(w)
-    g = build_csr(
+    for v, (lineno, line) in enumerate(rows):
+        tokens = _ints(line.split(), where, lineno)
+        nbrs = tokens[::2] if has_weights else tokens
+        if has_weights and len(tokens) % 2:
+            raise GraphFormatError(f"{where}:{lineno}: neighbour {nbrs[-1]} has no weight")
+        us.extend([v] * len(nbrs))
+        vs.extend(u - 1 for u in nbrs)
+        ws.extend(tokens[1::2] if has_weights else [1] * len(nbrs))
+    if len(vs) != 2 * m:
+        raise GraphFormatError(
+            f"{where}: edge count mismatch: header says {m} edges "
+            f"({2 * m} adjacency entries), found {len(vs)} entries"
+        )
+    return build_csr(
         n,
         np.asarray(us, dtype=np.int64),
         np.asarray(vs, dtype=np.int64),
         np.asarray(ws, dtype=np.int64),
         name=name,
     )
-    if g.num_edges != m:
-        # METIS headers count undirected edges; tolerate cleaned dupes
-        # but reject wild mismatches.
-        if not (0.5 * m <= g.num_edges <= m):
-            raise ValueError(
-                f"edge count mismatch: header says {m}, parsed {g.num_edges}"
-            )
-    return g
 
 
 def save_metis(graph: CSRGraph, path: str | os.PathLike) -> None:

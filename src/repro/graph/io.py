@@ -13,6 +13,11 @@ Two formats are supported:
 
 * **Text edge list** — whitespace-separated ``u v [w]`` lines with
   ``#`` comments, the common interchange format of SNAP/DIMACS dumps.
+
+:func:`load_graph`/:func:`save_graph` pick the format (these two, or
+:mod:`.formats`' DIMACS and METIS) by file suffix, and
+:func:`resolve_input` turns a command-line or query input — a graph
+file or a suite input name — into a build-cache key and a loader.
 """
 
 from __future__ import annotations
@@ -20,12 +25,14 @@ from __future__ import annotations
 import io
 import os
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from ..errors import GraphFormatError
 from .build import build_csr
 from .csr import CSRGraph
+from .formats import load_dimacs, load_metis, read_lines, save_dimacs, save_metis
 from .weights import WEIGHT_BOUND
 
 __all__ = [
@@ -34,6 +41,9 @@ __all__ = [
     "save_edge_list",
     "load_edge_list",
     "file_signature",
+    "load_graph",
+    "save_graph",
+    "resolve_input",
 ]
 
 
@@ -152,12 +162,7 @@ def load_edge_list(
     Lines starting with ``#`` are comments.  Missing weights default to
     1.  ``num_vertices`` defaults to ``max endpoint + 1``.
     """
-    if isinstance(path, io.TextIOBase):
-        lines = path.read().splitlines()
-        where = name
-    else:
-        lines = Path(path).read_text().splitlines()
-        where = str(path)
+    lines, where = read_lines(path, name)
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []
@@ -201,3 +206,56 @@ def load_edge_list(
     if num_vertices is None:
         num_vertices = int(max(u.max(initial=-1), v.max(initial=-1))) + 1
     return build_csr(num_vertices, u, v, w, name=name)
+
+
+# Suffix -> (reader, writer): the one registry of file formats.
+_FORMATS = {
+    ".ecl": (load_ecl, save_ecl),
+    ".gr": (load_dimacs, save_dimacs),
+    ".graph": (load_metis, save_metis),
+    ".txt": (load_edge_list, save_edge_list),
+}
+
+
+def _format(path: str | os.PathLike, which: int):
+    suffix = Path(path).suffix
+    if suffix not in _FORMATS:
+        raise GraphFormatError(
+            f"{path}: unknown graph format {suffix!r}; use one of {', '.join(_FORMATS)}"
+        )
+    return _FORMATS[suffix][which]
+
+
+def load_graph(path: str | os.PathLike) -> CSRGraph:
+    """Read a graph file in the format its suffix names."""
+    return _format(path, 0)(path)
+
+
+def save_graph(graph: CSRGraph, path: str | os.PathLike) -> None:
+    """Write ``graph`` in the format the suffix of ``path`` names."""
+    _format(path, 1)(graph, path)
+
+
+def resolve_input(name: str, scale: float) -> tuple[tuple, Callable[[], CSRGraph]]:
+    """``(build-cache key, loader)`` of an input: an existing file in a
+    known format, else a suite input name.
+
+    File keys carry a size/mtime signature, so an edited file is a
+    miss; suite inputs are keyed on ``(name, scale)`` — generation is
+    seeded and deterministic.  Loading an unknown suite name raises
+    :class:`GraphFormatError`.
+    """
+    p = Path(name)
+    if p.suffix in _FORMATS and p.exists():
+        return ("file", str(p.resolve()), file_signature(p)), lambda: load_graph(name)
+    return ("suite", name, repr(float(scale))), lambda: _suite_graph(name, scale)
+
+
+def _suite_graph(name: str, scale: float) -> CSRGraph:
+    from ..generators import suite
+
+    if name not in suite.SUITE:
+        raise GraphFormatError(
+            f"unknown input {name!r}; choose from {', '.join(suite.INPUT_NAMES)}"
+        )
+    return suite.build(name, scale=scale)

@@ -54,9 +54,9 @@ import concurrent.futures
 import threading
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
-from ..errors import Overloaded
+from ..errors import GraphFormatError, Overloaded
+from ..graph.io import resolve_input
 from ..obs.events import get_event_log
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import FlightRecorder
@@ -121,36 +121,21 @@ class ServiceConfig:
 # ----------------------------------------------------------------------
 # Query execution (pure function of query + graph)
 # ----------------------------------------------------------------------
-def _graph_source_key(query: Query) -> tuple:
-    """Build-cache key for the query's input source.
+def _graph_source(query: Query):
+    """The query input's ``(build-cache key, loader)``; loading an
+    unknown suite input fails as a :class:`QueryError` naming the
+    query."""
+    key, load = resolve_input(query.input, query.scale)
+    if key[0] == "file":
+        return key, load
 
-    File inputs carry a size/mtime signature so an edited file is a
-    miss; suite inputs are keyed on (name, scale) — generation is
-    seeded and deterministic.
-    """
-    from ..cli import _FORMAT_LOADERS  # single source of format truth
+    def build():
+        try:
+            return load()
+        except GraphFormatError as exc:
+            raise QueryError(f"query {query.id}: {exc}") from None
 
-    p = Path(query.input)
-    if p.suffix in _FORMAT_LOADERS and p.exists():
-        from ..graph.io import file_signature
-
-        return ("file", str(p.resolve()), file_signature(p))
-    return ("suite", query.input, repr(float(query.scale)))
-
-
-def _load_graph_for(query: Query):
-    """Load or generate the query's input graph (uncached)."""
-    kind = _graph_source_key(query)[0]
-    if kind == "file":
-        from ..cli import _load_graph
-
-        return _load_graph(query.input)
-    from ..generators import suite
-
-    try:
-        return suite.build(query.input, scale=query.scale)
-    except KeyError as exc:
-        raise QueryError(f"query {query.id}: {exc.args[0]}") from None
+    return key, build
 
 
 def _build_fault_plan(query: Query, config, graph, gpu):
@@ -208,7 +193,7 @@ def execute_query(
         with tracer.span(f"query {query.id}", kind="service", query=query.id):
             with tracer.span("load input", kind="host", input=query.input):
                 if graph is None:
-                    graph = _load_graph_for(query)
+                    graph = _graph_source(query)[1]()
                 fingerprint = graph_fingerprint(graph)
             load_s = time.perf_counter() - t0
             t1 = time.perf_counter()
@@ -874,9 +859,8 @@ class MSTService:
             self.latest_profile = profile
 
     def _resolve_graph(self, query: Query):
-        skey = _graph_source_key(query)
         before = self.graphs.hits
-        graph = self.graphs.get_or_create(skey, lambda: _load_graph_for(query))
+        graph = self.graphs.get_or_create(*_graph_source(query))
         if self.graphs.hits > before:
             self.registry.counter("service.graph_cache_hits").inc()
         return graph

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,19 @@ from repro.generators import (
 
 
 from helpers import make_graph  # noqa: F401 (re-exported for tests)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _run_in_scratch_dir(tmp_path_factory):
+    """Run the suite from a temporary directory: what the code under
+    test writes relative to the working directory (the flight
+    recorder's default ``postmortems/``) never lands in the checkout."""
+    home = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("cwd"))
+    try:
+        yield
+    finally:
+        os.chdir(home)
 
 
 @pytest.fixture

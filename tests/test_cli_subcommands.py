@@ -1,8 +1,15 @@
 """CLI subcommand tests (run/codes/inputs/convert/mst/artifact)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCALE = "0.06"
 
@@ -53,9 +60,11 @@ class TestConvertAndMst:
         assert main(["convert", str(dst), str(back)]) == 0
         assert "converted" in capsys.readouterr().out
 
-    def test_convert_unknown_format(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["convert", str(tmp_path / "x.bin"), str(tmp_path / "y.ecl")])
+    def test_convert_unknown_format(self, tmp_path, capsys):
+        assert main(["convert", str(tmp_path / "x.bin"), str(tmp_path / "y.ecl")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "unknown graph format '.bin'" in err
+        assert len(err.splitlines()) == 1
 
     def test_mst_command(self, tmp_path, capsys):
         from repro.generators import road_network
@@ -92,6 +101,21 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("input error: unknown input 'nosuch'")
         assert len(err.splitlines()) == 1
+
+    def test_truncated_metis_file_is_an_input_error(self, tmp_path):
+        from test_formats import truncated_internet_metis
+
+        path = truncated_internet_metis(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "mst", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("input error: ")
+        assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1", "1e-400"])
     def test_bad_scale_is_a_usage_error(self, scale, capsys):

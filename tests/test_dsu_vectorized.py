@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import repro.dsu.vectorized as vz
 from repro.dsu.arrays import DisjointSet
-from repro.dsu.vectorized import compress_halving_many, find_many, resolve_roots
+from repro.dsu.vectorized import (
+    compress_halving_many,
+    find_many,
+    link_winners,
+    resolve_roots,
+)
 from repro.errors import InvariantViolation
 
 
@@ -96,6 +101,51 @@ def test_property_halving_preserves_partition(seed, n):
     # Post-compression finds still agree.
     after, _ = find_many(work, np.arange(n))
     assert np.array_equal(after, expected)
+
+
+def _link_each(parent, p, q, idx):
+    """The per-winner find-and-link loop ``link_winners`` replaces."""
+    linked = []
+    for i in idx:
+        a, b = int(p[i]), int(q[i])
+        while parent[a] != a:
+            a = int(parent[a])
+        while parent[b] != b:
+            b = int(parent[b])
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+            linked.append(i)
+    return linked
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    seed=st.integers(0, 10_000),
+    pairs=st.integers(0, 120),
+)
+def test_property_link_winners_equals_per_winner_loop(n, seed, pairs):
+    # Arbitrary endpoints (roots or not, repeated, self-pairs) and an
+    # arbitrary winner order: exactness needs no acyclicity.
+    rng = np.random.default_rng(seed)
+    parent = _random_forest(n, seed)
+    p = rng.integers(0, n, pairs)
+    q = rng.integers(0, n, pairs)
+    idx = rng.permutation(pairs)[: rng.integers(0, pairs + 1)]
+    expect = parent.copy()
+    linked = _link_each(expect, p, q, idx)
+    got = link_winners(parent, p, q, idx)
+    assert got.tolist() == linked
+    assert np.array_equal(parent, expect)
+
+
+def test_link_winners_on_a_cycle_raises_before_writing():
+    parent = np.array([1, 0, 2, 3], dtype=np.int64)
+    before = parent.copy()
+    with pytest.raises(InvariantViolation) as err:
+        link_winners(parent, np.array([2, 0]), np.array([3, 2]), np.arange(2))
+    assert (err.value.invariant, err.value.kernel) == ("parent-acyclic", "link_winners")
+    assert np.array_equal(parent, before)
 
 
 def _chain(n: int, seed: int) -> np.ndarray:

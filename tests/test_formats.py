@@ -5,7 +5,20 @@ import io
 import numpy as np
 import pytest
 
+from repro.errors import GraphFormatError
+from repro.generators import suite
 from repro.graph.formats import load_dimacs, load_metis, save_dimacs, save_metis
+
+
+def truncated_internet_metis(tmp_path):
+    """``internet`` at scale 0.06 as METIS, cut to its first 19 of 122
+    lines: the header still says 181 edges over 120 vertices."""
+    path = tmp_path / "internet.graph"
+    save_metis(suite.build("internet", scale=0.06), path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 122
+    path.write_text("".join(lines[:19]))
+    return path
 
 
 class TestDimacs:
@@ -38,6 +51,17 @@ class TestDimacs:
     def test_malformed_problem(self):
         with pytest.raises(ValueError, match="malformed"):
             load_dimacs(io.StringIO("p tw 2 1\n"))
+
+    def test_non_integer_token_names_path_and_line(self):
+        text = io.StringIO("p sp 2 1\na 1 two 7\n")
+        with pytest.raises(GraphFormatError, match="^roads:2: non-integer"):
+            load_dimacs(text, name="roads")
+
+    @pytest.mark.parametrize("arcs", [0, 1, 3])
+    def test_arc_count_must_match_problem_line(self, arcs):
+        text = "p sp 3 2\n" + "".join(f"a 1 {2 + i % 2} 7\n" for i in range(arcs))
+        with pytest.raises(GraphFormatError, match="arc count mismatch"):
+            load_dimacs(io.StringIO(text))
 
     def test_roundtrip(self, tmp_path, medium_graph):
         path = tmp_path / "g.gr"
@@ -120,3 +144,23 @@ class TestMetis:
     def test_wild_edge_count_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             load_metis(io.StringIO("2 40\n2\n1\n"))
+
+    def test_edge_count_must_be_exact(self):
+        # Two adjacency entries are one edge; a header of 2 is a lie.
+        with pytest.raises(GraphFormatError, match="mismatch"):
+            load_metis(io.StringIO("2 2\n2\n1\n"))
+
+    def test_truncated_file_is_rejected(self, tmp_path):
+        path = truncated_internet_metis(tmp_path)
+        with pytest.raises(GraphFormatError, match="header says 181 edges"):
+            load_metis(path)
+
+    def test_non_integer_token_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text("% c\n2 1\n2\n1.5\n")
+        with pytest.raises(GraphFormatError, match=f"^{path}:4: non-integer"):
+            load_metis(path)
+
+    def test_neighbour_out_of_range_is_a_format_error(self):
+        with pytest.raises(GraphFormatError, match="out of range"):
+            load_metis(io.StringIO("2 1\n3\n1\n"))

@@ -129,6 +129,12 @@ class TestEdgeListHardening:
         with pytest.raises(GraphFormatError, match="31-bit"):
             load_edge_list(io.StringIO(f"0 1 {huge}\n"))
 
+    def test_non_utf8_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1 3\n1 2 \xff\n")
+        with pytest.raises(GraphFormatError, match=f"^{path}:2: not UTF-8"):
+            load_edge_list(path)
+
     def test_max_legal_weight_accepted(self):
         g = load_edge_list(io.StringIO(f"0 1 {WEIGHT_BOUND - 1}\n"))
         assert g.weights.max() == WEIGHT_BOUND - 1

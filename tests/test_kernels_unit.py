@@ -395,7 +395,7 @@ class TestUnionOverlay:
     def test_peel_keeps_most_rmat_winners_off_the_serial_walk(self):
         graph = suite.build("rmat22.sym", scale=1.0, seed=1)
         with mock.patch.object(
-            kernels, "_overlay_walk", wraps=kernels._overlay_walk
+            kernels, "link_in_order", wraps=kernels.link_in_order
         ) as walk, mock.patch.object(
             kernels, "_union_overlay", wraps=kernels._union_overlay
         ) as union:
