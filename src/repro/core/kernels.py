@@ -31,7 +31,13 @@ from ..dsu.vectorized import (
 )
 from ..errors import InvariantViolation
 from ..graph.csr import CSRGraph
-from ..gpusim.atomics import KEY_INFINITY, atomic_min_u64, pack_keys
+from ..gpusim.atomics import (
+    KEY_INFINITY,
+    atomic_min_u64,
+    expected_executed,
+    pack_keys,
+    slot_counts,
+)
 from ..gpusim.costmodel import Device
 from ..gpusim.warp import (
     edge_centric_cycles,
@@ -87,6 +93,12 @@ class MstState:
     # Init's graph-invariant pricing ``(cycles, critical_items)``:
     # the init kernel runs twice under filtering.
     _init_price: tuple[float, int] | None = None
+    # k1's find tables: where the last k2's winner endpoints ended up
+    # (root, path length), valid for the front whose ``v`` column is
+    # ``_hop_key`` (see _record_hops).
+    _hop_root: np.ndarray | None = None
+    _hop_depth: np.ndarray | None = None
+    _hop_key: np.ndarray | None = None
 
     @classmethod
     def create(cls, graph: CSRGraph, config: EclMstConfig, device: Device) -> "MstState":
@@ -126,11 +138,13 @@ class MstState:
         """Resolve representatives for both worklist endpoint columns.
 
         Returns ``(p, q, loads, writes)``.  Under implicit path
-        compression the entries already sit at (or one hop from) their
-        roots, so a plain read-only find is cheapest, and one
-        root/depth table serves both columns; the de-optimized variant
-        uses explicit GPU path halving, which costs extra loads and
-        compression writes.
+        compression a plain read-only find is cheapest, and one
+        root/depth table serves both columns of a large batch; the
+        de-optimized variant uses explicit GPU path halving, which
+        costs extra loads and compression writes.  Init's filtering
+        pass, the first k1 of each phase, the topology-driven and
+        halving stages and any k1 with a fault injector armed call
+        this; every other k1 reads the last k2's hop tables.
         """
         if self.config.implicit_path_compression:
             (p, lp), (q, lq) = find_many_columns(self.parent, xs, ys)
@@ -311,8 +325,16 @@ def kernel1_reserve(state: MstState) -> int:
     """
     cfg, dev = state.config, state.device
     wl = state.wl.front
+    inj = dev.fault_injector
 
-    p, q, loads, writes = state.find_entries(wl.v, wl.n)
+    if state._hop_key is wl.v and inj is None:
+        # The last k2 ran on exactly this front (see _record_hops).
+        p, q = state._hop_root[wl.v], state._hop_root[wl.n]
+        depth = state._hop_depth
+        loads = 2 * len(wl) + int(depth[wl.v].sum()) + int(depth[wl.n].sum())
+        writes = 0
+    else:
+        p, q, loads, writes = state.find_entries(wl.v, wl.n)
 
     cross = np.not_equal(
         p, q, out=state.arena.take("k1.cross", p.size, np.bool_)
@@ -346,10 +368,20 @@ def kernel1_reserve(state: MstState) -> int:
             state._round_val = pack_keys(wl.w, wl.eid)
             state._round_val_key = wl.eid
         val = state._round_val[sel]
-    inj = dev.fault_injector
-    ex_p, sk_p = atomic_min_u64(
-        state.min_edge, pc, val, guarded=cfg.atomic_guards, injector=inj
-    )
+    n = state.graph.num_vertices
+    counts_p = slot_counts(pc, n) if survivors else None
+    if cfg.atomic_guards and inj is None and survivors:
+        # Every minEdge slot is clear when k1 starts: k3 resets each
+        # slot k1 touched, and a restore puts back a round start.  So
+        # every p-side guard passes and its candidates are all
+        # survivors; only the q side's guard sees this launch's writes.
+        ex_p = expected_executed(counts_p)
+        sk_p = survivors - ex_p
+        np.minimum.at(state.min_edge, pc, val)
+    else:
+        ex_p, sk_p = atomic_min_u64(
+            state.min_edge, pc, val, guarded=cfg.atomic_guards, injector=inj
+        )
     ex_q, sk_q = atomic_min_u64(
         state.min_edge, qc, val, guarded=cfg.atomic_guards, injector=inj
     )
@@ -359,18 +391,7 @@ def kernel1_reserve(state: MstState) -> int:
     # guards only the running-minima execute (harmonic expectation);
     # without, every lane targeting the slot issues its atomic.
     if survivors:
-        # One pass over the survivor subset instead of two full-width
-        # bincounts: tagging the two endpoint columns into disjoint key
-        # spaces makes a single unique() yield both per-side counts,
-        # whose overall max is exactly max(bincount(pc), bincount(qc)).
-        tagged = state.arena.take("k1.tagged", 2 * survivors)
-        np.multiply(pc, 2, out=tagged[:survivors])
-        np.multiply(qc, 2, out=tagged[survivors:])
-        tagged[survivors:] += 1
-        if survivors * 16 >= state.graph.num_vertices:
-            hot = int(np.bincount(tagged).max())
-        else:
-            hot = int(np.unique(tagged, return_counts=True)[1].max())
+        hot = max(int(counts_p.max()), int(slot_counts(qc, n).max()))
         contention = (
             int(np.ceil(np.log(hot) + 0.5772)) if cfg.atomic_guards else hot
         )
@@ -618,6 +639,41 @@ def _union_overlay(
     return m, loads, added, len(dups)
 
 
+def _record_hops(
+    state: MstState, p: np.ndarray, q: np.ndarray, win_idx: np.ndarray
+) -> None:
+    """Record where this call's winner endpoints ended up, for k1.
+
+    With data-driven worklists and implicit path compression every k1
+    lane is a vertex that was a root when the previous k2 started: k1
+    stores its representatives ``pc``/``qc`` as the next front, and
+    after the swap k2, k3 and the next k1 all read that front (a
+    phase's first front comes from init, whose k1 finds the slow
+    way).  This k2 links only winner endpoints, so a lane that is not
+    one is still a root, and the next k1 needs ``(root, depth)`` only
+    at the winner endpoints.  The tables are written from ``parent``
+    after the links, whatever engine made them.
+
+    They never need resetting: a stale entry belongs to a vertex that
+    is no longer a root, which no later lane names, and a vertex that
+    stayed a root maps to itself at depth 0.  In fact every lane of
+    this front is a winner endpoint (k1 reserved each lane's minimum
+    entry on a clear ``minEdge``, and that entry wins), so the next k1
+    reads only entries written here.  It trusts them only for the
+    front this call saw (``_hop_key``, an identity check, so a
+    refilled or restored front falls back to the slow find).
+    """
+    n = state.parent.size
+    if state._hop_root is None:
+        state._hop_root = np.arange(n, dtype=np.int64)
+        state._hop_depth = np.zeros(n, dtype=np.int64)
+    ends = np.concatenate((p[win_idx], q[win_idx]))
+    roots, depth = resolve_roots(state.parent, ends, kernel="k2_union")
+    state._hop_root[ends] = roots
+    state._hop_depth[ends] = depth
+    state._hop_key = p
+
+
 def kernel2_union(state: MstState) -> int:
     """Check each WL1 entry against the recorded minima; include
     winners in the MST and join their sets (ECL CAS-style link-by-ID).
@@ -659,6 +715,12 @@ def kernel2_union(state: MstState) -> int:
     cas_attempts, union_loads, added, mirror_dups = _union_overlay(
         state, p, q, wl.eid, win_idx
     )
+    if (
+        cfg.data_driven
+        and cfg.implicit_path_compression
+        and dev.fault_injector is None
+    ):
+        _record_hops(state, p, q, win_idx)
 
     # --- accounting --------------------------------------------------
     eb, ecyc = _entry_prices(cfg)

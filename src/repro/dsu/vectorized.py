@@ -21,12 +21,18 @@ Two evaluations give identical roots and load counts:
 
 :func:`find_many` picks the table for batches of at least
 ``_TABLE_LANES_PER_VERTEX`` lanes per vertex — init's filtering pass
-and k1 on dense graphs resolve many times |V| lanes against a shallow
+on dense graphs resolves many times |V| lanes against a shallow
 forest — and the lane walk otherwise; :func:`find_many_columns` lets
 one table serve both endpoint columns of such a batch.  Corrupted
 state (an out-of-range pointer or a cycle anywhere in ``parent``)
 always takes the lane walk, so only lanes that actually reach it
 raise.
+
+The solver's k1 calls :func:`find_many_columns` only for the first
+round of a phase, in topology-driven configurations and with a fault
+injector armed; every other default-config k1 reads the tables the
+previous k2 recorded (``repro.core.kernels``), and the stages without
+implicit path compression find with :func:`compress_halving_many`.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ __all__ = [
 # few passes over |V| whatever the batch, and wins by 5x and more on
 # batches of several lanes per vertex whose lanes are several hops deep.
 # Measured on a 2-vCPU x86-64 VM over the 96 batches of at least |V|/4
-# lanes issued by solves of rmat22.sym (scale 8), USA-road-d.NY,
+# lanes that init phase 2 and every k1 issued (before k1 moved to the
+# last k2's hop tables) in solves of rmat22.sym (scale 8), USA-road-d.NY,
 # kron_g500-logn21, soc-LiveJournal1, coPapersDBLP, 2d-2e20.sym (scale
 # 4), europe_osm (2) and internet (1): total find time was flat for
 # crossovers of 1.5-4 lanes per vertex, 12% higher at 1 and 2.7x higher

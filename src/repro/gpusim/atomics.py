@@ -26,6 +26,8 @@ __all__ = [
     "unpack_weight",
     "unpack_edge_id",
     "atomic_min_u64",
+    "expected_executed",
+    "slot_counts",
 ]
 
 # All-ones sentinel: compares greater than every real weight:id key.
@@ -81,6 +83,26 @@ def unpack_edge_id(keys: np.ndarray) -> np.ndarray:
     )
 
 
+def slot_counts(idx: np.ndarray, size: int) -> np.ndarray:
+    """Lanes per distinct slot of ``idx`` (slots ``< size``), in
+    ascending slot order.
+
+    A sort-free bincount wins once the batch is a decent fraction of
+    the table.  Both paths yield the same counts in the same order, so
+    a float summation over them is bitwise-stable either way.
+    """
+    if idx.size * 16 >= size:
+        counts = np.bincount(idx)
+        return counts[counts > 0]
+    return np.unique(idx, return_counts=True)[1]
+
+
+def expected_executed(counts: np.ndarray) -> int:
+    """Guarded atomics executed over slots contended by ``counts``
+    lanes each: the harmonic number ``H(k) ≈ ln k + γ`` per slot."""
+    return int(np.ceil((np.log(counts) + 0.5772156649).sum()))
+
+
 def atomic_min_u64(
     target: np.ndarray,
     idx: np.ndarray,
@@ -121,17 +143,7 @@ def atomic_min_u64(
         lanes = np.flatnonzero(would_lower)
         cand_idx = idx[lanes]
         if cand_idx.size:
-            # Per-slot candidate counts: a sort-free bincount wins once
-            # the batch is a decent fraction of the table.  Both paths
-            # yield the counts in ascending slot order, so the float
-            # summation below is bitwise-stable either way.
-            if cand_idx.size * 16 >= target.size:
-                counts = np.bincount(cand_idx, minlength=target.size)
-                counts = counts[counts > 0]
-            else:
-                _, counts = np.unique(cand_idx, return_counts=True)
-            expected = np.log(counts) + 0.5772156649
-            executed = int(np.ceil(expected.sum()))
+            executed = expected_executed(slot_counts(cand_idx, target.size))
             np.minimum.at(target, cand_idx, keys[lanes])
         else:
             executed = 0

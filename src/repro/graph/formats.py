@@ -28,19 +28,26 @@ from .csr import CSRGraph
 __all__ = ["load_dimacs", "save_dimacs", "load_metis", "save_metis", "read_lines"]
 
 
-def read_lines(path, name: str) -> tuple[list[str], str]:
-    """The lines of a text graph file or stream, and the ``where`` its
-    errors name (the path, or ``name`` for a stream).
+def read_lines(
+    path, name: str | None, stream_name: str
+) -> tuple[list[str], str, str]:
+    """The lines of a text graph file or stream, the ``where`` its
+    errors name (the path, or the graph name for a stream), and the
+    graph name: ``name`` if given, else the file's stem, or
+    ``stream_name`` for a stream.
 
     The one line reader of the three text formats: text that is not
     UTF-8 raises :class:`GraphFormatError` instead of a decode error.
     """
     stream = isinstance(path, io.TextIOBase)
+    if name is None:
+        name = stream_name if stream else Path(path).stem
     where = name if stream else str(path)
     try:
         if stream:
-            return path.read().splitlines(), where
-        return Path(path).read_bytes().decode("utf-8").splitlines(), where
+            return path.read().splitlines(), where, name
+        text = Path(path).read_bytes().decode("utf-8")
+        return text.splitlines(), where, name
     except UnicodeDecodeError as exc:
         if not stream:  # the file's own bytes: name the line
             line = exc.object.count(b"\n", 0, exc.start) + 1
@@ -61,11 +68,12 @@ def _ints(tokens: list[str], where: str, lineno: int) -> list[int]:
 # DIMACS .gr
 # ----------------------------------------------------------------------
 def load_dimacs(
-    path: str | os.PathLike | io.TextIOBase, *, name: str = "dimacs"
+    path: str | os.PathLike | io.TextIOBase, *, name: str | None = None
 ) -> CSRGraph:
     """Read a DIMACS shortest-path ``.gr`` file; its arc lines must
-    number exactly the problem line's ``m``."""
-    lines, where = read_lines(path, name)
+    number exactly the problem line's ``m``.  The graph is named
+    ``name``, else the file's stem (``dimacs`` for a stream)."""
+    lines, where, name = read_lines(path, name, "dimacs")
     n = m = None
     us: list[int] = []
     vs: list[int] = []
@@ -120,11 +128,12 @@ def save_dimacs(graph: CSRGraph, path: str | os.PathLike) -> None:
 # METIS .graph
 # ----------------------------------------------------------------------
 def load_metis(
-    path: str | os.PathLike | io.TextIOBase, *, name: str = "metis"
+    path: str | os.PathLike | io.TextIOBase, *, name: str | None = None
 ) -> CSRGraph:
     """Read a METIS/Chaco ``.graph`` file (fmt 0 or 1); its adjacency
-    entries must number exactly twice the header's ``m``."""
-    lines, where = read_lines(path, name)
+    entries must number exactly twice the header's ``m``.  The graph is
+    named ``name``, else the file's stem (``metis`` for a stream)."""
+    lines, where, name = read_lines(path, name, "metis")
     rows = [(i, l) for i, l in enumerate(lines, 1) if not l.lstrip().startswith("%")]
     # The header is the first non-blank line; adjacency lines may be
     # blank (isolated vertices), so only leading/trailing blanks drop.

@@ -155,14 +155,16 @@ def load_edge_list(
     path: str | os.PathLike | io.TextIOBase,
     *,
     num_vertices: int | None = None,
-    name: str = "edge-list",
+    name: str | None = None,
 ) -> CSRGraph:
     """Read a whitespace-separated ``u v [w]`` edge list.
 
     Lines starting with ``#`` are comments.  Missing weights default to
-    1.  ``num_vertices`` defaults to ``max endpoint + 1``.
+    1.  ``num_vertices`` defaults to ``max endpoint + 1``.  The graph
+    is named ``name``, else the file's stem (``edge-list`` for a
+    stream).
     """
-    lines, where = read_lines(path, name)
+    lines, where, name = read_lines(path, name, "edge-list")
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []

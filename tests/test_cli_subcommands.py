@@ -84,6 +84,37 @@ class TestConvertAndMst:
         assert main(["mst", str(path)]) == 0
         assert "weight 7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "suffix, text",
+        [
+            (".gr", "p sp 3 3\na 1 2 5\na 2 3 2\na 1 3 9\n"),
+            (".graph", "3 3 1\n2 5 3 9\n1 5 3 2\n1 9 2 2\n"),
+            (".txt", "0 1 5\n1 2 2\n0 2 9\n"),
+        ],
+        ids=["gr", "graph", "txt"],
+    )
+    def test_mst_out_names_the_file(self, tmp_path, capsys, suffix, text):
+        path = tmp_path / f"tri{suffix}"
+        path.write_text(text)
+        out = tmp_path / "mst.txt"
+        assert main(["mst", str(path), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "# MSF of tri: weight 7"
+
+    @pytest.mark.parametrize("fmt", ["dimacs", "metis", "edge-list"])
+    def test_streams_keep_their_format_name(self, fmt):
+        import io
+
+        from repro.graph.formats import load_dimacs, load_metis
+        from repro.graph.io import load_edge_list
+
+        load, text = {
+            "dimacs": (load_dimacs, "p sp 2 1\na 1 2 7\n"),
+            "metis": (load_metis, "2 1\n2\n1\n"),
+            "edge-list": (load_edge_list, "0 1 7\n"),
+        }[fmt]
+        assert load(io.StringIO(text)).name == fmt
+        assert load(io.StringIO(text), name="roads").name == "roads"
+
 
 class TestBadInputs:
     @pytest.mark.parametrize(
