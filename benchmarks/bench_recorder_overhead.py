@@ -24,30 +24,31 @@ SERVICE_SCALE = 0.06
 INPUTS = ("internet", "2d-2e20.sym", "r4-2e23.sym", "USA-road-d.NY")
 WORKERS = 4
 REPS = 4  # visits per input; visits after the first hit the result cache
+CALLS = 200  # back-to-back calls per timed hook
+REPEATS = 15  # rounds per input; every figure is its best round
 
 
-def _batch(tag: str, *, with_fault: bool, reps: int = REPS) -> list[Query]:
+def _batch(tag: str) -> list[Query]:
     """Representative serve traffic: one cold execution per input,
-    then repeat visits answered by the result cache; optionally one
+    then repeat visits answered by the result cache, and one
     deterministic failure so the recorder's capture path is part of
     the measured loop."""
     queries = [
         Query(input=name, id=f"{name}#{tag}r{r}", scale=SERVICE_SCALE)
-        for r in range(reps)
+        for r in range(REPS)
         for name in INPUTS
     ]
-    if with_fault:
-        queries.append(
-            Query(
-                input="internet",
-                id=f"boom#{tag}",
-                scale=SERVICE_SCALE,
-                n_faults=1,
-                check_cadence=0,
-                fault_kinds=("kernel-fail",),
-                fault_seed=7,
-            )
+    queries.append(
+        Query(
+            input="internet",
+            id=f"boom#{tag}",
+            scale=SERVICE_SCALE,
+            n_faults=1,
+            check_cadence=0,
+            fault_kinds=("kernel-fail",),
+            fault_seed=7,
         )
+    )
     return queries
 
 
@@ -59,24 +60,21 @@ def _config(recorder_on: bool, pm_dir: Path) -> ServiceConfig:
     )
 
 
-def _serve(recorder_on: bool, pm_dir: Path, tag: str, *, with_fault: bool = True):
+def _serve(recorder_on: bool, pm_dir: Path, tag: str):
     with MSTService(_config(recorder_on, pm_dir)) as svc:
-        t0 = time.perf_counter()
-        outs = svc.run_batch(_batch(tag, with_fault=with_fault))
-        wall = time.perf_counter() - t0
-    return outs, wall
+        return svc.run_batch(_batch(tag))
 
 
 def test_recorder_off(benchmark, tmp_path):
     outs = benchmark.pedantic(
-        lambda: _serve(False, tmp_path, "off")[0], rounds=3, iterations=1
+        lambda: _serve(False, tmp_path, "off"), rounds=3, iterations=1
     )
     assert sum(1 for o in outs if o.ok) == len(INPUTS) * REPS
 
 
 def test_recorder_on(benchmark, tmp_path):
     outs = benchmark.pedantic(
-        lambda: _serve(True, tmp_path / "pm", "on")[0], rounds=3, iterations=1
+        lambda: _serve(True, tmp_path / "pm", "on"), rounds=3, iterations=1
     )
     assert sum(1 for o in outs if o.ok) == len(INPUTS) * REPS
     # The seeded fault dropped a postmortem bundle while being timed.
@@ -87,9 +85,7 @@ def test_recorder_does_not_perturb_results(benchmark, tmp_path):
     """Solver outputs must be bit-identical with the recorder on."""
 
     def both():
-        off, _ = _serve(False, tmp_path, "x")
-        on, _ = _serve(True, tmp_path / "pm", "x")
-        return off, on
+        return _serve(False, tmp_path, "x"), _serve(True, tmp_path / "pm", "x")
 
     off, on = benchmark.pedantic(both, rounds=1, iterations=1)
     assert [o.id for o in off] == [o.id for o in on]
@@ -98,22 +94,22 @@ def test_recorder_does_not_perturb_results(benchmark, tmp_path):
         assert a.error == b.error, a.id
 
 
-def _ns_per_call(fn, calls: int) -> float:
-    """Mean nanoseconds per call over ``calls`` back-to-back calls."""
+def _ns_per_call(fn) -> float:
+    """Mean nanoseconds per call over ``CALLS`` back-to-back calls."""
     t0 = time.perf_counter_ns()
-    for _ in range(calls):
+    for _ in range(CALLS):
         fn()
-    return (time.perf_counter_ns() - t0) / calls
+    return (time.perf_counter_ns() - t0) / CALLS
 
 
-def measure_per_call(pm_dir: Path, *, calls: int = 200, repeats: int = 15) -> dict:
+def measure_per_call(pm_dir: Path) -> dict:
     """Per-query cost of the recorder's two serve-path hooks.
 
     For one query per input: ``observe_outcome`` on its ok outcome (the
     ring entry every finished query pays; a failed one also writes a
     bundle, which is the incident path and not timed here) and
-    ``record_spans`` on its trace, in ns per call over ``calls``
-    back-to-back calls.  Each of ``repeats`` rounds executes the query
+    ``record_spans`` on its trace, in ns per call over ``CALLS``
+    back-to-back calls.  Each of ``REPEATS`` rounds executes the query
     once and then times both hooks, so host-speed drift hits all three
     alike; every figure is its best round.  ``overhead_ratio`` divides
     the two hooks' sum by the query's own execution wall, so the
@@ -131,17 +127,17 @@ def measure_per_call(pm_dir: Path, *, calls: int = 200, repeats: int = 15) -> di
         graph = resolve_input(name, SERVICE_SCALE)[1]()
         query = Query(input=name, id=f"{name}#micro", scale=SERVICE_SCALE)
         query_ns = observe = spans = float("inf")
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             tracer = Tracer()
             t0 = time.perf_counter_ns()
             out = execute_query(query, graph, tracer=tracer)
             query_ns = min(query_ns, time.perf_counter_ns() - t0)
             assert out.ok, out.error
             observe = min(observe, _ns_per_call(
-                lambda: rec.observe_outcome(out, query=query), calls
+                lambda: rec.observe_outcome(out, query=query)
             ))
             spans = min(spans, _ns_per_call(
-                lambda: rec.record_spans(query.id, tracer), calls
+                lambda: rec.record_spans(query.id, tracer)
             ))
         rows[name] = {
             "spans": len(tracer.spans()),
@@ -151,8 +147,8 @@ def measure_per_call(pm_dir: Path, *, calls: int = 200, repeats: int = 15) -> di
             "overhead_ratio": (observe + spans) / query_ns,
         }
     return {
-        "calls": calls,
-        "repeats": repeats,
+        "calls": CALLS,
+        "repeats": REPEATS,
         "inputs": rows,
         "overhead_ratio": max(r["overhead_ratio"] for r in rows.values()),
     }

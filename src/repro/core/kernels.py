@@ -327,8 +327,9 @@ def kernel1_reserve(state: MstState) -> int:
     wl = state.wl.front
     inj = dev.fault_injector
 
-    if state._hop_key is wl.v and inj is None:
-        # The last k2 ran on exactly this front (see _record_hops).
+    if state._hop_key is wl.v:
+        # The last k2 ran on exactly this front (see _record_hops),
+        # and it records only while no fault injector is armed.
         p, q = state._hop_root[wl.v], state._hop_root[wl.n]
         depth = state._hop_depth
         loads = 2 * len(wl) + int(depth[wl.v].sum()) + int(depth[wl.n].sum())
@@ -644,24 +645,20 @@ def _record_hops(
 ) -> None:
     """Record where this call's winner endpoints ended up, for k1.
 
-    With data-driven worklists and implicit path compression every k1
-    lane is a vertex that was a root when the previous k2 started: k1
-    stores its representatives ``pc``/``qc`` as the next front, and
-    after the swap k2, k3 and the next k1 all read that front (a
-    phase's first front comes from init, whose k1 finds the slow
-    way).  This k2 links only winner endpoints, so a lane that is not
-    one is still a root, and the next k1 needs ``(root, depth)`` only
-    at the winner endpoints.  The tables are written from ``parent``
-    after the links, whatever engine made them.
-
-    They never need resetting: a stale entry belongs to a vertex that
-    is no longer a root, which no later lane names, and a vertex that
-    stayed a root maps to itself at depth 0.  In fact every lane of
-    this front is a winner endpoint (k1 reserved each lane's minimum
-    entry on a clear ``minEdge``, and that entry wins), so the next k1
-    reads only entries written here.  It trusts them only for the
-    front this call saw (``_hop_key``, an identity check, so a
-    refilled or restored front falls back to the slow find).
+    Every vertex of this front is a winner endpoint of this call, so
+    the next k1 reads only entries written here.  With data-driven
+    worklists and implicit path compression, k1 stores its
+    representatives ``pc``/``qc`` as the next front, and after the
+    swap k2, k3 and the next k1 all read that front (a phase's first
+    front comes from init, whose k1 finds the slow way).  k1 left
+    each front vertex's ``minEdge`` slot at the minimum of its
+    entries, so that entry wins here and the vertex is linked or
+    kept as a root by this call.  Hence the tables never need
+    resetting, and they are written from ``parent`` after the links,
+    whatever engine made them.  k1 trusts them only for the front
+    this call saw (``_hop_key``, an identity check): a refilled
+    front, or one a checkpoint restore copied back, falls back to
+    the slow find.
     """
     n = state.parent.size
     if state._hop_root is None:

@@ -39,10 +39,7 @@ FILTER_SEEDS = (1, 2, 3)
 
 
 def _uses_hop_tables(state) -> bool:
-    return (
-        state._hop_key is state.wl.front.v
-        and state.device.fault_injector is None
-    )
+    return state._hop_key is state.wl.front.v
 
 
 def _checked_k1(state) -> tuple[bool, int]:
