@@ -37,6 +37,7 @@ import sys
 from pathlib import Path
 
 from .bench.experiments import DEFAULT_SCALE, EXPERIMENTS
+from .core.config import DEOPT_STAGE_NAMES
 from .graph.io import load_graph, resolve_input, save_graph
 
 __all__ = ["main"]
@@ -148,39 +149,22 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _traced_run(args):
-    """Run one (instrumented) code under a tracer; shared by
-    ``profile`` and ``dashboard``."""
-    from .baselines.registry import get_runner
-    from .bench.harness import SYSTEM1, SYSTEM2
-    from .core.config import DEOPT_STAGES, EclMstConfig
-    from .core.eclmst import ecl_mst
+def _traced_query(args):
+    """Run the ``profile``/``dashboard`` flags' query through the
+    service's execution path; returns ``(result, tracer)``."""
     from .obs import Tracer
+    from .service.engine import run_query
+    from .service.query import Query
 
-    system = SYSTEM1 if args.system == 1 else SYSTEM2
+    query = Query(
+        input=args.input,
+        code=args.code,
+        system=args.system,
+        scale=args.scale,
+        stage=getattr(args, "stage", None),
+    )
     tracer = Tracer()
-    # Loading/generating the input is host work worth seeing in the
-    # self-profile, so it happens under the tracer too.
-    with tracer.span("load input", kind="host", input=args.input):
-        g = resolve_input(args.input, args.scale)[1]()
-    stage = getattr(args, "stage", None)
-    code = getattr(args, "code", "ECL-MST")
-    if stage is not None:
-        if stage not in DEOPT_STAGES:
-            raise SystemExit(
-                f"unknown de-opt stage {stage!r}; choose from "
-                f"{', '.join(DEOPT_STAGES)}"
-            )
-        result = ecl_mst(g, DEOPT_STAGES[stage], gpu=system.gpu, tracer=tracer)
-    elif code == "ECL-MST":
-        result = ecl_mst(g, EclMstConfig(), gpu=system.gpu, tracer=tracer)
-    else:
-        runner = get_runner(code)
-        result = runner.run(g, gpu=system.gpu, cpu=system.cpu, tracer=tracer)
-        if runner.kind == "gpu":
-            # GPU baselines price against the same spec; let the
-            # profile attribute their kernels on the roofline too.
-            result.extra.setdefault("gpu_spec", system.gpu)
+    _graph, result = run_query(query, tracer)
     return result, tracer
 
 
@@ -211,7 +195,7 @@ def _render_host_hotspots(profile) -> str:
 def _cmd_profile(args) -> int:
     from .obs import RunProfile, diff, to_chrome_trace_json, to_ndjson
 
-    result, tracer = _traced_run(args)
+    result, tracer = _traced_query(args)
     profile = RunProfile.from_result(result, tracer=tracer)
     if args.baseline:
         baseline = RunProfile.load(args.baseline)
@@ -498,7 +482,7 @@ def _cmd_dashboard(args) -> int:
         # No saved profile: run the input fresh and profile it.
         from .obs import RunProfile
 
-        result, tracer = _traced_run(args)
+        result, tracer = _traced_query(args)
         profile = RunProfile.from_result(result, tracer=tracer).to_dict()
     from .obs.recorder import recent_bundles
 
@@ -700,6 +684,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--code", default="ECL-MST", help="MST code to run")
     p_prof.add_argument(
         "--stage",
+        choices=DEOPT_STAGE_NAMES,
         help="run ECL-MST at a Table-5 de-optimization stage "
         "(e.g. 'No Atomic Guards')",
     )

@@ -326,7 +326,7 @@ def ecl_mst(
         vertices=graph.num_vertices,
         edges=graph.num_edges,
         filtering=plan.active,
-    ):
+    ) as run_span:
         # Host-side setup under its own span so the simulator's own
         # Python cost (state arrays, weight table) shows up in
         # host_hotspots alongside the modeled time.
@@ -385,11 +385,10 @@ def ecl_mst(
         sel, degraded = guard.finalize(graph, sel, fell_through)
         if degraded:
             algorithm = "ecl-mst+serial-fallback"
-        if tracer.enabled:
-            tracer.roots[-1].annotate(
-                resilience_detected=guard.stats.detected,
-                resilience_fallback=degraded,
-            )
+        run_span.annotate(
+            resilience_detected=guard.stats.detected,
+            resilience_fallback=degraded,
+        )
 
     total_weight = int(weight_of_edge[sel].sum(dtype=np.int64))
     # Host<->device traffic for the "memcpy" rows: CSR down, edge mask up.

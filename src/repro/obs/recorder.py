@@ -3,8 +3,8 @@
 A serving process that dies with exit 4/5/6 — or quietly burns an SLO
 — used to take its evidence with it.  This module is the black box:
 the :class:`FlightRecorder` keeps cheap bounded ring buffers of what
-just happened (recent events, per-query span summaries, query
-outcomes), and on any failure signal freezes them — plus the
+just happened (recent events, query outcomes, and each executed
+query's span tree), and on any failure signal freezes them — plus the
 offending query's full reproduction key — into a self-contained
 on-disk **postmortem bundle** that the ``repro-mst postmortem`` and
 ``repro-mst replay`` CLI verbs consume.
@@ -70,6 +70,7 @@ __all__ = [
     "recent_bundles",
     "render_postmortem",
     "replay_bundle",
+    "span_rows",
 ]
 
 BUNDLE_SCHEMA = "repro.obs.postmortem/v1"
@@ -92,10 +93,9 @@ _FAILURE_STATUSES = ("error", "timeout")
 # default to on.
 EVENTS_CAPACITY = 512
 OUTCOMES_CAPACITY = 256
-SPANS_CAPACITY = 512
-# Non-kernel spans kept per executed query (kernels collapse into one
-# summary entry — a single run can launch thousands).
-SPANS_PER_QUERY = 32
+# The span ring holds whole query trees by reference, so it is
+# counted in queries.
+TREES_CAPACITY = 16
 # Per-(reason, spec) bundle cooldown: a failure storm on one spec
 # writes one bundle per window, and counts the rest as suppressed.
 BUNDLE_COOLDOWN_S = 30.0
@@ -152,7 +152,7 @@ class FlightRecorder:
         self._service = None
         self._events: deque = deque(maxlen=EVENTS_CAPACITY)
         self._outcomes: deque = deque(maxlen=OUTCOMES_CAPACITY)
-        self._spans: deque = deque(maxlen=SPANS_CAPACITY)
+        self._trees: deque = deque(maxlen=TREES_CAPACITY)
         self._local = threading.local()
         self._cd_lock = threading.Lock()
         self._cooldowns: dict[str, float] = {}
@@ -209,47 +209,11 @@ class FlightRecorder:
                 outcome=outcome,
             )
 
-    def record_spans(self, query_id: str, tracer) -> None:
-        """Summarize one executed query's trace into the span ring.
-
-        Non-kernel spans (service/host/run/phase/round) are kept
-        individually up to :data:`SPANS_PER_QUERY`; kernel launches — often
-        thousands per run — collapse into one summary entry.
-        """
-        try:
-            spans = tracer.spans()
-        except Exception:
-            return
-        kept = 0
-        kernels = 0
-        kernel_s = 0.0
-        for s in spans:
-            if s.kind == "kernel":
-                kernels += 1
-                kernel_s += s.modeled_seconds or 0.0
-                continue
-            if kept >= SPANS_PER_QUERY:
-                continue
-            kept += 1
-            self._spans.append(
-                {
-                    "query": query_id,
-                    "name": s.name,
-                    "kind": s.kind,
-                    "wall_s": round(s.wall_seconds or 0.0, 6),
-                    "modeled_s": round(s.modeled_seconds or 0.0, 9),
-                }
-            )
-        if kernels:
-            self._spans.append(
-                {
-                    "query": query_id,
-                    "name": f"[{kernels} kernel launches]",
-                    "kind": "kernel-summary",
-                    "wall_s": 0.0,
-                    "modeled_s": round(kernel_s, 9),
-                }
-            )
+    def record_spans(self, query_id: str, root) -> None:
+        """Keep one executed query's span tree: its ``query <id>``
+        root span, held by reference until the read side flattens it
+        (:func:`span_rows`)."""
+        self._trees.append((query_id, root))
 
     # ------------------------------------------------------------------
     # Capture
@@ -397,7 +361,7 @@ class FlightRecorder:
             "rings": {
                 "events": list(self._events),
                 "outcomes": list(self._outcomes),
-                "spans": list(self._spans),
+                "spans": span_rows(list(self._trees)),
             },
             "statusz": statusz,
             "metrics": metrics,
@@ -445,7 +409,7 @@ class FlightRecorder:
         return {
             "obs.recorder.events": float(len(self._events)),
             "obs.recorder.outcomes": float(len(self._outcomes)),
-            "obs.recorder.spans": float(len(self._spans)),
+            "obs.recorder.spans": float(len(self._trees)),
         }
 
     def debug_snapshot(
@@ -453,13 +417,14 @@ class FlightRecorder:
         *,
         events_tail: int = 80,
         outcomes_tail: int = 25,
-        spans_tail: int = 40,
+        queries_tail: int = 4,
     ) -> dict:
         """The admin ``/debugz`` body: ring tails + recent bundles.
 
         Each ring is snapshotted with one ``list(deque)`` call —
         atomic under the GIL — so concurrent worker appends never
-        produce a torn read.
+        produce a torn read.  ``spans`` holds the rows of the last
+        ``queries_tail`` executed queries' trees.
         """
         return {
             "enabled": True,
@@ -470,14 +435,46 @@ class FlightRecorder:
                 for name, ring in (
                     ("events", self._events),
                     ("outcomes", self._outcomes),
-                    ("spans", self._spans),
+                    ("spans", self._trees),
                 )
             },
             "events": list(self._events)[-events_tail:],
             "outcomes": list(self._outcomes)[-outcomes_tail:],
-            "spans": list(self._spans)[-spans_tail:],
+            "spans": span_rows(list(self._trees)[-queries_tail:]),
             "bundles": recent_bundles(self.dir),
         }
+
+
+def span_rows(trees) -> list[dict]:
+    """Flatten ``(query_id, root span)`` trees into rows, depth-first.
+
+    Every row carries its ``query`` and its ``parent`` span's ID
+    (``None`` at the root).  A span's kernel launches — often thousands
+    per run — fold into one ``kernel-summary`` row under it.
+    """
+    rows: list[dict] = []
+    for qid, root in trees:
+        for sp, _depth, parent in root.walk():
+            if sp.kind == "kernel":
+                continue
+            kernels = [c for c in sp.children if c.kind == "kernel"]
+            groups = [(sp.id, getattr(parent, "id", None), sp.name, sp.kind, [sp])]
+            if kernels:
+                name = f"[{len(kernels)} kernel launches]"
+                groups.append((None, sp.id, name, "kernel-summary", kernels))
+            for span_id, parent_id, name, kind, spans in groups:
+                rows.append({
+                    "query": qid,
+                    "id": span_id,
+                    "parent": parent_id,
+                    "name": name,
+                    "kind": kind,
+                    "wall_s": round(sum(s.wall_seconds for s in spans), 6),
+                    "modeled_s": round(
+                        sum(s.modeled_seconds or 0.0 for s in spans), 9
+                    ),
+                })
+    return rows
 
 
 def _slug(text: str, *, limit: int = 48) -> str:

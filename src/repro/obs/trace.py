@@ -265,11 +265,6 @@ class Tracer:
             out = [sp for sp in out if sp.kind == kind]
         return out
 
-    def clear(self) -> None:
-        self.roots = []
-        self._stack = []
-        self._next_id = 0
-
 
 def host_hotspots(tracer, top: int | None = 10) -> list[dict]:
     """The simulator's own Python hot spots: *self* wall-clock per span.

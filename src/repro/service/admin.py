@@ -16,8 +16,8 @@ four classic operational endpoints:
   :class:`~repro.obs.profile.RunProfile` as JSON (requires
   ``ServiceConfig.keep_profile``; ``404`` until a query has executed).
 * ``/debugz``    — the flight recorder's black box: ring-buffer tails
-  (events, outcomes, span summaries) plus the list of recent
-  postmortem bundles on disk (requires the recorder, which
+  (events, outcomes, and the last executed queries' span trees as
+  rows) plus the list of recent postmortem bundles on disk (requires the recorder, which
   ``ServiceConfig`` arms by default; ``404`` when disabled).
 
 Metric names are sanitized for Prometheus (dots → underscores, a

@@ -20,8 +20,8 @@ objects through a three-level pipeline:
    deduplication: concurrent queries with the same spec key attach to
    one execution (``served_by = "coalesced"``).
 
-Each query executes under its own tracer (host ``load``/``run`` spans
-feed the outcome's latency breakdown) and its own resilience scope:
+Each query executes under its own tracer (one ``query <id>`` span
+tree, :func:`run_query`) and its own resilience scope:
 faults and the recovery ladder are per-query, and a failing query
 returns a typed error outcome instead of poisoning the pool.
 
@@ -74,7 +74,7 @@ from .outcome import (
 )
 from .query import Query, QueryError, result_key
 
-__all__ = ["MSTService", "ServiceConfig", "Ticket", "execute_query"]
+__all__ = ["MSTService", "ServiceConfig", "Ticket", "execute_query", "run_query"]
 
 # The degraded-mode algorithm: the paper's serial Kruskal reference,
 # already a registered baseline runner.
@@ -124,9 +124,10 @@ class ServiceConfig:
 def _graph_source(query: Query):
     """The query input's ``(build-cache key, loader)``; loading an
     unknown suite input fails as a :class:`QueryError` naming the
-    query."""
+    query, unless the query is named by its input (as in ``profile``),
+    where the error already names it."""
     key, load = resolve_input(query.input, query.scale)
-    if key[0] == "file":
+    if key[0] == "file" or query.id == query.input:
         return key, load
 
     def build():
@@ -160,6 +161,31 @@ def _build_fault_plan(query: Query, config, graph, gpu):
     )
 
 
+def run_query(
+    query: Query,
+    tracer,
+    graph=None,
+    *,
+    slowdown: float = 1.0,
+    deadline: float | None = None,
+    events=None,
+):
+    """The one execution path of a query, shared by the service and
+    the ``profile``/``dashboard`` verbs: under a ``query <id>`` span,
+    ``load input`` resolves ``graph`` (unless the build cache did) and
+    ``run`` dispatches the code.  Returns ``(graph, result)``; failures
+    propagate typed."""
+    with tracer.span(f"query {query.id}", kind="service", query=query.id):
+        with tracer.span("load input", kind="host", input=query.input):
+            if graph is None:
+                graph = _graph_source(query)[1]()
+        with tracer.span("run", kind="host", code=query.code):
+            result = _run_code(
+                query, graph, tracer, slowdown=slowdown, deadline=deadline, events=events
+            )
+    return graph, result
+
+
 def execute_query(
     query: Query,
     graph=None,
@@ -174,8 +200,8 @@ def execute_query(
 
     Raises nothing query-related: every typed failure becomes an error
     outcome.  ``graph`` may be pre-resolved (build cache); ``tracer``
-    defaults to a fresh per-query :class:`Tracer`.  ``profile_sink``,
-    when given, receives the finished run's
+    (no open span) defaults to a fresh one.  ``profile_sink``, when
+    given, receives the finished run's
     :class:`~repro.obs.profile.RunProfile` as a plain dict (the admin
     server's ``/profilez`` payload) — it is only called on success.
     ``slowdown`` uniformly slows the modeled hardware by that exact
@@ -190,23 +216,9 @@ def execute_query(
     tracer = tracer or Tracer()
     t0 = time.perf_counter()
     try:
-        with tracer.span(f"query {query.id}", kind="service", query=query.id):
-            with tracer.span("load input", kind="host", input=query.input):
-                if graph is None:
-                    graph = _graph_source(query)[1]()
-                fingerprint = graph_fingerprint(graph)
-            load_s = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            with tracer.span("run", kind="host", code=query.code):
-                result = _run_code(
-                    query,
-                    graph,
-                    tracer,
-                    slowdown=slowdown,
-                    deadline=deadline,
-                    events=events,
-                )
-            run_s = time.perf_counter() - t1
+        graph, result = run_query(
+            query, tracer, graph, slowdown=slowdown, deadline=deadline, events=events
+        )
     except BaseException as exc:  # typed failures -> error outcome
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             raise
@@ -225,6 +237,8 @@ def execute_query(
         except Exception:  # profiling must never fail the query
             pass
 
+    load, run = tracer.roots[-1].children
+    fingerprint = graph_fingerprint(graph)
     return QueryOutcome(
         id=query.id,
         input=query.input,
@@ -241,8 +255,8 @@ def execute_query(
         metrics=collect_result_metrics(result),
         resilience=dict(result.extra.get("resilience") or {}),
         result_key=result_key(fingerprint["digest"], query),
-        load_seconds=load_s,
-        run_seconds=run_s,
+        load_seconds=load.wall_seconds,
+        run_seconds=run.wall_seconds,
         latency_s=time.perf_counter() - t0,
     )
 
@@ -304,6 +318,10 @@ def _run_code(
             f"choose from {', '.join(RUNNERS)}"
         ) from None
     result = runner.run(graph, gpu=system.gpu, cpu=system.cpu, tracer=tracer)
+    if runner.kind == "gpu":
+        # GPU baselines price against the same spec; the run profile
+        # attributes their kernels on the roofline with it.
+        result.extra.setdefault("gpu_spec", system.gpu)
     if query.verify:
         from ..core.verify import verify_mst
 
@@ -749,7 +767,7 @@ class MSTService:
             events=self.events,
         )
         if self.recorder is not None:
-            self.recorder.record_spans(query.id, tracer)
+            self.recorder.record_spans(query.id, tracer.roots[0])
         if pol is not None:
             pol.breaker_record(digest, ok=outcome.ok, query_id=query.id)
             if pol.cfg.quarantine_on:

@@ -29,8 +29,17 @@ class TestTrace:
         )
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines
-        for line in lines:
-            assert "name" in json.loads(line)
+        records = [json.loads(line) for line in lines]
+        assert all("name" in r for r in records)
+        # The service's query tree: `query <id>` over the two host spans.
+        root = records[0]
+        assert (root["kind"], root["name"], root["parent_id"]) == (
+            "service", "query internet", None
+        )
+        children = [
+            (r["kind"], r["name"]) for r in records if r["parent_id"] == root["id"]
+        ]
+        assert children == [("host", "load input"), ("host", "run")]
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "trace.json"
@@ -73,6 +82,22 @@ class TestProfile:
             main(
                 ["profile", "internet", "--scale", SCALE, "--stage", "bogus"]
             )
+
+    @pytest.mark.parametrize("verb", ["profile", "dashboard"])
+    def test_unknown_code_is_an_input_error(self, verb, capsys, tmp_path):
+        argv = [verb, "internet", "--scale", SCALE, "--code", "Bogus"]
+        if verb == "dashboard":
+            argv += ["--out", str(tmp_path / "dash.html")]
+        assert main(argv) == 3
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("input error:") and "'Bogus'" in line
+
+    def test_stage_with_a_baseline_code_is_an_input_error(self, capsys):
+        argv = ["profile", "internet", "--scale", SCALE,
+                "--code", "Jucele GPU", "--stage", "No Filter"]
+        assert main(argv) == 3
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("input error:") and "only to ECL-MST" in line
 
     def test_baseline_diff(self, capsys, tmp_path):
         base = tmp_path / "base.json"

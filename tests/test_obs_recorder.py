@@ -103,6 +103,47 @@ class TestRingsAndTee:
         assert (entry["query"], entry["run"]) == ("a", "r1")
 
 
+class TestSpanRing:
+    def test_ring_holds_query_trees_counted_in_queries(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(recorder, "TREES_CAPACITY", 2)
+        with service(tmp_path, workers=1) as svc:
+            svc.run_batch([ok_query(f"q{i}", stage=stage) for i, stage in
+                           enumerate(("ECL-MST", "No Filter", "Thread-Based"))])
+        trees = list(svc.recorder._trees)
+        assert [qid for qid, _ in trees] == ["q1", "q2"]
+        assert [root.name for _, root in trees] == ["query q1", "query q2"]
+        assert svc.metrics()["obs.recorder.spans"] == 2.0
+
+    def test_rows_link_parents_and_fold_kernels(self, tmp_path):
+        with service(tmp_path) as svc:
+            svc.run_batch([ok_query("a")])
+        ((_, root),) = svc.recorder._trees
+        rows = recorder.span_rows([("a", root)])
+        assert all(r["query"] == "a" for r in rows)
+        assert rows[0]["parent"] is None and rows[0]["name"] == "query a"
+        ids = {r["id"] for r in rows if r["id"] is not None}
+        assert all(r["parent"] in ids for r in rows[1:])
+        assert "kernel" not in {r["kind"] for r in rows}
+        # One summary row per span that launched kernels, and together
+        # they count every launch in the tree.
+        summaries = [r for r in rows if r["kind"] == "kernel-summary"]
+        parents = {sp.id for sp, _, _ in root.walk()
+                   if any(c.kind == "kernel" for c in sp.children)}
+        assert sorted(r["parent"] for r in summaries) == sorted(parents)
+        launches = sum(int(r["name"][1:].split()[0]) for r in summaries)
+        assert launches == sum(1 for sp, _, _ in root.walk() if sp.kind == "kernel")
+
+    def test_bundle_carries_the_failing_query_tree(self, tmp_path):
+        with service(tmp_path) as svc:
+            svc.run_batch([fault_query()])
+        rows = load_bundle(outcome_bundle(tmp_path))["rings"]["spans"]
+        boom = [r for r in rows if r["query"] == "boom"]
+        root = boom[0]
+        assert (root["name"], root["parent"]) == ("query boom", None)
+        children = [r["name"] for r in boom if r["parent"] == root["id"]]
+        assert children == ["load input", "run"]
+
+
 # ---------------------------------------------------------------------------
 # Capture
 # ---------------------------------------------------------------------------

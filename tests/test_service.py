@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from repro.obs.metrics import Histogram
+from repro.obs.trace import Tracer
 from repro.service import (
     LRUCache,
     MSTService,
@@ -477,3 +478,29 @@ class TestOtherCodes:
         assert out.load_seconds > 0
         assert out.run_seconds > 0
         assert out.metrics["run.total_weight"] == out.total_weight
+
+    def test_load_and_run_seconds_are_the_span_walls(self):
+        tracer = Tracer()
+        out = execute_query(q(id="w"), tracer=tracer)
+        (root,) = tracer.roots
+        load, run = root.children
+        assert (root.name, load.name, run.name) == ("query w", "load input", "run")
+        assert out.load_seconds == load.wall_seconds
+        assert out.run_seconds == run.wall_seconds
+
+    def test_resilience_annotates_the_solver_run_span(self):
+        # Under the service the tracer's root is the ``query <id>``
+        # span; the guard's verdict belongs on the solver's own span.
+        tracer = Tracer()
+        assert execute_query(q(id="r", check_cadence=1), tracer=tracer).ok
+        (run,) = tracer.spans(kind="run")
+        assert run.attrs["resilience_detected"] == 0
+        assert run.attrs["resilience_fallback"] is False
+        assert "resilience_detected" not in tracer.roots[0].attrs
+
+    def test_gpu_baseline_profile_has_a_roofline(self):
+        with service(keep_profile=True) as svc:
+            (out,) = svc.run_batch([q(id="j", code="Jucele GPU")])
+        assert out.ok
+        kernels = svc.latest_profile["roofline"]["kernels"]
+        assert len(kernels) == 4

@@ -296,6 +296,61 @@ class TestEndpoints:
         assert isinstance(doc["bundles"], list)
 
 
+def folded_tree(spans) -> list[str]:
+    """A span tree as depth-first ``kind:name`` paths, each span's
+    kernel launches folded into one ``[N kernel launches]`` entry.
+
+    ``spans`` are ``(id, parent id, kind, name)`` in depth-first order,
+    kernel spans either listed (a trace) or already folded (ring rows).
+    """
+    paths: dict = {}
+    out: list[str] = []
+    launches: dict[str, int] = {}
+    for span_id, parent, kind, name in spans:
+        if kind == "kernel":
+            launches[paths[parent]] = launches.get(paths[parent], 0) + 1
+        elif kind == "kernel-summary":
+            launches[paths[parent]] = int(name[1:].split()[0])
+        else:
+            paths[span_id] = paths.get(parent, "") + f"/{kind}:{name}"
+            out.append(paths[span_id])
+    return out + sorted(f"{p} x{n}" for p, n in launches.items())
+
+
+class TestOneSpanTree:
+    def test_profile_debugz_and_bundle_show_the_same_tree(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.recorder import load_bundle
+
+        argv = ["profile", "internet", "--scale", str(SCALE), "--format", "ndjson"]
+        assert main(argv) == 0
+        trace = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
+        want = folded_tree(
+            (r["id"], r["parent_id"], r["kind"], r["name"]) for r in trace
+        )
+        assert want[0] == "/service:query internet"
+
+        def rows_tree(rows):
+            return folded_tree(
+                (r["id"], r["parent"], r["kind"], r["name"])
+                for r in rows
+                if r["query"] == "internet"
+            )
+
+        boom = Query(input="internet", id="boom", scale=SCALE, n_faults=1,
+                     check_cadence=0, fault_kinds=("kernel-fail",), fault_seed=7)
+        with service(workers=1, postmortem_dir=str(tmp_path)) as svc:
+            svc.run_batch([q(), boom])
+            with AdminServer(svc) as admin:
+                _, _, body = get(admin.url + "/debugz")
+        assert rows_tree(json.loads(body)["spans"]) == want
+        (bundle,) = [
+            b for b in map(load_bundle, tmp_path.glob("PM_*.bundle"))
+            if b["reason"] == "outcome-error"
+        ]
+        assert rows_tree(bundle["rings"]["spans"]) == want
+
+
 class TestProfilezGating:
     def test_404_until_profile_kept(self):
         with service() as svc:  # keep_profile defaults off

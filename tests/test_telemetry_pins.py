@@ -10,7 +10,8 @@ postmortem bundle.  The pins are sorted *names* only, never values:
 * the key trees of ``status()``, ``recorder.debug_snapshot()`` and the
   captured bundle (lists are leaves);
 * the ``/metrics`` family names;
-* each executed query's span ``kind:name`` set;
+* each executed query's span ``kind:name`` set, read from the
+  recorder's span ring;
 * the event names;
 * the ``replay`` exit codes on the bundle and on a tampered copy.
 
@@ -84,17 +85,14 @@ def record_surface(postmortem_dir: Path) -> dict:
     spans: dict[str, set[str]] = {}
     with MSTService(config, events=EventLog(level="debug", sinks=[sink])) as service:
         recorder = service.recorder
-        record_spans = recorder.record_spans
-
-        def spy(query_id, tracer):
-            spans.setdefault(query_id, set()).update(
-                f"{s.kind}:{s.name}" for s in tracer.spans()
-            )
-            record_spans(query_id, tracer)
-
-        recorder.record_spans = spy
         for batch in (*BATCHES, (FAILING,)):
             run_batch_lines([json.dumps(q) for q in batch], service)
+        # The stream executes fewer queries than the span ring holds,
+        # so the ring still has every executed query's tree.
+        for query_id, root in recorder._trees:
+            spans.setdefault(query_id, set()).update(
+                f"{sp.kind}:{sp.name}" for sp, _, _ in root.walk()
+            )
         surface = {
             "metrics": sorted(service.metrics()),
             "status": key_tree(service.status()),
