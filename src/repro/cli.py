@@ -169,14 +169,14 @@ def _traced_query(args):
 
 
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         with open(out, "w") as f:
             f.write(text)
-            if not text.endswith("\n"):
-                f.write("\n")
         print(f"written to {out}")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _render_host_hotspots(profile) -> str:

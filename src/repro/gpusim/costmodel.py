@@ -95,32 +95,21 @@ class Device:
     """A simulated GPU accumulating kernel launches.
 
     Algorithms perform their real (NumPy) work, then report the counted
-    quantities through :meth:`launch`; the device prices the launch and
-    accumulates modeled elapsed time.
+    quantities through :meth:`launch`; the device prices the launch,
+    accumulates it in ``counters`` and records it as a kernel span on
+    ``tracer``.
     """
 
     def __init__(self, spec: GPUSpec, tracer=None, fault_injector=None) -> None:
         self.spec = spec
         self.counters = RunCounters()
-        self.tracer = NULL_TRACER
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         # Resilience hooks: an optional FaultInjector consulted at every
         # launch (may corrupt bound state or raise DeviceFault), and an
         # optional probe running per-kernel invariant checks.  Both are
         # None by default so the fault-free hot path is unchanged.
         self.fault_injector = fault_injector
         self.probe = None
-        # Incremental modeled clock for the tracer only (avoids the
-        # O(launches) re-summation of ``counters.total_seconds`` per
-        # launch); reporting still uses the counters as ground truth.
-        self._modeled_elapsed = 0.0
-        if tracer is not None:
-            self.attach_tracer(tracer)
-
-    def attach_tracer(self, tracer) -> None:
-        """Record every launch/sync as a kernel span on ``tracer`` and
-        bind this device's modeled clock for container spans."""
-        self.tracer = tracer
-        tracer.set_modeled_clock(lambda: self._modeled_elapsed)
 
     def launch(
         self,
@@ -157,8 +146,7 @@ class Device:
         k.modeled_seconds = gpu_kernel_seconds(self.spec, k)
         self.counters.add(k)
         if self.tracer.enabled:
-            self.tracer.kernel(k, self._modeled_elapsed)
-            self._modeled_elapsed += k.modeled_seconds
+            self.tracer.kernel(k)
         return k
 
     def host_sync(self) -> KernelCounters:
@@ -168,8 +156,7 @@ class Device:
         k.modeled_seconds = self.spec.host_sync_us * 1e-6
         self.counters.add(k)
         if self.tracer.enabled:
-            self.tracer.kernel(k, self._modeled_elapsed)
-            self._modeled_elapsed += k.modeled_seconds
+            self.tracer.kernel(k)
         return k
 
     @property
@@ -190,19 +177,10 @@ class CpuMachine:
     the reporting layer can treat GPU and CPU runs uniformly.
     """
 
-    def __init__(self, spec: CPUSpec, threads: int = 0, tracer=None) -> None:
+    def __init__(self, spec: CPUSpec, threads: int = 0) -> None:
         self.spec = spec
         self.threads = threads if threads > 0 else spec.cores
         self.counters = RunCounters()
-        self.tracer = NULL_TRACER
-        self._modeled_elapsed = 0.0
-        if tracer is not None:
-            self.attach_tracer(tracer)
-
-    def attach_tracer(self, tracer) -> None:
-        """Record every phase as a kernel span on ``tracer``."""
-        self.tracer = tracer
-        tracer.set_modeled_clock(lambda: self._modeled_elapsed)
 
     def phase(
         self,
@@ -222,9 +200,6 @@ class CpuMachine:
             self.spec, ops=ops, bytes_=bytes_, threads=threads, syncs=syncs
         )
         self.counters.add(k)
-        if self.tracer.enabled:
-            self.tracer.kernel(k, self._modeled_elapsed)
-            self._modeled_elapsed += k.modeled_seconds
         return k
 
     @property

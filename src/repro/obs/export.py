@@ -2,9 +2,9 @@
 
 The Chrome-trace output loads directly in ``chrome://tracing`` or
 `Perfetto <https://ui.perfetto.dev>`_.  Timestamps are *modeled
-microseconds* on the simulated device clock whenever the trace carries
-them (so the picture matches the cost model, not Python's speed), with
-a wall-clock fallback for spans recorded without a modeled clock.
+microseconds* on the tracer's modeled clock, which every span carries,
+so the picture matches the cost model, not Python's speed, and each
+child lies inside its parent.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ def _tid_for(span: Span, depth: int) -> int:
     return min(depth, len(_KIND_ORDER) - 1)
 
 
-def _span_interval(span: Span, wall_origin: float) -> tuple[float, float]:
-    """(ts, dur) in microseconds, preferring the modeled clock."""
-    if span.modeled_start is not None and span.modeled_end is not None:
-        return span.modeled_start * 1e6, (span.modeled_end - span.modeled_start) * 1e6
-    dur = span.wall_seconds
-    return (span.wall_start - wall_origin) * 1e6, dur * 1e6
-
-
 def _json_safe(value):
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
@@ -59,20 +51,15 @@ def chrome_trace_events(tracer: Tracer) -> list[dict]:
     and ``dur`` in microseconds, ``cat`` set to the span kind, and the
     span attributes under ``args``.
     """
-    spans = list(tracer.walk())
-    wall_origin = min(
-        (sp.wall_start for sp, _, _ in spans), default=0.0
-    )
     events: list[dict] = []
-    for sp, depth, _parent in spans:
-        ts, dur = _span_interval(sp, wall_origin)
+    for sp, depth, _parent in tracer.walk():
         events.append(
             {
                 "name": sp.name,
                 "cat": sp.kind,
                 "ph": "X",
-                "ts": ts,
-                "dur": dur,
+                "ts": sp.modeled_start * 1e6,
+                "dur": sp.modeled_seconds * 1e6,
                 "pid": 0,
                 "tid": _tid_for(sp, depth),
                 "args": _json_safe(sp.attrs),
@@ -90,16 +77,14 @@ def to_ndjson(tracer: Tracer) -> str:
     """One JSON object per span per line, depth-first, with lineage.
 
     Each record is the span's :meth:`~repro.obs.trace.Span.to_dict`
-    plus ``id``/``parent_id`` (depth-first indices) and ``depth``, so
-    the tree is reconstructible from the flat log.
+    (whose ``id`` is the one events cite as ``span``) plus
+    ``parent_id`` and ``depth``, so the tree is reconstructible from
+    the flat log.
     """
-    ids: dict[int, int] = {}
     lines: list[str] = []
-    for i, (sp, depth, parent) in enumerate(tracer.walk()):
-        ids[id(sp)] = i
+    for sp, depth, parent in tracer.walk():
         rec = sp.to_dict()
-        rec["id"] = i
-        rec["parent_id"] = ids[id(parent)] if parent is not None else None
+        rec["parent_id"] = parent.id if parent is not None else None
         rec["depth"] = depth
         rec["attrs"] = _json_safe(rec["attrs"])
         lines.append(json.dumps(rec))

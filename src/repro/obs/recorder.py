@@ -470,9 +470,7 @@ def span_rows(trees) -> list[dict]:
                     "name": name,
                     "kind": kind,
                     "wall_s": round(sum(s.wall_seconds for s in spans), 6),
-                    "modeled_s": round(
-                        sum(s.modeled_seconds or 0.0 for s in spans), 9
-                    ),
+                    "modeled_s": round(sum(s.modeled_seconds for s in spans), 9),
                 })
     return rows
 
@@ -671,7 +669,14 @@ def render_postmortem(
     roof = (profile.get("roofline") or {}).get("kernels") or []
     if roof:
         lines.append("")
-        lines.append("roofline of the failing run (hottest kernels):")
+        # Profiles are kept on success only: this is the last run that
+        # succeeded before the capture, named by its own identity.
+        lines.append(
+            f"roofline of the last profiled run, "
+            f"{profile.get('algorithm') or '?'} on "
+            f"{(profile.get('graph') or {}).get('name') or '?'} "
+            "(hottest kernels):"
+        )
         for k in roof[:8]:
             lines.append(
                 f"  {k.get('name', '?'):24s} {k.get('bound', '?'):8s} "

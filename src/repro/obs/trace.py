@@ -4,10 +4,11 @@ A trace is a tree of :class:`Span` objects following the hierarchy
 
     run > phase > round > kernel
 
-Spans carry a name, a kind, free-form attributes, *wall* time (host
-``perf_counter``) and — when a modeled clock is bound — *modeled* time
-on the simulated device, so exported traces line up with the cost
-model rather than with Python's execution speed.
+Spans carry a name, a kind, free-form attributes and two clocks, both
+stamped by the :class:`Tracer`: *wall* time (host ``perf_counter``)
+and *modeled* time on the simulated device, which only the recorded
+kernels advance, so exported traces line up with the cost model
+rather than with Python's execution speed.
 
 Tracing is strictly opt-in and zero-overhead by default: every traced
 code path holds a :data:`NULL_TRACER` whose methods are no-ops, and
@@ -33,7 +34,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "host_hotspots"]
 
@@ -42,9 +43,8 @@ __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "host_hotspots"]
 class Span:
     """One timed region of a run.
 
-    ``modeled_start``/``modeled_end`` are seconds on the simulated
-    device clock (``None`` when no modeled clock was bound); wall times
-    are host ``perf_counter`` seconds.
+    ``modeled_start``/``modeled_end`` are seconds on the tracer's
+    modeled clock; wall times are host ``perf_counter`` seconds.
     """
 
     name: str
@@ -52,8 +52,8 @@ class Span:
     attrs: dict = field(default_factory=dict)
     wall_start: float = 0.0
     wall_end: float | None = None
-    modeled_start: float | None = None
-    modeled_end: float | None = None
+    modeled_start: float = 0.0
+    modeled_end: float = 0.0
     children: list["Span"] = field(default_factory=list)
     # Per-tracer correlation ID (1-based creation order; 0 = unassigned).
     # Structured events reference this so an NDJSON event log can be
@@ -67,9 +67,7 @@ class Span:
         return self.wall_end - self.wall_start
 
     @property
-    def modeled_seconds(self) -> float | None:
-        if self.modeled_start is None or self.modeled_end is None:
-            return None
+    def modeled_seconds(self) -> float:
         return self.modeled_end - self.modeled_start
 
     def annotate(self, **attrs) -> None:
@@ -133,10 +131,7 @@ class NullTracer:
     def annotate(self, **attrs) -> None:
         pass
 
-    def kernel(self, counters, modeled_start: float | None = None) -> None:
-        pass
-
-    def set_modeled_clock(self, clock) -> None:
+    def kernel(self, counters) -> None:
         pass
 
 
@@ -146,36 +141,32 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Collects a forest of nested spans from one or more runs.
 
-    Parameters
-    ----------
-    modeled_clock:
-        Optional zero-argument callable returning the current modeled
-        time in seconds.  Devices bind their own accumulated-time
-        clock automatically when the tracer is attached, so callers
-        rarely need to pass one.
+    The tracer owns both clocks of every span.  ``modeled_now`` starts
+    at 0 and only goes up: each recorded kernel takes the interval
+    ``[modeled_now, modeled_now + its modeled seconds]`` and advances
+    it, so runs, cells and queries sharing one tracer follow each other
+    on one timeline.  The wall mark is reset at construction and at
+    every span open, span close and kernel record; a kernel's wall
+    interval runs from the mark to its record, which is the kernel
+    body because the device launch is a kernel function's last step.
     """
 
     enabled = True
 
-    def __init__(self, modeled_clock: Callable[[], float] | None = None) -> None:
+    def __init__(self) -> None:
         self.roots: list[Span] = []
         self._stack: list[Span] = []
-        self._clock = modeled_clock
         self._next_id = 0
+        self.modeled_now = 0.0
+        self._wall_mark = time.perf_counter()
 
-    def _assign_id(self, sp: Span) -> None:
+    def _add(self, sp: Span) -> None:
         self._next_id += 1
         sp.id = self._next_id
-
-    # ------------------------------------------------------------------
-    # Clock plumbing
-    # ------------------------------------------------------------------
-    def set_modeled_clock(self, clock: Callable[[], float] | None) -> None:
-        """Bind the simulated-device clock used for modeled timestamps."""
-        self._clock = clock
-
-    def _modeled_now(self) -> float | None:
-        return self._clock() if self._clock is not None else None
+        if self._stack:
+            self._stack[-1].children.append(sp)
+        else:
+            self.roots.append(sp)
 
     # ------------------------------------------------------------------
     # Span lifecycle
@@ -188,51 +179,47 @@ class Tracer:
     @contextmanager
     def span(self, name: str, kind: str = "span", **attrs):
         """Open a nested span for the duration of the ``with`` block."""
+        self._wall_mark = time.perf_counter()
         sp = Span(
             name=name,
             kind=kind,
             attrs=dict(attrs),
-            wall_start=time.perf_counter(),
-            modeled_start=self._modeled_now(),
+            wall_start=self._wall_mark,
+            modeled_start=self.modeled_now,
+            modeled_end=self.modeled_now,
         )
-        self._assign_id(sp)
-        if self._stack:
-            self._stack[-1].children.append(sp)
-        else:
-            self.roots.append(sp)
+        self._add(sp)
         self._stack.append(sp)
         try:
             yield sp
         finally:
             self._stack.pop()
-            sp.wall_end = time.perf_counter()
-            sp.modeled_end = self._modeled_now()
+            sp.wall_end = self._wall_mark = time.perf_counter()
+            sp.modeled_end = self.modeled_now
 
     def annotate(self, **attrs) -> None:
         """Attach attributes to the innermost open span (if any)."""
         if self._stack:
             self._stack[-1].attrs.update(attrs)
 
-    def kernel(self, counters, modeled_start: float | None = None) -> Span:
+    def kernel(self, counters) -> Span:
         """Record one simulated kernel launch as a leaf span.
 
         ``counters`` is the launch's
         :class:`~repro.gpusim.counters.KernelCounters`; the span's
-        modeled interval is ``[modeled_start, modeled_start +
-        counters.modeled_seconds]`` on the device clock.
+        modeled interval is ``[modeled_now, modeled_now +
+        counters.modeled_seconds]``, after which the clock advances.
         """
         now = time.perf_counter()
+        start = self.modeled_now
+        self.modeled_now = start + counters.modeled_seconds
         sp = Span(
             name=counters.name,
             kind="kernel",
-            wall_start=now,
+            wall_start=self._wall_mark,
             wall_end=now,
-            modeled_start=modeled_start,
-            modeled_end=(
-                None
-                if modeled_start is None
-                else modeled_start + counters.modeled_seconds
-            ),
+            modeled_start=start,
+            modeled_end=self.modeled_now,
             attrs={
                 "items": counters.items,
                 "cycles": counters.cycles,
@@ -243,11 +230,8 @@ class Tracer:
                 "modeled_seconds": counters.modeled_seconds,
             },
         )
-        self._assign_id(sp)
-        if self._stack:
-            self._stack[-1].children.append(sp)
-        else:
-            self.roots.append(sp)
+        self._wall_mark = now
+        self._add(sp)
         return sp
 
     # ------------------------------------------------------------------
@@ -269,12 +253,13 @@ class Tracer:
 def host_hotspots(tracer, top: int | None = 10) -> list[dict]:
     """The simulator's own Python hot spots: *self* wall-clock per span.
 
-    Self time is a span's wall duration minus its children's — kernel
-    spans are instantaneous on the host, so the NumPy work of a round
-    lands on the round span itself, and the load/build/verify host
-    spans carry their own cost.  Rounds are folded into one ``round *``
-    row (they share a code path; hundreds of per-round rows would bury
-    the signal).  Returns the ``top`` heaviest rows as dicts with
+    Self time is a span's wall duration minus its children's.  A
+    kernel span's wall time is its kernel body, so each kernel name
+    gets a row of its own and a round's self time is only the host
+    work between its kernels; the load/build/verify host spans carry
+    their own cost.  Rounds are folded into one ``round *`` row (they
+    share a code path; hundreds of per-round rows would bury the
+    signal).  Returns the ``top`` heaviest rows as dicts with
     ``name``/``kind``/``count``/``wall_seconds``, hottest first.
     """
     agg: dict[tuple[str, str], list] = {}

@@ -21,16 +21,28 @@ class TestTrace:
         assert isinstance(events, list) and events
         for e in events:
             assert {"ph", "ts", "name"} <= set(e)
+        # The root query event's interval holds every other event, and
+        # the `run` host span (the root's last child) every event of
+        # the solver run under it.
+        root = events[0]
+        assert root["name"] == "query internet" and root["dur"] > 0
+        i = next(i for i, e in enumerate(events) if e["name"] == "run")
+        for outer, inner in ((root, events[1:]), (events[i], events[i + 1:])):
+            assert inner
+            for e in inner:
+                assert outer["ts"] <= e["ts"]
+                assert e["ts"] + e["dur"] <= outer["ts"] + outer["dur"] + 1e-6
 
     def test_ndjson_output(self, capsys):
         assert (
             main(["profile", "internet", "--scale", SCALE, "--format", "ndjson"])
             == 0
         )
-        lines = capsys.readouterr().out.strip().splitlines()
+        lines = capsys.readouterr().out.splitlines()
         assert lines
         records = [json.loads(line) for line in lines]
         assert all("name" in r for r in records)
+        assert all(r["modeled_seconds"] is not None for r in records)
         # The service's query tree: `query <id>` over the two host spans.
         root = records[0]
         assert (root["kind"], root["name"], root["parent_id"]) == (
@@ -40,6 +52,8 @@ class TestTrace:
             (r["kind"], r["name"]) for r in records if r["parent_id"] == root["id"]
         ]
         assert children == [("host", "load input"), ("host", "run")]
+        run = next(r for r in records if r["name"] == "run")
+        assert root["modeled_seconds"] == run["modeled_seconds"] > 0
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "trace.json"

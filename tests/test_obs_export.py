@@ -78,6 +78,24 @@ class TestNdjson:
             else:
                 assert by_id[rec["parent_id"]]["depth"] == rec["depth"] - 1
 
+    def test_event_span_ids_name_their_records(self, medium_graph):
+        """An event's ``span`` field is the ``id`` of the NDJSON record
+        of the span that emitted it."""
+        from repro.obs.events import EventLog, ListSink
+
+        sink = ListSink()
+        tr = Tracer()
+        ecl_mst(medium_graph, tracer=tr, events=EventLog(level="debug", sinks=[sink]))
+        by_id = {r["id"]: r for r in map(json.loads, to_ndjson(tr).splitlines())}
+        cited = [e for e in sink.events if e.fields.get("span")]
+        assert {"solver.round", "solver.phase"} <= {e.name for e in cited}
+        for e in cited:
+            rec = by_id[e.fields["span"]]
+            if e.name == "solver.round":
+                assert (rec["kind"], rec["name"]) == ("round", f"round {e.fields['round']}")
+            elif e.name == "solver.phase":
+                assert rec["kind"] == "phase"
+
     def test_empty_tracer(self):
         assert to_ndjson(Tracer()) == ""
         assert json.loads(to_chrome_trace_json(Tracer())) == []

@@ -319,11 +319,27 @@ class TestBundleFiles:
         assert "fault.injected" in report
         assert "correlated spans" in report
         assert "headline metrics" in report
-        # keep_profile on: the failing run leaves a roofline behind.
-        assert "roofline" in report
+        # keep_profile on: profiles are kept on success only, so the
+        # roofline is that of ok-1, the last run that succeeded.
+        assert "roofline of the last profiled run, ecl-mst on internet" in report
         summary = bundle_summary(load_bundle(path), path)
         assert summary["reason"] == "outcome-error"
         assert summary["error_kind"] == "fault"
+
+
+    def test_postmortem_names_the_profiled_run(self, tmp_path):
+        """The roofline belongs to the last successful run, not to the
+        failing query, and the report says which run that was."""
+        ok = Query(id="ok-rmat", input="rmat22.sym", code="ECL-MST", scale=SCALE)
+        with service(tmp_path, workers=1, keep_profile=True) as svc:
+            svc.run_batch([ok, fault_query()])
+        report = render_postmortem(load_bundle(outcome_bundle(tmp_path)))
+        assert "query boom" in report
+        (line,) = [l for l in report.splitlines() if l.startswith("roofline")]
+        assert line == (
+            "roofline of the last profiled run, ecl-mst on rmat22.sym "
+            "(hottest kernels):"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,86 @@ class TestSpanBasics:
         assert d["attrs"] == {"k": 1}
 
 
+class TestTracerClock:
+    """The tracer owns both clocks: kernels advance the modeled one."""
+
+    def test_kernel_advances_modeled_clock(self):
+        from repro.gpusim.counters import KernelCounters
+
+        tr = Tracer()
+        with tr.span("outer") as outer:
+            a = tr.kernel(KernelCounters(name="a", modeled_seconds=2.0))
+            b = tr.kernel(KernelCounters(name="b", modeled_seconds=3.0))
+        assert (a.modeled_start, a.modeled_end) == (0.0, 2.0)
+        assert (b.modeled_start, b.modeled_end) == (2.0, 5.0)
+        assert (outer.modeled_start, outer.modeled_end) == (0.0, 5.0)
+        assert tr.modeled_now == 5.0
+        # Each kernel's wall interval starts where the last span event
+        # left the mark, so siblings tile the parent without overlap.
+        assert outer.wall_start <= a.wall_start <= a.wall_end
+        assert a.wall_end == b.wall_start <= b.wall_end <= outer.wall_end
+
+    def test_open_span_reads_zero_modeled_time(self):
+        tr = Tracer()
+        with tr.span("open") as sp:
+            assert sp.modeled_seconds == 0.0
+
+
+def _assert_wall_nesting(root):
+    """Every span's children lie inside its wall interval, in order."""
+    for sp, _depth, _parent in root.walk():
+        prev_end = sp.wall_start
+        for child in sp.children:
+            assert prev_end <= child.wall_start <= child.wall_end <= sp.wall_end
+            prev_end = child.wall_end
+
+
+class TestServiceSpanClocks:
+    def _query_tree(self):
+        from repro.service.engine import run_query
+        from repro.service.query import Query
+
+        tr = Tracer()
+        run_query(
+            Query(id="q", input="internet", code="ECL-MST", scale=0.02), tr
+        )
+        (root,) = tr.roots
+        return tr, root
+
+    def test_service_spans_carry_the_run_modeled_time(self):
+        tr, root = self._query_tree()
+        load, run = root.children
+        (solve,) = run.children
+        assert (root.name, solve.name) == ("query q", "ecl-mst on internet")
+        assert solve.modeled_seconds > 0
+        assert root.modeled_seconds == run.modeled_seconds == solve.modeled_seconds
+        assert load.modeled_seconds == 0.0
+
+    def test_kernel_spans_have_wall_time_inside_their_parents(self):
+        tr, root = self._query_tree()
+        kernels = tr.spans(kind="kernel")
+        assert kernels
+        assert all(k.wall_seconds > 0 for k in kernels)
+        _assert_wall_nesting(root)
+
+    def test_grid_cells_follow_each_other_on_one_clock(self):
+        from repro.bench.harness import SYSTEM2, run_grid
+        from repro.generators import grid2d
+
+        tr = Tracer()
+        graphs = {"g1": grid2d(8, seed=1), "g2": grid2d(9, seed=2)}
+        run_grid(("ECL-MST", "Jucele GPU"), graphs, SYSTEM2, tracer=tr)
+        cells = [sp for sp in tr.roots if sp.kind == "cell"]
+        assert len(cells) == 4
+        for cell in cells:
+            (run,) = [c for c in cell.children if c.kind == "run"]
+            assert cell.modeled_start <= run.modeled_start
+            assert run.modeled_end <= cell.modeled_end
+            assert run.modeled_seconds > 0
+        for prev, cur in zip(cells, cells[1:]):
+            assert prev.modeled_end <= cur.modeled_start
+
+
 class TestNullTracer:
     def test_null_tracer_is_inert(self):
         with NULL_TRACER.span("anything", kind="run") as sp:
