@@ -1,9 +1,11 @@
-"""Runner registry: paper code name → runner, for the bench harness.
+"""Runner registry: paper code name → runner, for the service's
+:func:`~repro.service.engine.run_query`, which every verb and the
+bench harness dispatch through.
 
 Mirrors Table 1 plus our own code.  Each entry knows which hardware
-class it runs on (so the harness hands it the right spec per system)
-and whether it supports multi-component inputs (MSF) — the harness
-reports "NC" otherwise, as the paper does.
+class it runs on (so it gets the right spec per system) and whether it
+supports multi-component inputs (MSF) — the harness reports "NC"
+otherwise, as the paper does.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class Runner:
         self, graph: CSRGraph, *, gpu: GPUSpec, cpu: CPUSpec, tracer=None
     ) -> MstResult:
         # Tracing is best-effort: codes that were never instrumented
-        # simply run untraced (the harness still wraps them in a span).
+        # simply run untraced (the query's ``run`` span still holds
+        # them).
         kwargs = {}
         if tracer is not None and self.accepts_tracer():
             kwargs["tracer"] = tracer

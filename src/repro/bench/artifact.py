@@ -23,13 +23,12 @@ import io
 import os
 from pathlib import Path
 
-from ..baselines.registry import TABLE_CODES, get_runner
+from ..baselines.registry import TABLE_CODES
 from ..core.config import DEOPT_STAGE_NAMES, deopt_stages
 from ..core.eclmst import ecl_mst
-from ..baselines.errors import NotConnectedError
 from ..graph.io import save_ecl
 from ..generators import suite as suite_mod
-from .harness import SYSTEM2, SystemSpec, geomean
+from .harness import SYSTEM2, SystemSpec, geomean, run_grid
 
 __all__ = [
     "set_up",
@@ -65,46 +64,38 @@ def run_all_compare(
     system: SystemSpec = SYSTEM2,
     scale: float = 1.0,
     codes: tuple[str, ...] = TABLE_CODES,
-    repetitions: int = 1,
 ) -> dict[str, Path]:
     """Run every code on every input; one ``[code]_out.csv`` per code.
 
-    CSV columns: input, seconds (median of ``repetitions``, or "NC"),
-    throughput_meps, mst_edges, total_weight.
+    CSV columns: input, seconds (or "NC"), throughput_meps, mst_edges,
+    total_weight.
     """
-    import statistics
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    graphs = suite_mod.build_all(scale=scale)
+    grid = run_grid(codes, suite_mod.build_all(scale=scale), system)
     out: dict[str, Path] = {}
     for code in codes:
-        runner = get_runner(code)
         path = directory / f"{_code_slug(code)}_out.csv"
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(
                 ["input", "seconds", "throughput_meps", "mst_edges", "total_weight"]
             )
-            for name, g in graphs.items():
-                try:
-                    times = []
-                    result = None
-                    for _ in range(max(1, repetitions)):
-                        result = runner.run(g, gpu=system.gpu, cpu=system.cpu)
-                        times.append(result.modeled_seconds)
-                    t = statistics.median(times)
-                    writer.writerow(
-                        [
-                            name,
-                            f"{t:.9f}",
-                            f"{g.num_directed_edges / t / 1e6:.3f}",
-                            result.num_mst_edges,
-                            result.total_weight,
-                        ]
-                    )
-                except NotConnectedError:
+            for name, g in grid.graphs.items():
+                r = grid.cell(code, name).result
+                if r is None:
                     writer.writerow([name, "NC", "NC", "NC", "NC"])
+                    continue
+                t = r.modeled_seconds
+                writer.writerow(
+                    [
+                        name,
+                        f"{t:.9f}",
+                        f"{g.num_directed_edges / t / 1e6:.3f}",
+                        r.num_mst_edges,
+                        r.total_weight,
+                    ]
+                )
         out[code] = path
     return out
 

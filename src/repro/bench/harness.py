@@ -6,20 +6,20 @@ ECL-MST), "NC" for MST-only codes on multi-component inputs, and two
 geometric means — over all inputs (MSF) and over the single-component
 inputs (MST) so the MST-only codes can be compared fairly.
 
-Modeled times are deterministic, so the default repetition count is 1;
-pass ``repetitions=9`` to reproduce the exact protocol (the median of
-identical values is that value — the knob matters only when callers
-time real wall-clock execution via ``measure="wall"``).
+Modeled times are deterministic, so one run per cell is the median of
+any number of repetitions.  Each cell is one service
+:class:`~repro.service.query.Query` run through
+:func:`~repro.service.engine.run_query`, so a traced grid holds one
+``query <input>`` tree (``load input``, ``run``) per cell, and its
+wall time lives in the ``run`` span.
 """
 
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass, field
 
-from ..baselines.errors import NotConnectedError
-from ..baselines.registry import Runner, get_runner
+from ..errors import NotConnectedError
 from ..core.result import MstResult
 from ..graph.csr import CSRGraph
 from ..obs.trace import NULL_TRACER
@@ -32,7 +32,17 @@ from ..gpusim.spec import (
     XEON_GOLD_6226R_X2,
 )
 
-__all__ = ["SystemSpec", "SYSTEM1", "SYSTEM2", "Cell", "GridResult", "run_grid", "geomean"]
+__all__ = [
+    "SystemSpec",
+    "SYSTEM1",
+    "SYSTEM2",
+    "SYSTEMS",
+    "Cell",
+    "GridResult",
+    "run_cell",
+    "run_grid",
+    "geomean",
+]
 
 
 @dataclass(frozen=True)
@@ -46,6 +56,8 @@ class SystemSpec:
 
 SYSTEM1 = SystemSpec("System 1 (Titan V + TR 2950X)", TITAN_V, THREADRIPPER_2950X)
 SYSTEM2 = SystemSpec("System 2 (RTX 3080 Ti + 2x Xeon)", RTX_3080_TI, XEON_GOLD_6226R_X2)
+# ``Query.system`` numbers them: 1 and 2.
+SYSTEMS = (SYSTEM1, SYSTEM2)
 
 
 @dataclass
@@ -56,7 +68,6 @@ class Cell:
     graph_name: str
     seconds: float | None  # None -> NC
     memcpy_seconds: float = 0.0
-    wall_seconds: float = 0.0
     result: MstResult | None = None
 
     @property
@@ -109,60 +120,38 @@ def geomean(values: list[float]) -> float:
 
 
 def run_cell(
-    runner: Runner,
+    code: str,
     graph: CSRGraph,
     system: SystemSpec,
     *,
-    repetitions: int = 1,
     verify: bool = False,
     tracer=None,
 ) -> Cell:
-    """Run one code on one input; returns an NC cell when unsupported.
+    """Run one code on one prebuilt input; an NC cell when the code
+    is MST-only and the input has several components.
 
-    ``tracer``: optional :class:`~repro.obs.trace.Tracer`.  The cell is
-    wrapped in a ``cell`` span (code, input, system, outcome) and the
-    tracer is forwarded to instrumented runners, which nest their own
-    ``run > phase > round > kernel`` spans beneath it.
+    ``tracer``: optional :class:`~repro.obs.trace.Tracer`; the cell
+    records one ``query <input>`` tree into it.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    times: list[float] = []
-    walls: list[float] = []
-    result: MstResult | None = None
-    with tracer.span(
-        f"{runner.name} on {graph.name}",
-        kind="cell",
-        code=runner.name,
-        graph=graph.name,
-        system=system.name,
-    ):
-        try:
-            for _ in range(max(1, repetitions)):
-                t0 = time.perf_counter()
-                result = runner.run(
-                    graph,
-                    gpu=system.gpu,
-                    cpu=system.cpu,
-                    tracer=tracer if tracer.enabled else None,
-                )
-                walls.append(time.perf_counter() - t0)
-                times.append(result.modeled_seconds)
-        except NotConnectedError:
-            tracer.annotate(outcome="NC")
-            return Cell(runner.name, graph.name, seconds=None)
-        tracer.annotate(
-            outcome="ok", modeled_seconds=statistics.median(times)
-        )
-    if verify and result is not None:
-        from ..core.verify import verify_mst
+    from ..service.engine import run_query
+    from ..service.query import Query
 
-        verify_mst(result)
-    assert result is not None
+    query = Query(
+        input=graph.name,
+        code=code,
+        system=SYSTEMS.index(system) + 1,
+        verify=verify,
+    )
+    try:
+        tracer = tracer if tracer is not None else NULL_TRACER
+        _, result = run_query(query, tracer, graph)
+    except NotConnectedError:
+        return Cell(code, graph.name, seconds=None)
     return Cell(
-        code=runner.name,
+        code=code,
         graph_name=graph.name,
-        seconds=statistics.median(times),
+        seconds=result.modeled_seconds,
         memcpy_seconds=result.memcpy_seconds,
-        wall_seconds=statistics.median(walls),
         result=result,
     )
 
@@ -172,21 +161,14 @@ def run_grid(
     graphs: dict[str, CSRGraph],
     system: SystemSpec,
     *,
-    repetitions: int = 1,
     verify: bool = False,
     tracer=None,
 ) -> GridResult:
     """Run every code on every input on the given system."""
     grid = GridResult(system=system, graphs=graphs)
     for code in codes:
-        runner = get_runner(code)
         for name, graph in graphs.items():
             grid.cells[(code, name)] = run_cell(
-                runner,
-                graph,
-                system,
-                repetitions=repetitions,
-                verify=verify,
-                tracer=tracer,
+                code, graph, system, verify=verify, tracer=tracer
             )
     return grid

@@ -20,11 +20,15 @@ Subcommands::
 For backwards compatibility, a bare experiment key also works:
 ``python -m repro table4`` ≡ ``python -m repro exp table4``.
 
-Exit codes: 0 success; 1 not-connected / campaign failure; 2 usage
-(including a ``serve``/``sweep`` flag value the service rejects);
-3 malformed input (:class:`~repro.errors.GraphFormatError`);
-4 verification failure; 5 unrecovered device fault.  ``serve`` and
-``sweep`` apply the same taxonomy per query and exit with the most
+Exit codes: 0 success; 1 not-connected / timeout / campaign failure;
+2 usage (including a ``serve``/``sweep`` flag value the service
+rejects); 3 malformed input (:class:`~repro.errors.GraphFormatError`);
+4 verification failure; 5 unrecovered device fault; 6 overloaded.
+Every verb maps a :class:`~repro.errors.ReproError` through
+:func:`repro.service.outcome.classify_error` onto its code and one
+stderr line.  ``run``, ``mst``, ``profile`` and ``dashboard`` run as
+one service query (:func:`repro.service.engine.run_query`).  ``serve``
+and ``sweep`` apply the same taxonomy per query and exit with the most
 severe per-query code — a malformed query fails its line in the
 output NDJSON without aborting the batch.
 """
@@ -39,6 +43,7 @@ from pathlib import Path
 from .bench.experiments import DEFAULT_SCALE, EXPERIMENTS
 from .core.config import DEOPT_STAGE_NAMES
 from .graph.io import load_graph, resolve_input, save_graph
+from .obs.trace import NULL_TRACER
 
 __all__ = ["main"]
 
@@ -79,23 +84,10 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .baselines.errors import NotConnectedError
-    from .baselines.registry import get_runner
-    from .bench.harness import SYSTEM1, SYSTEM2
+    from .bench.harness import SYSTEMS
 
-    system = SYSTEM1 if args.system == 1 else SYSTEM2
-    try:
-        runner = get_runner(args.code)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    g = resolve_input(args.input, args.scale)[1]()
-    try:
-        r = runner.run(g, gpu=system.gpu, cpu=system.cpu)
-    except NotConnectedError as exc:
-        print(f"NC: {exc}")
-        return 1
-    print(f"{args.code} on {args.input} ({system.name}):")
+    _graph, r = _run_query(args, args.input)
+    print(f"{args.code} on {args.input} ({SYSTEMS[args.system - 1].name}):")
     print(f"  edges={r.num_mst_edges} weight={r.total_weight} rounds={r.rounds}")
     print(
         f"  modeled {r.modeled_seconds * 1e3:.4f} ms  "
@@ -149,23 +141,22 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _traced_query(args):
-    """Run the ``profile``/``dashboard`` flags' query through the
-    service's execution path; returns ``(result, tracer)``."""
-    from .obs import Tracer
+def _run_query(args, source: str, tracer=NULL_TRACER):
+    """Run the verb's flags as one service :class:`Query` on
+    ``source`` through the service's execution path; returns
+    ``(graph, result)``.  Failures propagate typed."""
     from .service.engine import run_query
     from .service.query import Query
 
     query = Query(
-        input=args.input,
-        code=args.code,
-        system=args.system,
+        input=source,
+        code=getattr(args, "code", "ECL-MST"),
+        system=getattr(args, "system", 2),
         scale=args.scale,
         stage=getattr(args, "stage", None),
+        verify=getattr(args, "verify", False),
     )
-    tracer = Tracer()
-    _graph, result = run_query(query, tracer)
-    return result, tracer
+    return run_query(query, tracer)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -193,9 +184,10 @@ def _render_host_hotspots(profile) -> str:
 
 
 def _cmd_profile(args) -> int:
-    from .obs import RunProfile, diff, to_chrome_trace_json, to_ndjson
+    from .obs import RunProfile, Tracer, diff, to_chrome_trace_json, to_ndjson
 
-    result, tracer = _traced_query(args)
+    tracer = Tracer()
+    _graph, result = _run_query(args, args.input, tracer)
     profile = RunProfile.from_result(result, tracer=tracer)
     if args.baseline:
         baseline = RunProfile.load(args.baseline)
@@ -299,6 +291,20 @@ class _UsageError(Exception):
     """A flag value the service configs reject (one line, exit 2)."""
 
 
+# The stderr line's prefix per error kind of
+# :func:`repro.service.outcome.classify_error`, which also gives the
+# exit code.
+_ERROR_PREFIX = {
+    "input": "input error",
+    "verify": "verification failed",
+    "fault": "unrecovered fault",
+    "overloaded": "overloaded",
+    "timeout": "timeout",
+    "not-connected": "NC",
+    "error": "error",
+}
+
+
 def _policy_from_args(args):
     """A :class:`PolicyConfig` from the CLI knobs, or ``None`` when
     every overload-safety mechanism is left off."""
@@ -340,6 +346,18 @@ def _service_from_args(args):
     return MSTService(config)
 
 
+def _read_lines(path: str, what: str) -> list[str]:
+    """A text file's lines; an unreadable or non-UTF-8 file is a
+    :class:`~repro.errors.GraphFormatError` (an input error)."""
+    from .errors import GraphFormatError
+    from .graph.formats import read_lines
+
+    try:
+        return read_lines(path, None, what)[0]
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read {what}: {exc}") from None
+
+
 def _cmd_serve(args) -> int:
     import time
 
@@ -348,13 +366,7 @@ def _cmd_serve(args) -> int:
     if args.batch == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        try:
-            lines = Path(args.batch).read_text().splitlines()
-        except OSError as exc:
-            from .errors import EXIT_INPUT_ERROR
-
-            print(f"input error: cannot read batch file: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+        lines = _read_lines(args.batch, "batch file")
     admin = None
     t0 = time.perf_counter()
     with _service_from_args(args) as service:
@@ -439,10 +451,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mst(args) -> int:
-    from .core.eclmst import ecl_mst
-
-    g = resolve_input(args.graph, args.scale)[1]()
-    r = ecl_mst(g, verify=args.verify)
+    g, r = _run_query(args, args.graph)
     print(
         f"MSF of {args.graph}: {r.num_mst_edges} edges, "
         f"weight {r.total_weight}, {r.rounds} rounds"
@@ -460,29 +469,22 @@ def _cmd_mst(args) -> int:
 def _cmd_dashboard(args) -> int:
     import json as _json
 
+    from .errors import GraphFormatError
     from .obs.dashboard import render_dashboard
 
     if args.profile:
         try:
-            profile = _json.loads(Path(args.profile).read_text())
-        except (OSError, _json.JSONDecodeError) as exc:
-            from .errors import EXIT_INPUT_ERROR
-
-            print(f"input error: cannot read profile: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            profile = _json.loads("\n".join(_read_lines(args.profile, "profile")))
+        except _json.JSONDecodeError as exc:
+            raise GraphFormatError(f"cannot read profile: {exc}") from None
     else:
         if not args.input:
-            from .errors import EXIT_INPUT_ERROR
-
-            print(
-                "input error: give an input to run, or --profile FILE",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT_ERROR
+            raise GraphFormatError("give an input to run, or --profile FILE")
         # No saved profile: run the input fresh and profile it.
-        from .obs import RunProfile
+        from .obs import RunProfile, Tracer
 
-        result, tracer = _traced_query(args)
+        tracer = Tracer()
+        _graph, result = _run_query(args, args.input, tracer)
         profile = RunProfile.from_result(result, tracer=tracer).to_dict()
     from .obs.recorder import recent_bundles
 
@@ -990,32 +992,16 @@ def main(argv: list[str] | None = None) -> int:
         from .obs.events import configure_events
 
         configure_events(level=level, json_path=json_path)
-    from .errors import (
-        EXIT_INPUT_ERROR,
-        EXIT_OVERLOADED,
-        EXIT_UNRECOVERED_FAULT,
-        EXIT_VERIFY_FAILED,
-        DeviceFault,
-        GraphFormatError,
-        InvariantViolation,
-        Overloaded,
-        VerificationError,
-    )
+    from .errors import ReproError
 
     try:
         return args.fn(args)
-    except GraphFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except (DeviceFault, InvariantViolation) as exc:
-        print(f"unrecovered fault: {exc}", file=sys.stderr)
-        return EXIT_UNRECOVERED_FAULT
-    except Overloaded as exc:
-        print(f"overloaded: {exc}", file=sys.stderr)
-        return EXIT_OVERLOADED
+    except ReproError as exc:
+        from .service.outcome import classify_error
+
+        kind, code = classify_error(exc)
+        print(f"{_ERROR_PREFIX[kind]}: {exc}", file=sys.stderr)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,14 @@ from ..errors import GraphFormatError
 from .build import build_csr
 from .csr import CSRGraph
 
-__all__ = ["load_dimacs", "save_dimacs", "load_metis", "save_metis", "read_lines"]
+__all__ = [
+    "load_dimacs",
+    "save_dimacs",
+    "load_metis",
+    "save_metis",
+    "read_lines",
+    "check_vertices",
+]
 
 
 def read_lines(
@@ -64,6 +71,13 @@ def _ints(tokens: list[str], where: str, lineno: int) -> list[int]:
         ) from None
 
 
+def check_vertices(ids, lo: int, hi: int, where: str, lineno: int) -> None:
+    """Every vertex ID of one line must lie in ``[lo, hi]``."""
+    if ids and not lo <= min(ids) <= max(ids) <= hi:
+        x = next(x for x in ids if not lo <= x <= hi)
+        raise GraphFormatError(f"{where}:{lineno}: vertex {x} out of range [{lo}, {hi}]")
+
+
 # ----------------------------------------------------------------------
 # DIMACS .gr
 # ----------------------------------------------------------------------
@@ -93,6 +107,7 @@ def load_dimacs(
             if len(parts) != 4:
                 raise GraphFormatError(f"{where}:{lineno}: expected 'a u v w', got {line!r}")
             a, b, c = _ints(parts[1:], where, lineno)
+            check_vertices((a, b), 1, n, where, lineno)
             us.append(a - 1)
             vs.append(b - 1)
             ws.append(c)
@@ -164,6 +179,7 @@ def load_metis(
         nbrs = tokens[::2] if has_weights else tokens
         if has_weights and len(tokens) % 2:
             raise GraphFormatError(f"{where}:{lineno}: neighbour {nbrs[-1]} has no weight")
+        check_vertices(nbrs, 1, n, where, lineno)
         us.extend([v] * len(nbrs))
         vs.extend(u - 1 for u in nbrs)
         ws.extend(tokens[1::2] if has_weights else [1] * len(nbrs))

@@ -32,7 +32,14 @@ import numpy as np
 from ..errors import GraphFormatError
 from .build import build_csr
 from .csr import CSRGraph
-from .formats import load_dimacs, load_metis, read_lines, save_dimacs, save_metis
+from .formats import (
+    check_vertices,
+    load_dimacs,
+    load_metis,
+    read_lines,
+    save_dimacs,
+    save_metis,
+)
 from .weights import WEIGHT_BOUND
 
 __all__ = [
@@ -188,6 +195,8 @@ def load_edge_list(
             raise GraphFormatError(
                 f"{where}:{lineno}: negative vertex ID in {line!r}"
             )
+        if num_vertices is not None:
+            check_vertices((uu, vv), 0, num_vertices - 1, where, lineno)
         if ww < 0:
             raise GraphFormatError(
                 f"{where}:{lineno}: negative edge weight {ww} "

@@ -25,7 +25,7 @@ __all__ = [
 # Depth → chrome-trace thread ID.  One lane per nesting level keeps
 # nested modeled intervals (which overlap by construction: a round
 # contains its kernels) from being mis-stacked by the viewer.
-_KIND_ORDER = ("run", "cell", "phase", "round", "kernel")
+_KIND_ORDER = ("run", "phase", "round", "kernel")
 
 
 def _tid_for(span: Span, depth: int) -> int:

@@ -170,8 +170,9 @@ def run_query(
     deadline: float | None = None,
     events=None,
 ):
-    """The one execution path of a query, shared by the service and
-    the ``profile``/``dashboard`` verbs: under a ``query <id>`` span,
+    """The one execution path of a query, shared by the service, the
+    bench harness's cells and the ``run``/``mst``/``profile``/
+    ``dashboard`` verbs: under a ``query <id>`` span,
     ``load input`` resolves ``graph`` (unless the build cache did) and
     ``run`` dispatches the code.  Returns ``(graph, result)``; failures
     propagate typed."""
@@ -271,9 +272,9 @@ def _run_code(
     events=None,
 ):
     from ..baselines.registry import get_runner
-    from ..bench.harness import SYSTEM1, SYSTEM2
+    from ..bench.harness import SYSTEMS
 
-    system = SYSTEM1 if query.system == 1 else SYSTEM2
+    system = SYSTEMS[query.system - 1]
     if slowdown != 1.0:
         system = replace(
             system,

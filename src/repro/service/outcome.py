@@ -66,8 +66,9 @@ _PAYLOAD_STATUSES = ("ok", "degraded")
 def classify_error(exc: BaseException) -> tuple[str, int]:
     """Map an exception onto ``(error_kind, exit_code)``.
 
-    The same families → codes mapping as ``repro.cli.main`` so batch
-    results and single-shot commands report failures identically.
+    ``repro.cli.main`` maps single-shot command errors through it
+    too, so batch results and single-shot commands report failures
+    identically.
     """
     if isinstance(exc, GraphFormatError):
         return "input", EXIT_INPUT_ERROR

@@ -22,10 +22,13 @@ class TestRun:
 
     def test_run_nc(self, capsys):
         assert main(["run", "Jucele GPU", "rmat16.sym", "--scale", SCALE]) == 1
-        assert "NC" in capsys.readouterr().out
+        assert capsys.readouterr().err.startswith("NC: rmat16.sym has 2 components")
 
     def test_run_unknown_code(self, capsys):
-        assert main(["run", "WarpDrive", "internet", "--scale", SCALE]) == 2
+        assert main(["run", "WarpDrive", "internet", "--scale", SCALE]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "unknown code 'WarpDrive'" in err
+        assert len(err.splitlines()) == 1
 
     def test_run_system1(self, capsys):
         assert (
@@ -133,19 +136,53 @@ class TestBadInputs:
         assert err.startswith("input error: unknown input 'nosuch'")
         assert len(err.splitlines()) == 1
 
-    def test_truncated_metis_file_is_an_input_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, code, prefix",
+        [
+            (["mst", "{metis}"], 3, "input error: {metis}: edge count mismatch"),
+            (["run", "ECL-MST", "{gr}"], 3, "input error: {gr}:2: vertex 9 out of range"),
+            (["convert", "{metis}", "{tmp}/out.ecl"], 3, "input error: {metis}: edge"),
+            (["profile", "{txt}"], 3, "input error: {txt}:2: not UTF-8"),
+            (["chaos", "{gr}", "--faults", "1"], 3, "input error: {gr}:2: vertex 9"),
+            (["serve", "--batch", "{txt}"], 3, "input error: {txt}:2: not UTF-8"),
+            (["run", "Jucele GPU", "rmat16.sym"], 1, "NC: rmat16.sym has 2"),
+            (["profile", "rmat16.sym", "--code", "Jucele GPU"], 1, "NC: rmat16.sym"),
+        ],
+        ids=[
+            "mst-metis",
+            "run-gr",
+            "convert-metis",
+            "profile-txt",
+            "chaos-gr",
+            "serve-batch",
+            "run-nc",
+            "profile-nc",
+        ],
+    )
+    def test_bad_file_is_one_typed_line(self, tmp_path, argv, code, prefix):
         from test_formats import truncated_internet_metis
 
-        path = truncated_internet_metis(tmp_path)
+        files = {
+            "metis": truncated_internet_metis(tmp_path),
+            "gr": tmp_path / "oor.gr",
+            "txt": tmp_path / "bad.txt",
+            "tmp": tmp_path,
+        }
+        files["gr"].write_text("p sp 3 1\na 1 9 5\n")
+        files["txt"].write_bytes(b"0 1 3\n1 2 \xff\n")
+        argv = [a.format(**files) for a in argv]
+        if argv[0] not in ("convert", "serve"):
+            argv += ["--scale", SCALE]
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "mst", str(path)],
+            [sys.executable, "-m", "repro", *argv],
             capture_output=True,
             text=True,
+            cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
-        assert proc.returncode == 3
+        assert proc.returncode == code
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("input error: ")
+        assert proc.stderr.startswith(prefix.format(**files)), proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1", "1e-400"])

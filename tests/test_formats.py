@@ -164,3 +164,25 @@ class TestMetis:
     def test_neighbour_out_of_range_is_a_format_error(self):
         with pytest.raises(GraphFormatError, match="out of range"):
             load_metis(io.StringIO("2 1\n3\n1\n"))
+
+
+@pytest.mark.parametrize(
+    "suffix, text, line, message",
+    [
+        (".gr", "p sp 3 1\na 1 9 5\n", 2, "vertex 9 out of range [1, 3]"),
+        (".gr", "p sp 3 1\na 0 2 5\n", 2, "vertex 0 out of range [1, 3]"),
+        (".graph", "% c\n3 1\n2\n1 4\n\n", 4, "vertex 4 out of range [1, 3]"),
+        (".txt", "0 1 5\n# c\n1 3 2\n", 3, "vertex 3 out of range [0, 2]"),
+    ],
+    ids=["gr-high", "gr-zero", "graph", "txt"],
+)
+def test_out_of_range_vertex_names_path_and_line(tmp_path, suffix, text, line, message):
+    from repro.graph.io import load_edge_list
+
+    load = {".gr": load_dimacs, ".graph": load_metis, ".txt": load_edge_list}[suffix]
+    kwargs = {"num_vertices": 3} if suffix == ".txt" else {}
+    path = tmp_path / f"g{suffix}"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError) as exc:
+        load(path, **kwargs)
+    assert str(exc.value) == f"{path}:{line}: {message}"

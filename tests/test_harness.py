@@ -10,7 +10,6 @@ from repro.bench.harness import (
     run_cell,
     run_grid,
 )
-from repro.baselines.registry import get_runner
 from repro.generators import suite
 
 
@@ -74,15 +73,15 @@ class TestGeomean:
 
 
 class TestRunCell:
-    def test_repetitions_take_median(self):
+    def test_cell_reads_the_query_result(self):
         g = suite.build("USA-road-d.NY", scale=0.05)
-        cell = run_cell(get_runner("ECL-MST"), g, SYSTEM2, repetitions=3)
-        assert cell.seconds > 0
-        assert cell.wall_seconds > 0
+        cell = run_cell("ECL-MST", g, SYSTEM2)
+        assert cell.seconds == cell.result.modeled_seconds > 0
+        assert cell.memcpy_seconds == cell.result.memcpy_seconds
 
     def test_memcpy_only_for_gpu_result(self):
         g = suite.build("USA-road-d.NY", scale=0.05)
-        gpu_cell = run_cell(get_runner("ECL-MST"), g, SYSTEM2)
+        gpu_cell = run_cell("ECL-MST", g, SYSTEM2)
         assert gpu_cell.memcpy_seconds > 0
 
 
@@ -95,6 +94,6 @@ class TestSystems:
 
     def test_system1_slower_gpu(self):
         g = suite.build("r4-2e23.sym", scale=0.2)
-        c1 = run_cell(get_runner("ECL-MST"), g, SYSTEM1)
-        c2 = run_cell(get_runner("ECL-MST"), g, SYSTEM2)
+        c1 = run_cell("ECL-MST", g, SYSTEM1)
+        c2 = run_cell("ECL-MST", g, SYSTEM2)
         assert c1.seconds > c2.seconds

@@ -118,13 +118,14 @@ class TestServiceSpanClocks:
         tr = Tracer()
         graphs = {"g1": grid2d(8, seed=1), "g2": grid2d(9, seed=2)}
         run_grid(("ECL-MST", "Jucele GPU"), graphs, SYSTEM2, tracer=tr)
-        cells = [sp for sp in tr.roots if sp.kind == "cell"]
-        assert len(cells) == 4
+        cells = tr.roots
+        assert [sp.kind for sp in cells] == ["service"] * 4
         for cell in cells:
-            (run,) = [c for c in cell.children if c.kind == "run"]
-            assert cell.modeled_start <= run.modeled_start
-            assert run.modeled_end <= cell.modeled_end
-            assert run.modeled_seconds > 0
+            _load, run = cell.children
+            (solve,) = run.children
+            assert cell.modeled_start <= solve.modeled_start
+            assert solve.modeled_end <= cell.modeled_end
+            assert solve.modeled_seconds > 0
         for prev, cur in zip(cells, cells[1:]):
             assert prev.modeled_end <= cur.modeled_start
 
@@ -231,27 +232,29 @@ class TestBaselineTracing:
 
 
 class TestHarnessTracing:
-    def test_run_cell_wraps_in_cell_span(self):
-        from repro.baselines.registry import get_runner
+    def test_run_cell_records_one_query_tree(self):
         from repro.bench.harness import SYSTEM2, run_cell
         from repro.generators import grid2d
 
         g = grid2d(8, seed=1)
         tr = Tracer()
-        cell = run_cell(get_runner("ECL-MST"), g, SYSTEM2, tracer=tr)
+        cell = run_cell("ECL-MST", g, SYSTEM2, tracer=tr)
         assert cell.seconds is not None
-        root = tr.roots[0]
-        assert root.kind == "cell"
-        assert root.attrs["outcome"] == "ok"
-        assert root.children[0].kind == "run"
+        (root,) = tr.roots
+        assert (root.kind, root.name) == ("service", f"query {g.name}")
+        load, run = root.children
+        assert (load.name, run.name, run.attrs["code"]) == ("load input", "run", "ECL-MST")
+        assert run.children[0].kind == "run"
+        assert root.modeled_seconds == cell.seconds
 
     def test_run_cell_nc_annotated(self):
-        from repro.baselines.registry import get_runner
         from repro.bench.harness import SYSTEM2, run_cell
         from repro.generators import preferential_attachment
 
         g = preferential_attachment(60, 2, num_components=3, seed=1)
         tr = Tracer()
-        cell = run_cell(get_runner("Jucele GPU"), g, SYSTEM2, tracer=tr)
+        cell = run_cell("Jucele GPU", g, SYSTEM2, tracer=tr)
         assert cell.is_nc
-        assert tr.roots[0].attrs["outcome"] == "NC"
+        (root,) = tr.roots
+        _load, run = root.children
+        assert run.wall_end is not None and root.modeled_seconds == 0.0
