@@ -64,7 +64,7 @@ def cugraph_mst(
 
     with tracer.span(
         f"cugraph on {graph.name}",
-        kind="run",
+        "run",
         algorithm=f"cugraph-{precision}",
         graph=graph.name,
         vertices=n,
@@ -72,7 +72,7 @@ def cugraph_mst(
     ):
         while True:
             rounds += 1
-            with tracer.span(f"round {rounds}", kind="round"):
+            with tracer.span(f"round {rounds}", "round"):
                 # Topology-driven: the full edge set is scanned every
                 # round.
                 rnd = boruvka_round(src, dst, w, eid, comp, tracer=tracer)

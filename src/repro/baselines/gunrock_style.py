@@ -62,7 +62,7 @@ def gunrock_mst(
 
     with tracer.span(
         f"gunrock on {graph.name}",
-        kind="run",
+        "run",
         algorithm="gunrock-gpu",
         graph=graph.name,
         vertices=n,
@@ -70,7 +70,7 @@ def gunrock_mst(
     ):
         while True:
             rounds += 1
-            with tracer.span(f"round {rounds}", kind="round"):
+            with tracer.span(f"round {rounds}", "round"):
                 rnd = boruvka_round(src, dst, w, eid, comp, tracer=tracer)
                 in_mst[rnd.winner_eids] = True
 

@@ -67,7 +67,7 @@ def jucele_mst(
 
     with tracer.span(
         f"jucele on {graph.name}",
-        kind="run",
+        "run",
         algorithm="jucele-gpu",
         graph=graph.name,
         vertices=n,
@@ -75,7 +75,7 @@ def jucele_mst(
     ):
         while True:
             rounds += 1
-            with tracer.span(f"round {rounds}", kind="round"):
+            with tracer.span(f"round {rounds}", "round"):
                 # Data-driven restriction: only slots whose source
                 # vertex is still active are scanned this round.
                 slot_active = active[src]

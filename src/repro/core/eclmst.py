@@ -24,7 +24,7 @@ from ..graph.csr import CSRGraph
 from ..gpusim.atomics import KEY_INFINITY, atomic_min_u64, pack_keys
 from ..gpusim.costmodel import Device
 from ..gpusim.spec import GPUSpec, RTX_3080_TI
-from ..obs.events import NULL_EVENTS, get_event_log, new_run_id
+from ..obs.events import get_event_log, new_run_id
 from ..obs.trace import NULL_TRACER
 from . import costs
 from .config import EclMstConfig
@@ -56,12 +56,7 @@ def _check_deadline(deadline: float | None, rounds: int) -> None:
 
 
 def _run_data_driven_loop(
-    state: MstState,
-    weight_of_edge: np.ndarray,
-    round_log: list[RoundStats] | None = None,
-    guard=None,
-    events=NULL_EVENTS,
-    deadline: float | None = None,
+    state: MstState, round_log: list[RoundStats], guard, events, deadline: float | None
 ) -> int:
     """The Alg.-2 while loop; returns the number of rounds executed."""
     tracer = state.device.tracer
@@ -72,7 +67,10 @@ def _run_data_driven_loop(
         entries = len(state.wl.front)
 
         def body(rounds=rounds, entries=entries):
-            with tracer.span(f"round {rounds}", kind="round", entries=entries) as sp:
+            with tracer.span(
+                f"round {rounds}", "round", log=events, on_close="solver.round",
+                level="debug", round=rounds, entries=entries,
+            ) as sp:
                 survivors = kernel1_reserve(state)
                 state.wl.swap()
                 # The while condition is a worklist-size flag copied back
@@ -83,33 +81,15 @@ def _run_data_driven_loop(
                 if len(state.wl.front):
                     added = kernel2_union(state)
                     kernel3_reset(state)
-                tracer.annotate(survivors=survivors, added=added)
-            if events.enabled:
-                events.emit(
-                    "solver.round",
-                    level="debug",
-                    round=rounds,
-                    entries=entries,
-                    survivors=survivors,
-                    added=added,
-                    span=getattr(sp, "id", 0),
-                )
+                sp.annotate(survivors=survivors, added=added)
             return RoundStats(entries=entries, survivors=survivors, added=added)
 
-        stats = body() if guard is None else guard.run_round(state, body, rounds)
-        if round_log is not None:
-            round_log.append(stats)
+        round_log.append(body() if guard is None else guard.run_round(state, body, rounds))
     return rounds
 
 
 def _run_topology_driven_loop(
-    state: MstState,
-    threshold: int | None,
-    phase: int,
-    weight_of_edge: np.ndarray,
-    guard=None,
-    events=NULL_EVENTS,
-    deadline: float | None = None,
+    state: MstState, threshold: int | None, phase: int, guard, events, deadline: float | None
 ) -> int:
     """De-optimized loop: every round rescans all candidate edges.
 
@@ -127,7 +107,8 @@ def _run_topology_driven_loop(
 
         def body(rounds=rounds):
             with tracer.span(
-                f"round {rounds}", kind="round", entries=len(all_entries)
+                f"round {rounds}", "round", log=events, on_close="solver.round",
+                level="debug", round=rounds, entries=len(all_entries),
             ) as sp:
                 state.wl.fill_front(all_entries)
                 survivors = kernel1_reserve(state)
@@ -137,19 +118,10 @@ def _run_topology_driven_loop(
                 state.wl.swap()
                 state.wl.front = all_entries  # k2/k3 rescan everything
                 state.device.host_sync()  # did-anything-change flag
-                tracer.annotate(survivors=survivors)
+                sp.annotate(survivors=survivors)
                 if survivors:
                     kernel2_union(state)
                     kernel3_reset(state)
-            if events.enabled:
-                events.emit(
-                    "solver.round",
-                    level="debug",
-                    round=rounds,
-                    entries=len(all_entries),
-                    survivors=survivors,
-                    span=getattr(sp, "id", 0),
-                )
             return survivors
 
         survivors = (
@@ -252,14 +224,8 @@ def ecl_mst(
     def _run_phase(threshold: int | None, phase_no: int) -> int:
         kernel_init_populate(state, threshold, phase=phase_no)
         if config.data_driven:
-            return _run_data_driven_loop(
-                state, weight_of_edge, round_log, guard=guard, events=events,
-                deadline=deadline,
-            )
-        return _run_topology_driven_loop(
-            state, threshold, phase_no, weight_of_edge, guard=guard,
-            events=events, deadline=deadline,
-        )
+            return _run_data_driven_loop(state, round_log, guard, events, deadline)
+        return _run_topology_driven_loop(state, threshold, phase_no, guard, events, deadline)
 
     def _guarded_phase(label: str, threshold: int | None, phase_no: int) -> int:
         """One phase under the recovery ladder's rung 2 (restart with
@@ -300,27 +266,13 @@ def ecl_mst(
                     raise
                 raise SerialFallbackRequired from exc2
 
-    def _phase_events(label: str, span, threshold) -> None:
-        if events.enabled:
-            events.emit(
-                "solver.phase",
-                phase=label,
-                threshold=threshold,
-                span=getattr(span, "id", 0),
-            )
-
     fell_through = False
-    if events.enabled:
-        events.emit(
-            "solver.run.start",
-            graph=graph.name,
-            vertices=graph.num_vertices,
-            edges=graph.num_edges,
-            filtering=plan.active,
-        )
     with tracer.span(
         f"ecl-mst on {graph.name}",
-        kind="run",
+        "run",
+        log=events,
+        on_open="solver.run.start",
+        on_close="solver.run.done",
         algorithm="ecl-mst",
         graph=graph.name,
         vertices=graph.num_vertices,
@@ -330,7 +282,7 @@ def ecl_mst(
         # Host-side setup under its own span so the simulator's own
         # Python cost (state arrays, weight table) shows up in
         # host_hotspots alongside the modeled time.
-        with tracer.span("build state", kind="host"):
+        with tracer.span("build state", "host"):
             state = MstState.create(graph, config, device)
             if injector is not None:
                 injector.bind_state(state)
@@ -349,26 +301,14 @@ def ecl_mst(
             guard.bind(state, weight_of_edge)
             device.probe = guard
 
+        phases = ((1, "phase 1"), (2, "phase 2")) if plan.active else ((0, "main phase"),)
         try:
-            if plan.active:
+            for phase_no, label in phases:
                 with tracer.span(
-                    "phase 1", kind="phase", threshold=plan.threshold
-                ) as sp1:
-                    _phase_events("phase 1", sp1, plan.threshold)
-                    rounds_total += _guarded_phase(
-                        "phase 1", plan.threshold, 1
-                    )
-                with tracer.span(
-                    "phase 2", kind="phase", threshold=plan.threshold
-                ) as sp2:
-                    _phase_events("phase 2", sp2, plan.threshold)
-                    rounds_total += _guarded_phase(
-                        "phase 2", plan.threshold, 2
-                    )
-            else:
-                with tracer.span("main phase", kind="phase") as sp0:
-                    _phase_events("main phase", sp0, None)
-                    rounds_total += _guarded_phase("main phase", None, 0)
+                    label, "phase", log=events, on_open="solver.phase",
+                    phase=label, threshold=plan.threshold,
+                ):
+                    rounds_total += _guarded_phase(label, plan.threshold, phase_no)
         except Exception as exc:
             from ..resilience.recovery import SerialFallbackRequired
 
@@ -376,21 +316,29 @@ def ecl_mst(
                 fell_through = True
             else:
                 raise
-        tracer.annotate(rounds=rounds_total)
 
-    sel = state.in_mst
-    algorithm = "ecl-mst"
-    degraded = False
-    if guard is not None:
-        sel, degraded = guard.finalize(graph, sel, fell_through)
-        if degraded:
-            algorithm = "ecl-mst+serial-fallback"
+        sel = state.in_mst
+        algorithm = "ecl-mst"
+        degraded = False
+        if guard is not None:
+            sel, degraded = guard.finalize(graph, sel, fell_through)
+            if degraded:
+                algorithm = "ecl-mst+serial-fallback"
+            run_span.annotate(
+                resilience_detected=guard.stats.detected,
+                resilience_fallback=degraded,
+            )
+        total_weight = int(weight_of_edge[sel].sum(dtype=np.int64))
+        mst_edges = int(np.count_nonzero(sel))
+        modeled_seconds = device.elapsed_seconds
         run_span.annotate(
-            resilience_detected=guard.stats.detected,
-            resilience_fallback=degraded,
+            rounds=rounds_total,
+            mst_edges=mst_edges,
+            total_weight=total_weight,
+            modeled_seconds=modeled_seconds,
+            degraded=degraded,
         )
 
-    total_weight = int(weight_of_edge[sel].sum(dtype=np.int64))
     # Host<->device traffic for the "memcpy" rows: CSR down, edge mask up.
     graph_bytes = (
         4.0 * (graph.num_vertices + 1) + 8.0 * graph.num_directed_edges
@@ -415,9 +363,9 @@ def ecl_mst(
         graph=graph,
         in_mst=sel.copy(),
         total_weight=total_weight,
-        num_mst_edges=int(np.count_nonzero(sel)),
+        num_mst_edges=mst_edges,
         rounds=rounds_total,
-        modeled_seconds=device.elapsed_seconds,
+        modeled_seconds=modeled_seconds,
         counters=device.counters,
         memcpy_seconds=memcpy,
         algorithm=algorithm,
@@ -426,19 +374,9 @@ def ecl_mst(
         extra=extra,
         round_stats=round_log,
     )
-    if events.enabled:
-        events.emit(
-            "solver.run.done",
-            graph=graph.name,
-            rounds=rounds_total,
-            mst_edges=result.num_mst_edges,
-            total_weight=result.total_weight,
-            modeled_seconds=result.modeled_seconds,
-            degraded=degraded,
-        )
     if verify:
         from .verify import verify_mst
 
-        with tracer.span("verify", kind="host"):
+        with tracer.span("verify", "host"):
             verify_mst(result)
     return result

@@ -307,9 +307,8 @@ def kernel_init_populate(
         atomics=appended,  # atomicAdd slot reservations
         critical_items=critical,
         find_jumps=find_loads,
+        attrs={"populated": appended},
     )
-    if dev.tracer.enabled:
-        dev.tracer.annotate(populate_phase=phase, populated=appended)
     return appended
 
 
@@ -432,13 +431,8 @@ def kernel1_reserve(state: MstState) -> int:
         atomic_max_contention=contention,
         critical_items=critical,
         find_jumps=loads,
+        attrs={"survivors": survivors, "atomics_executed": executed},
     )
-    if dev.tracer.enabled:
-        dev.tracer.annotate(
-            k1_survivors=survivors,
-            k1_atomics_executed=executed,
-            k1_atomics_skipped=skipped,
-        )
     return survivors
 
 
@@ -738,9 +732,8 @@ def kernel2_union(state: MstState) -> int:
         bytes_=bytes_,
         atomics=cas_attempts,
         find_jumps=loads + union_loads,
+        attrs={"added": added, "mirror_dups": mirror_dups},
     )
-    if dev.tracer.enabled:
-        dev.tracer.annotate(k2_added=added, k2_mirror_dups=mirror_dups)
     return added
 
 

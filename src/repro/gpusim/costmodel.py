@@ -123,7 +123,10 @@ class Device:
         atomic_max_contention: int = 0,
         critical_items: int = 0,
         find_jumps: int = 0,
+        attrs: dict | None = None,
     ) -> KernelCounters:
+        """Price and record one launch; ``attrs`` (the kernel's own
+        facts, e.g. how many entries it appended) go on its span."""
         if self.fault_injector is not None:
             # May flip bits in bound solver state or raise DeviceFault
             # (a failed launch) — the recovery layer handles both.
@@ -146,7 +149,7 @@ class Device:
         k.modeled_seconds = gpu_kernel_seconds(self.spec, k)
         self.counters.add(k)
         if self.tracer.enabled:
-            self.tracer.kernel(k)
+            self.tracer.kernel(k, attrs)
         return k
 
     def host_sync(self) -> KernelCounters:

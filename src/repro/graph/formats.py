@@ -32,7 +32,16 @@ __all__ = [
     "save_metis",
     "read_lines",
     "check_vertices",
+    "check_vertex_count",
 ]
+
+# A file's isolated vertices cost it nothing but cost the CSR row
+# pointers 8 bytes each, so the vertex count a text file names (its
+# header's, or an edge list's largest ID + 1) may be at most this many
+# per file byte, above a floor for small files: a few corrupted digits
+# fail typed instead of asking for gigabytes.
+VERTICES_PER_BYTE = 8
+MIN_VERTEX_BUDGET = 1 << 20
 
 
 def read_lines(
@@ -78,6 +87,18 @@ def check_vertices(ids, lo: int, hi: int, where: str, lineno: int) -> None:
         raise GraphFormatError(f"{where}:{lineno}: vertex {x} out of range [{lo}, {hi}]")
 
 
+def check_vertex_count(n: int, lines: list[str], where: str) -> None:
+    """The vertex count read from a file of ``lines`` must fit the
+    file's budget (:data:`VERTICES_PER_BYTE`, :data:`MIN_VERTEX_BUDGET`)."""
+    nbytes = sum(map(len, lines)) + len(lines)
+    budget = max(MIN_VERTEX_BUDGET, VERTICES_PER_BYTE * nbytes)
+    if n > budget:
+        raise GraphFormatError(
+            f"{where}: {n} vertices is more than a {nbytes}-byte file may "
+            f"name (at most {budget})"
+        )
+
+
 # ----------------------------------------------------------------------
 # DIMACS .gr
 # ----------------------------------------------------------------------
@@ -119,6 +140,7 @@ def load_dimacs(
         raise GraphFormatError(
             f"{where}: arc count mismatch: problem line says {m}, found {len(us)}"
         )
+    check_vertex_count(n, lines, where)
     return build_csr(
         n,
         np.asarray(us, dtype=np.int64),
@@ -188,6 +210,7 @@ def load_metis(
             f"{where}: edge count mismatch: header says {m} edges "
             f"({2 * m} adjacency entries), found {len(vs)} entries"
         )
+    check_vertex_count(n, lines, where)
     return build_csr(
         n,
         np.asarray(us, dtype=np.int64),

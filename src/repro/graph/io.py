@@ -33,6 +33,7 @@ from ..errors import GraphFormatError
 from .build import build_csr
 from .csr import CSRGraph
 from .formats import (
+    check_vertex_count,
     check_vertices,
     load_dimacs,
     load_metis,
@@ -68,14 +69,17 @@ _MAGIC = b"ECLG\x01\x00"
 
 
 def _read_exact(f, nbytes: int, path, what: str) -> bytes:
-    """Read exactly ``nbytes`` or raise a typed truncation error."""
-    data = f.read(nbytes)
-    if len(data) != nbytes:
+    """Read exactly ``nbytes`` or raise a typed truncation error.
+
+    The bytes left in the file are counted first, so a corrupt header
+    count fails typed instead of asking for a buffer of that size.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if nbytes > left:
         raise GraphFormatError(
-            f"{path}: truncated {what} (expected {nbytes} bytes, "
-            f"got {len(data)})"
+            f"{path}: truncated {what} (expected {nbytes} bytes, got {left})"
         )
-    return data
+    return f.read(nbytes)
 
 
 def save_ecl(graph: CSRGraph, path: str | os.PathLike) -> None:
@@ -167,9 +171,10 @@ def load_edge_list(
     """Read a whitespace-separated ``u v [w]`` edge list.
 
     Lines starting with ``#`` are comments.  Missing weights default to
-    1.  ``num_vertices`` defaults to ``max endpoint + 1``.  The graph
-    is named ``name``, else the file's stem (``edge-list`` for a
-    stream).
+    1.  ``num_vertices`` defaults to ``max endpoint + 1``, which must
+    fit the file's vertex budget (:func:`.formats.check_vertex_count`).
+    The graph is named ``name``, else the file's stem (``edge-list``
+    for a stream).
     """
     lines, where, name = read_lines(path, name, "edge-list")
     us: list[int] = []
@@ -216,6 +221,7 @@ def load_edge_list(
     w = np.asarray(ws, dtype=np.int64)
     if num_vertices is None:
         num_vertices = int(max(u.max(initial=-1), v.max(initial=-1))) + 1
+        check_vertex_count(num_vertices, lines, where)
     return build_csr(num_vertices, u, v, w, name=name)
 
 

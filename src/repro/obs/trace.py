@@ -17,6 +17,13 @@ the hot :meth:`~repro.gpusim.costmodel.Device.launch` path guards on
 Enabling a tracer never changes algorithm behaviour — it only records
 what already happened.
 
+A span can also write the events that mark its boundaries: given an
+event log (``log=``) and event names (``on_open=``/``on_close=``), it
+emits them with its attrs plus ``span=<id>`` when it opens and when
+its block exits without an exception.  The null tracer does the same
+with ``span=0`` while the log listens at that level, so the event log
+and the trace share one writer per boundary.
+
 Usage::
 
     from repro import ecl_mst
@@ -35,6 +42,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
+
+from .events import NULL_EVENTS
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "host_hotspots"]
 
@@ -115,23 +124,46 @@ class _NullSpanContext:
 _NULL_SPAN = _NullSpanContext()
 
 
+@contextmanager
+def _logged_span(sp: Span, log, on_open, on_close, level):
+    """The null tracer's span while its log listens: no clock and no
+    tree, only the attrs its boundary events carry (with ``span=0``)."""
+    if on_open:
+        log.emit(on_open, level, **sp.attrs, span=0)
+    yield sp
+    if on_close:
+        log.emit(on_close, level, **sp.attrs, span=0)
+
+
 class NullTracer:
     """The disabled tracer: every operation is a cheap no-op.
 
     Shared as the :data:`NULL_TRACER` singleton so traced code can call
     tracer methods unconditionally; hot paths may additionally guard on
-    ``tracer.enabled`` to skip building arguments.
+    ``tracer.enabled`` to skip building arguments.  A span that names
+    boundary events still writes them while ``log`` would keep them;
+    otherwise it is the shared no-op span.
     """
 
     enabled = False
 
-    def span(self, name: str, kind: str = "span", **attrs):
+    def span(
+        self, name: str, kind: str = "span", /, *, log=NULL_EVENTS,
+        on_open: str | None = None, on_close: str | None = None, level: str = "info", **attrs,
+    ):
+        if (on_open or on_close) and log.would_emit(level):
+            return _logged_span(Span(name, kind, attrs), log, on_open, on_close, level)
         return _NULL_SPAN
+
+    def mark(self, name: str, kind: str = "span", /, **kw):
+        """A zero-length span: writes its boundary events at once."""
+        with self.span(name, kind, **kw) as sp:
+            return sp
 
     def annotate(self, **attrs) -> None:
         pass
 
-    def kernel(self, counters) -> None:
+    def kernel(self, counters, attrs=None) -> None:
         pass
 
 
@@ -177,18 +209,29 @@ class Tracer:
         return self._stack[-1] if self._stack else None
 
     @contextmanager
-    def span(self, name: str, kind: str = "span", **attrs):
-        """Open a nested span for the duration of the ``with`` block."""
-        self._wall_mark = time.perf_counter()
+    def span(
+        self, name: str, kind: str = "span", /, *, log=NULL_EVENTS,
+        on_open: str | None = None, on_close: str | None = None, level: str = "info", **attrs,
+    ):
+        """Open a nested span for the duration of the ``with`` block.
+
+        ``name`` and ``kind`` are positional-only, so ``attrs`` may
+        hold any key (a detection's fault ``kind``, say).  ``log``
+        receives the ``on_open`` event before the span starts and the
+        ``on_close`` event after it ends without an exception, each
+        carrying the span's attrs at that moment plus ``span=<id>``.
+        """
         sp = Span(
             name=name,
             kind=kind,
             attrs=dict(attrs),
-            wall_start=self._wall_mark,
             modeled_start=self.modeled_now,
             modeled_end=self.modeled_now,
         )
         self._add(sp)
+        if on_open:
+            log.emit(on_open, level, **sp.attrs, span=sp.id)
+        sp.wall_start = self._wall_mark = time.perf_counter()
         self._stack.append(sp)
         try:
             yield sp
@@ -196,19 +239,27 @@ class Tracer:
             self._stack.pop()
             sp.wall_end = self._wall_mark = time.perf_counter()
             sp.modeled_end = self.modeled_now
+        if on_close:
+            log.emit(on_close, level, **sp.attrs, span=sp.id)
+
+    def mark(self, name: str, kind: str = "span", /, **kw) -> Span:
+        """A zero-length span: writes its boundary events at once."""
+        with self.span(name, kind, **kw) as sp:
+            return sp
 
     def annotate(self, **attrs) -> None:
         """Attach attributes to the innermost open span (if any)."""
         if self._stack:
             self._stack[-1].attrs.update(attrs)
 
-    def kernel(self, counters) -> Span:
+    def kernel(self, counters, attrs: dict | None = None) -> Span:
         """Record one simulated kernel launch as a leaf span.
 
         ``counters`` is the launch's
         :class:`~repro.gpusim.counters.KernelCounters`; the span's
         modeled interval is ``[modeled_now, modeled_now +
         counters.modeled_seconds]``, after which the clock advances.
+        ``attrs`` are the kernel's own facts beyond its counters.
         """
         now = time.perf_counter()
         start = self.modeled_now
@@ -228,6 +279,7 @@ class Tracer:
                 "atomics_skipped": counters.atomics_skipped,
                 "find_jumps": counters.find_jumps,
                 "modeled_seconds": counters.modeled_seconds,
+                **(attrs or {}),
             },
         )
         self._wall_mark = now

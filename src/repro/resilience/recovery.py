@@ -243,25 +243,17 @@ class RoundGuard:
                 "message": str(exc),
             }
         )
-        span_id = 0
-        if self.tracer.enabled:
-            with self.tracer.span(
-                f"detected {label}:{kind}",
-                kind="recovery",
-                round=round_index,
-                kernel=kernel,
-            ) as sp:
-                span_id = getattr(sp, "id", 0)
-        if self.events.enabled:
-            self.events.emit(
-                "recovery.detected",
-                level="warning",
-                detector=label,
-                kind=kind,
-                round=round_index,
-                kernel=kernel,
-                span=span_id,
-            )
+        self.tracer.mark(
+            f"detected {label}:{kind}",
+            "recovery",
+            log=self.events,
+            on_close="recovery.detected",
+            level="warning",
+            detector=label,
+            kind=kind,
+            round=round_index,
+            kernel=kernel,
+        )
 
     def _backoff(self, attempt: int) -> None:
         base = BACKOFF_BASE_S
@@ -285,22 +277,15 @@ class RoundGuard:
         self.stats.phase_restarts += 1
         self.forced = True
         self.checker.resync()
-        span_id = 0
-        if self.tracer.enabled:
-            with self.tracer.span(
-                f"phase restart: {label}",
-                kind="recovery",
-                forced_checks=True,
-            ) as sp:
-                span_id = getattr(sp, "id", 0)
-        if self.events.enabled:
-            self.events.emit(
-                "recovery.phase_restart",
-                level="warning",
-                phase=label,
-                forced_checks=True,
-                span=span_id,
-            )
+        self.tracer.mark(
+            f"phase restart: {label}",
+            "recovery",
+            log=self.events,
+            on_close="recovery.phase_restart",
+            level="warning",
+            phase=label,
+            forced_checks=True,
+        )
 
     # ------------------------------------------------------------------
     # End-of-run: verify detector + fallback
@@ -312,6 +297,17 @@ class RoundGuard:
             self._reference_mask = reference_mst_mask(graph)
         return self._reference_mask
 
+    def _note_fallback(self, cause: str) -> None:
+        self.stats.fallbacks += 1
+        self.tracer.mark(
+            "serial fallback",
+            "recovery",
+            log=self.events,
+            on_close="recovery.fallback",
+            level="error",
+            cause=cause,
+        )
+
     def finalize(
         self, graph, in_mst: np.ndarray, fell_through: bool
     ) -> tuple[np.ndarray, bool]:
@@ -321,16 +317,7 @@ class RoundGuard:
         driver is asking for the serial fallback outright.
         """
         if fell_through:
-            self.stats.fallbacks += 1
-            if self.tracer.enabled:
-                with self.tracer.span(
-                    "serial fallback", kind="recovery", cause="ladder-exhausted"
-                ):
-                    pass
-            if self.events.enabled:
-                self.events.emit(
-                    "recovery.fallback", level="error", cause="ladder-exhausted"
-                )
+            self._note_fallback("ladder-exhausted")
             return self._reference(graph).copy(), True
         if self.active:
             self.stats.checks_run += 1
@@ -357,15 +344,6 @@ class RoundGuard:
                         "serial Kruskal reference",
                     }
                 )
-                self.stats.fallbacks += 1
-                if self.tracer.enabled:
-                    with self.tracer.span(
-                        "serial fallback", kind="recovery", cause="verify"
-                    ):
-                        pass
-                if self.events.enabled:
-                    self.events.emit(
-                        "recovery.fallback", level="error", cause="verify"
-                    )
+                self._note_fallback("verify")
                 return ref.copy(), True
         return in_mst, False

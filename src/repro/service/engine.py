@@ -176,11 +176,11 @@ def run_query(
     ``load input`` resolves ``graph`` (unless the build cache did) and
     ``run`` dispatches the code.  Returns ``(graph, result)``; failures
     propagate typed."""
-    with tracer.span(f"query {query.id}", kind="service", query=query.id):
-        with tracer.span("load input", kind="host", input=query.input):
+    with tracer.span(f"query {query.id}", "service", query=query.id):
+        with tracer.span("load input", "host", input=query.input):
             if graph is None:
                 graph = _graph_source(query)[1]()
-        with tracer.span("run", kind="host", code=query.code):
+        with tracer.span("run", "host", code=query.code):
             result = _run_code(
                 query, graph, tracer, slowdown=slowdown, deadline=deadline, events=events
             )
@@ -309,15 +309,7 @@ def _run_code(
             events=events,
             deadline=deadline,
         )
-    try:
-        runner = get_runner(query.code)
-    except KeyError:
-        from ..baselines.registry import RUNNERS
-
-        raise QueryError(
-            f"query {query.id}: unknown code {query.code!r}; "
-            f"choose from {', '.join(RUNNERS)}"
-        ) from None
+    runner = get_runner(query.code)
     result = runner.run(graph, gpu=system.gpu, cpu=system.cpu, tracer=tracer)
     if runner.kind == "gpu":
         # GPU baselines price against the same spec; the run profile
@@ -397,6 +389,9 @@ class MSTService:
                 self.config.postmortem_dir, registry=self.registry
             ).attach(self)
             self.events = self.recorder.tee(self.events)
+        # Result cache entries are ``(stored_at, outcome)``: the
+        # ``time.monotonic()`` store time is the staleness the serving
+        # policy reads.
         self.results = LRUCache(self.config.result_cache_size)
         self.graphs = LRUCache(self.config.graph_cache_size)
         # The one window of finished queries: behind service.qps /
@@ -417,9 +412,6 @@ class MSTService:
                 registry=self.registry,
                 events=self.events,
             )
-        # When each result-cache entry was stored (staleness metadata
-        # for degraded serving); maintained only with the policy on.
-        self._cached_at: dict[str, float] = {}
         # Learned spec-key -> result-key mapping: lets the submit path
         # answer repeat queries from the result cache without loading
         # the graph.  Bounded like the result cache it points into.
@@ -471,8 +463,8 @@ class MSTService:
                 return Ticket(query, self._inflight[key], now, False, self)
             rkey = self._spec_to_rkey.get(key)
         if rkey is not None:
-            cached = self.results.get(rkey)
-            if cached is not None and self._is_fresh(rkey):
+            entry = self.results.get(rkey)
+            if entry is not None and self._is_fresh(entry[0]):
                 self.registry.counter("service.result_cache_hits").inc()
                 if self.events.enabled:
                     self.events.emit(
@@ -482,7 +474,7 @@ class MSTService:
                         path="submit",
                     )
                 return self._resolved_ticket(
-                    query, replace(cached, served_by=SERVED_CACHE), now
+                    query, replace(entry[1], served_by=SERVED_CACHE), now
                 )
         if self.policy is not None:
             gated = self._policy_gate(query, key, rkey, now)
@@ -614,26 +606,9 @@ class MSTService:
         return self._resolved_ticket(query, out, now)
 
     # ------------------------------------------------------------------
-    # Staleness bookkeeping (policy only; no-ops when off)
+    # Staleness (read only with the policy on)
     # ------------------------------------------------------------------
-    def _cache_result(self, rkey: str, outcome: QueryOutcome) -> None:
-        self.results.put(rkey, outcome)
-        if self.policy is None:
-            return
-        with self._lock:
-            self._cached_at[rkey] = time.monotonic()
-            # Prune timestamps for evicted entries once the side table
-            # outgrows the cache — O(capacity) amortized, rare.
-            if len(self._cached_at) > 2 * max(8, self.config.result_cache_size):
-                live = set(self.results.keys())
-                for k in [k for k in self._cached_at if k not in live]:
-                    del self._cached_at[k]
-
-    def _age_of(self, rkey: str) -> float | None:
-        at = self._cached_at.get(rkey)
-        return None if at is None else max(0.0, time.monotonic() - at)
-
-    def _is_fresh(self, rkey: str) -> bool:
+    def _is_fresh(self, stored_at: float) -> bool:
         """Whether a cached result may serve as a normal cache hit.
 
         Always true without the policy (entries never expire, the
@@ -644,8 +619,7 @@ class MSTService:
         pol = self.policy
         if pol is None or pol.cfg.fresh_ttl_s <= 0:
             return True
-        age = self._age_of(rkey)
-        return age is None or age <= pol.cfg.fresh_ttl_s
+        return time.monotonic() - stored_at <= pol.cfg.fresh_ttl_s
 
     def _stale_outcome(
         self, query: Query, rkey: str | None, *, cause: str
@@ -654,10 +628,11 @@ class MSTService:
         pol = self.policy
         if pol is None or not pol.cfg.serve_stale or rkey is None:
             return None
-        cached = self.results.peek(rkey)
-        if cached is None:
+        entry = self.results.peek(rkey)
+        if entry is None:
             return None
-        age = self._age_of(rkey) or 0.0
+        stored_at, cached = entry
+        age = max(0.0, time.monotonic() - stored_at)
         if age > STALE_MAX_AGE_S:
             return None
         pol.note_degraded()
@@ -708,8 +683,8 @@ class MSTService:
 
         digest = graph_fingerprint(graph)["digest"]
         rkey = result_key(digest, query)
-        cached = self.results.get(rkey)
-        if cached is not None and self._is_fresh(rkey):
+        entry = self.results.get(rkey)
+        if entry is not None and self._is_fresh(entry[0]):
             self.registry.counter("service.result_cache_hits").inc()
             if self.events.enabled:
                 self.events.emit(
@@ -718,7 +693,7 @@ class MSTService:
                     query=query.id,
                     path="worker",
                 )
-            return replace(cached, served_by=SERVED_CACHE)
+            return replace(entry[1], served_by=SERVED_CACHE)
         pol = self.policy
         if pol is not None and not pol.breaker_allows(digest):
             # Open breaker (authoritative, post-graph-load): fail fast
@@ -778,7 +753,7 @@ class MSTService:
                     error_kind=outcome.error_kind,
                 )
         if outcome.ok:
-            self._cache_result(rkey, outcome)
+            self.results.put(rkey, (time.monotonic(), outcome))
         else:
             self.registry.counter("service.errors").inc()
             if self.events.enabled:

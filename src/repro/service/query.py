@@ -107,6 +107,13 @@ class Query:
             raise QueryError(
                 f"query {self.id}: system must be 1 or 2, got {self.system!r}"
             )
+        from ..baselines.registry import RUNNERS
+
+        if self.code not in RUNNERS:
+            raise QueryError(
+                f"query {self.id}: unknown code {self.code!r}; "
+                f"choose from {', '.join(RUNNERS)}"
+            )
         for name in ("scale", "timeout_s"):
             value = getattr(self, name)
             if name == "timeout_s" and value is None:

@@ -125,6 +125,21 @@ class TestServe:
         for (key, _), row in zip(BAD_CONFIG_VALUES + BAD_QUERY_VALUES, rows[7:]):
             assert key in row["error"], row
 
+    def test_unknown_code_fails_line_not_batch(self, tmp_path):
+        batch = tmp_path / "batch.ndjson"
+        batch.write_text(
+            "\n".join(
+                json.dumps({"id": qid, "input": "internet", "scale": SCALE, "code": code})
+                for qid, code in (("good", "ECL-MST"), ("bad", "WarpDrive"), ("base", "qKruskal"))
+            )
+        )
+        out = tmp_path / "out.ndjson"
+        assert main(["serve", "--batch", str(batch), "--out", str(out)]) == 3
+        good, bad, base = read_ndjson(out)
+        assert good["status"] == base["status"] == "ok"
+        assert (bad["status"], bad["error_kind"]) == ("error", "input")
+        assert "line 2" in bad["error"] and "unknown code 'WarpDrive'" in bad["error"]
+
     def test_fault_exit_code_wins(self, tmp_path):
         batch = tmp_path / "batch.ndjson"
         batch.write_text(

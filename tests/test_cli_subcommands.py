@@ -30,6 +30,19 @@ class TestRun:
         assert err.startswith("input error: ") and "unknown code 'WarpDrive'" in err
         assert len(err.splitlines()) == 1
 
+    def test_run_unknown_code_does_not_touch_input(self, capsys, monkeypatch):
+        # The code is checked when the query is built, so the input is
+        # never opened or built.
+        from repro.service import engine
+
+        def no_input(query):
+            raise AssertionError("input resolved for an unknown code")
+
+        monkeypatch.setattr(engine, "_graph_source", no_input)
+        assert main(["run", "WarpDrive", "/no/such/file.gr"]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("input error: ") and "unknown code 'WarpDrive'" in line
+
     def test_run_system1(self, capsys):
         assert (
             main(["run", "ECL-MST", "internet", "--system", "1", "--scale", SCALE])

@@ -10,13 +10,13 @@ from repro.obs import NULL_TRACER, Span, Tracer
 class TestSpanBasics:
     def test_nesting_and_attrs(self):
         tr = Tracer()
-        with tr.span("outer", kind="run", graph="g") as outer:
+        with tr.span("outer", "run", graph="g") as outer:
             assert tr.current is outer
-            with tr.span("inner", kind="round"):
+            with tr.span("inner", "round"):
                 tr.annotate(survivors=7)
         assert tr.current is None
         assert len(tr.roots) == 1
-        assert outer.attrs["graph"] == "g"
+        assert (outer.kind, outer.attrs["graph"]) == ("run", "g")
         assert outer.children[0].attrs["survivors"] == 7
         assert outer.wall_end is not None
         assert outer.wall_seconds >= outer.children[0].wall_seconds
@@ -132,11 +132,63 @@ class TestServiceSpanClocks:
 
 class TestNullTracer:
     def test_null_tracer_is_inert(self):
-        with NULL_TRACER.span("anything", kind="run") as sp:
+        with NULL_TRACER.span("anything", "run") as sp:
             sp.annotate(x=1)
         NULL_TRACER.annotate(y=2)
         NULL_TRACER.kernel(None)
         assert not NULL_TRACER.enabled
+
+
+class TestBoundaryEvents:
+    """A span given an event log writes its own open/close events."""
+
+    def _log(self):
+        from repro.obs.events import EventLog, ListSink
+
+        sink = ListSink()
+        return EventLog(level="info", sinks=[sink]), sink
+
+    def test_both_tracers_write_attrs_and_span_id(self):
+        for tracer in (Tracer(), NULL_TRACER):
+            log, sink = self._log()
+            with tracer.span(
+                "r", "round", log=log, on_open="r.open", on_close="r.close", n=1
+            ) as sp:
+                sp.annotate(kind="fault-kind")
+            span_id = sp.id if tracer.enabled else 0
+            assert [(e.name, e.fields) for e in sink.events] == [
+                ("r.open", {"n": 1, "span": span_id}),
+                ("r.close", {"n": 1, "kind": "fault-kind", "span": span_id}),
+            ]
+            if tracer.enabled:
+                assert (sp.kind, sp.attrs) == ("round", {"n": 1, "kind": "fault-kind"})
+
+    def test_no_close_event_after_an_exception(self):
+        for tracer in (Tracer(), NULL_TRACER):
+            log, sink = self._log()
+            try:
+                with tracer.span("r", "round", log=log, on_open="r.open", on_close="r.close"):
+                    raise ValueError()
+            except ValueError:
+                pass
+            assert [e.name for e in sink.events] == ["r.open"]
+
+    def test_mark_is_a_zero_length_span(self):
+        log, sink = self._log()
+        tr = Tracer()
+        sp = tr.mark("m", "recovery", log=log, on_close="m.done", level="warning", cause="x")
+        assert tr.roots == [sp] and sp.children == []
+        assert [(e.name, e.level, e.fields) for e in sink.events] == [
+            ("m.done", "warning", {"cause": "x", "span": sp.id})
+        ]
+
+    def test_null_tracer_without_a_listener_returns_the_shared_noop(self):
+        log, sink = self._log()
+        quiet = NULL_TRACER.span("r", "round", log=log, on_close="r.close", level="debug")
+        assert quiet is NULL_TRACER.span("other")
+        with quiet as sp:
+            sp.annotate(x=1)
+        assert sink.events == []
 
 
 class TestEclMstTracing:

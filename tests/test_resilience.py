@@ -313,53 +313,95 @@ class TestErrorTaxonomy:
 # ---------------------------------------------------------------------------
 # Telemetry join: the NDJSON event log and the span trace correlate
 # ---------------------------------------------------------------------------
+# Events a span writes at its own boundary (``Tracer.span``'s
+# ``on_open``/``on_close``), and two seeded plans: one bitflip the
+# round guard rolls back, and three failed launches that exhaust the
+# round retries, restart the phase and end in the serial fallback.
+BOUNDARY_EVENTS = {
+    "solver.run.start",
+    "solver.run.done",
+    "solver.phase",
+    "solver.round",
+    "recovery.detected",
+    "recovery.phase_restart",
+    "recovery.fallback",
+}
+JOIN_PLANS = {
+    "rollback": FaultPlan(
+        seed=0, events=(FaultEvent(kind="bitflip-parent", index=4, lane=17, bit=5),)
+    ),
+    "restart-fallback": FaultPlan(
+        seed=0, events=tuple(FaultEvent(kind="kernel-fail", index=i) for i in (2, 3, 4))
+    ),
+}
+
+
+def _logged_run(graph, plan, tracer):
+    from repro.obs.events import ListSink, configure_events, reset_events
+
+    sink = ListSink()
+    configure_events(level="debug", extra_sinks=[sink], console=False)
+    try:
+        result = ecl_mst(
+            graph, resilience=ResilienceConfig(), fault_plan=plan, tracer=tracer
+        )
+    finally:
+        reset_events()
+    return result, sink.events
+
+
+def _without_span(events):
+    return [
+        (e.name, e.level, {k: v for k, v in e.fields.items() if k not in ("span", "run")})
+        for e in events
+    ]
+
+
 class TestTelemetryJoin:
-    def test_resilience_events_join_trace_spans(self, graph):
-        from repro.obs.events import ListSink, configure_events, reset_events
+    @pytest.mark.parametrize("plan_name", sorted(JOIN_PLANS))
+    @pytest.mark.parametrize("traced", [True, False], ids=["tracer", "null-tracer"])
+    def test_resilience_events_join_trace_spans(self, graph, monkeypatch, traced, plan_name):
         from repro.obs.trace import Tracer
 
-        sink = ListSink()
-        configure_events(level="debug", extra_sinks=[sink], console=False)
-        tracer = Tracer()
-        plan = FaultPlan(
-            seed=0,
-            events=(
-                FaultEvent(kind="bitflip-parent", index=4, lane=17, bit=5),
-            ),
-        )
-        try:
-            r = ecl_mst(
-                graph,
-                resilience=ResilienceConfig(),
-                fault_plan=plan,
-                tracer=tracer,
-            )
-        finally:
-            reset_events()
+        monkeypatch.setattr(recovery, "BACKOFF_BASE_S", 0.0)
+        plan = JOIN_PLANS[plan_name]
+        tracer = Tracer() if traced else None
+        r, events = _logged_run(graph, plan, tracer)
         assert r.extra["resilience"]["detected"] >= 1
+        names = [e.name for e in events]
+        assert {"fault.injected", "recovery.detected"} <= set(names)
+        if plan_name == "restart-fallback":
+            assert {"recovery.phase_restart", "recovery.fallback"} <= set(names)
+            assert r.algorithm == "ecl-mst+serial-fallback"
 
-        names = [e.name for e in sink.events]
-        assert "fault.injected" in names
-        assert "recovery.detected" in names
-
-        # Every event that claims a span must join to a real span ID in
-        # the trace (span=0 means "no span active", never a dangle).
-        span_ids = {sp.id for sp in tracer.spans()}
-        correlated = [
-            e for e in sink.events if e.fields.get("span", 0) > 0
-        ]
-        assert correlated, "no events carried a span correlation ID"
-        for ev in correlated:
-            assert ev.fields["span"] in span_ids, (
-                f"{ev.name} points at unknown span {ev.fields['span']}"
-            )
+        # The other tracer mode writes the same stream, span IDs aside.
+        _, other = _logged_run(graph, plan, None if traced else Tracer())
+        assert _without_span(events) == _without_span(other)
 
         # One run ID binds the whole story.
-        runs = {
-            e.fields["run"] for e in sink.events if "run" in e.fields
-        }
+        runs = {e.fields["run"] for e in events if "run" in e.fields}
         assert len(runs) == 1
         assert next(iter(runs)).startswith("run-")
+
+        boundary = [e for e in events if e.name in BOUNDARY_EVENTS]
+        if not traced:
+            # No tracer, no span to name.
+            assert all(e.fields["span"] == 0 for e in boundary)
+            return
+        # Every event that claims a span joins to a real span ID in the
+        # trace (span=0 means "no span active", never a dangle), and a
+        # boundary event carries its own span's attrs.
+        spans = {sp.id: sp for sp in tracer.spans()}
+        correlated = [e for e in events if e.fields.get("span", 0) > 0]
+        assert correlated, "no events carried a span correlation ID"
+        for ev in correlated:
+            assert ev.fields["span"] in spans, (
+                f"{ev.name} points at unknown span {ev.fields['span']}"
+            )
+        for ev in boundary:
+            attrs = spans[ev.fields["span"]].attrs
+            fields = {k: v for k, v in ev.fields.items() if k not in ("span", "run")}
+            assert fields.items() <= attrs.items(), ev.name
 
     def test_event_log_does_not_perturb_recovery(self, graph):
         from repro.obs.events import ListSink, configure_events, reset_events

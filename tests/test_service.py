@@ -462,8 +462,13 @@ class TestOtherCodes:
         assert kru.algorithm != ecl.algorithm
 
     def test_unknown_code_is_input_error(self):
+        # The code is checked when the query is built, before any input
+        # is resolved; a batch line naming one fails that line alone.
+        with pytest.raises(QueryError, match="query u: unknown code 'NoSuchCode'"):
+            q(id="u", code="NoSuchCode")
+        line = '{"id": "u", "input": "internet", "code": "NoSuchCode"}'
         with service() as svc:
-            out = svc.run_batch([q(id="u", code="NoSuchCode")])[0]
+            out = svc.run_batch(parse_batch_lines([line]))[0]
         assert out.status == "error"
         assert out.error_kind == "input"
         assert out.exit_code == 3
