@@ -87,7 +87,7 @@ def kruskal_serial_mst(
     machine = CpuMachine(cpu)
     u, v, w, eid = graph.undirected_edges()
     m = u.size
-    order = np.argsort(pack_keys(w, eid), kind="stable")
+    order = np.argsort(pack_keys(w, eid))
     machine.phase(
         "sort",
         ops=_SORT_CMP_OPS * m * max(1.0, np.log2(max(m, 2))),
@@ -134,7 +134,7 @@ def qkruskal_mst(graph: CSRGraph, *, cpu: CPUSpec = XEON_GOLD_6226R_X2) -> MstRe
             break
         rounds += 1
         k = idx.size
-        order = idx[np.argsort(keys[idx], kind="stable")]
+        order = idx[np.argsort(keys[idx])]
         machine.phase(
             "sort_half",
             ops=_SORT_CMP_OPS * k * max(1.0, np.log2(max(k, 2))),
@@ -173,7 +173,7 @@ def filter_kruskal_mst(
     keys = pack_keys(w, eid)
 
     def kruskal_base(idx: np.ndarray) -> None:
-        order = idx[np.argsort(keys[idx], kind="stable")]
+        order = idx[np.argsort(keys[idx])]
         k = idx.size
         machine.phase(
             "sort_base",

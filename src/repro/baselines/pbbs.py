@@ -120,7 +120,7 @@ def pbbs_parallel_mst(
     )
 
     rounds = 0
-    order = light[np.argsort(keys[light], kind="stable")]
+    order = light[np.argsort(keys[light])]
     machine.phase(
         "sort_light",
         ops=_SORT_CMP_OPS * order.size * max(1.0, np.log2(max(order.size, 2))),
@@ -146,7 +146,7 @@ def pbbs_parallel_mst(
             syncs=1,
         )
         if keep.size:
-            order = keep[np.argsort(keys[keep], kind="stable")]
+            order = keep[np.argsort(keys[keep])]
             machine.phase(
                 "sort_heavy",
                 ops=_SORT_CMP_OPS * order.size * max(1.0, np.log2(max(order.size, 2))),

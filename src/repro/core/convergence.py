@@ -74,7 +74,7 @@ def kruskal_chunked_sorted(graph: CSRGraph, chunk_size: int | None = None) -> Ro
     """
     u, v, w, eid = graph.undirected_edges()
     keys = pack_keys(w, eid)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     u, v, w, eid = u[order], v[order], w[order], eid[order]
     n = graph.num_vertices
     if chunk_size is None:

@@ -66,7 +66,7 @@ def validate_msf(result: MstResult) -> None:
         )
 
     # --- minimality: the selection is the unique MSF -----------------
-    order = np.argsort(pack_keys(w, eid), kind="stable")
+    order = np.argsort(pack_keys(w, eid))
     differs = sel != spanning_forest(n, u, v, order)
     if differs.any():
         i = order[np.argmax(differs[order])]  # lightest differing edge

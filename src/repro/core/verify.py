@@ -29,7 +29,7 @@ def reference_mst_mask(graph: CSRGraph) -> np.ndarray:
     deterministic tie-break ECL-MST's atomicMin uses).
     """
     u, v, w, eid = graph.undirected_edges()
-    order = np.argsort(pack_keys(w, eid), kind="stable")
+    order = np.argsort(pack_keys(w, eid))
     mask = np.zeros(graph.num_edges, dtype=bool)
     mask[eid] = spanning_forest(graph.num_vertices, u, v, order)
     return mask

@@ -37,19 +37,29 @@ def _delaunay_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = tri.simplices
     lo = np.concatenate([s[:, 0], s[:, 1], s[:, 2]]).astype(np.int64)
     hi = np.concatenate([s[:, 1], s[:, 2], s[:, 0]]).astype(np.int64)
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    key = lo * points.shape[0] + hi
-    _, uniq = np.unique(key, return_index=True)
-    return lo[uniq], hi[uniq]
+    n = points.shape[0]
+    key = np.sort(np.minimum(lo, hi) * n + np.maximum(lo, hi))
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    key = key[first]
+    return key // n, key % n
 
 
 def _euclidean_mst_mask(
     points: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """MSF of the candidate edges by (length, index); True = backbone edge."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """MSF of the candidate edges by (length, index), and their lengths.
+
+    Returns ``(mask, lengths)``; True = backbone edge.  The default sort
+    ranks distinct lengths; only a tie needs the stable sort's index
+    order.
+    """
     lengths = np.linalg.norm(points[lo] - points[hi], axis=1)
-    order = np.argsort(lengths, kind="stable")
-    return spanning_forest(points.shape[0], lo, hi, order)
+    order = np.argsort(lengths)
+    ranked = lengths[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(lengths, kind="stable")
+    return spanning_forest(points.shape[0], lo, hi, order), lengths
 
 
 def road_network(
@@ -70,7 +80,7 @@ def road_network(
     rng = np.random.default_rng(seed)
     points = rng.random((num_vertices, 2))
     lo, hi = _delaunay_edges(points)
-    backbone = _euclidean_mst_mask(points, lo, hi)
+    backbone, lengths = _euclidean_mst_mask(points, lo, hi)
 
     target_edges = max(
         num_vertices - 1, int(round(target_avg_degree * num_vertices / 2))
@@ -78,19 +88,17 @@ def road_network(
     extra_needed = target_edges - int(np.count_nonzero(backbone))
     if extra_needed > 0:
         cand = np.flatnonzero(~backbone)
-        lengths = np.linalg.norm(points[lo[cand]] - points[hi[cand]], axis=1)
+        cand_lengths = lengths[cand]
         # Jitter the ranking so the extras aren't purely the shortest
         # (real road grids mix short blocks with longer connectors).
-        jitter = rng.random(cand.size) * float(lengths.mean())
-        pick = cand[np.argsort(lengths + jitter)[:extra_needed]]
+        jitter = rng.random(cand.size) * float(cand_lengths.mean())
+        pick = cand[np.argsort(cand_lengths + jitter)[:extra_needed]]
         keep = backbone.copy()
         keep[pick] = True
     else:
         keep = backbone
 
-    lo, hi = lo[keep], hi[keep]
-    d = np.linalg.norm(points[lo] - points[hi], axis=1)
-    w = np.maximum(1, (d * 1_000_000).astype(np.int64))
+    w = np.maximum(1, (lengths[keep] * 1_000_000).astype(np.int64))
     return from_edge_arrays(
-        num_vertices, lo, hi, w, name=name or f"road-{num_vertices}"
+        num_vertices, lo[keep], hi[keep], w, name=name or f"road-{num_vertices}"
     )

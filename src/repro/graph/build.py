@@ -95,7 +95,6 @@ def build_csr(
         firsts = np.ones(key_sorted.size, dtype=bool)
         firsts[1:] = key_sorted[1:] != key_sorted[:-1]
         sel = order[firsts]
-        sel.sort()
         lo, hi, w = lo[sel], hi[sel], w[sel]
     else:
         raise ValueError(f"unknown dedup policy {dedup!r}")
@@ -113,39 +112,55 @@ def from_edge_arrays(
 ) -> CSRGraph:
     """Assemble a CSR graph from already-clean canonical edges.
 
-    ``(lo, hi, w)`` must be self-loop-free and duplicate-free with
-    ``lo < hi``; this is the fast path used by the generators, which
-    produce clean edges directly.
+    ``(lo, hi, w)`` must have ``0 <= lo < hi < num_vertices`` and no
+    repeated ``(lo, hi)`` pair, else :class:`ValueError`; this is the
+    fast path used by the generators, which produce clean edges
+    directly.  Under that contract the packed keys ``lo * n + hi`` and
+    ``src * n + dst`` are distinct, so one default argsort on each
+    yields exactly the ``(lo, hi)`` and ``(src, dst)`` lexicographic
+    orders.
     """
+    n = num_vertices
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     w = np.asarray(w, dtype=np.int64)
     m = lo.size
+    if m and (int(lo.min()) < 0 or int(hi.max()) >= n):
+        raise ValueError(f"{name}: edge endpoint out of range [0, {n})")
+    if np.any(lo >= hi):
+        bad = int(np.argmax(lo >= hi))
+        raise ValueError(
+            f"{name}: edge ({int(lo[bad])}, {int(hi[bad])}) is not lo < hi"
+        )
     check_weight_bound(w, lo, hi, name=name)
 
     # Assign edge IDs in (lo, hi) lexicographic order for determinism.
-    order = np.lexsort((hi, lo))
-    lo, hi, w = lo[order], hi[order], w[order]
-    eid = np.arange(m, dtype=np.int64)
+    key = lo * n + hi
+    order = np.argsort(key)
+    lo, hi, w, key = lo[order], hi[order], w[order], key[order]
+    repeated = key[1:] == key[:-1]
+    if repeated.any():
+        bad = int(np.argmax(repeated))
+        raise ValueError(
+            f"{name}: edge ({int(lo[bad])}, {int(hi[bad])}) is repeated"
+        )
 
-    # Mirror into directed slots.
+    # Mirror into directed slots, sorted by (src, dst) into adjacency
+    # lists; slot s carries edge ID s mod m.
     src = np.concatenate([lo, hi])
     dst = np.concatenate([hi, lo])
-    dw = np.concatenate([w, w])
-    de = np.concatenate([eid, eid])
+    slot_order = np.argsort(src * n + dst)
+    dst = dst.astype(VERTEX_DTYPE)[slot_order]
+    dw = np.concatenate([w, w]).astype(WEIGHT_DTYPE)[slot_order]
+    de = (slot_order % max(m, 1)).astype(EDGE_ID_DTYPE)
 
-    # Counting sort by (src, dst) builds sorted adjacency lists.
-    slot_order = np.lexsort((dst, src))
-    src, dst, dw, de = src[slot_order], dst[slot_order], dw[slot_order], de[slot_order]
-
-    row_ptr = np.zeros(num_vertices + 1, dtype=INDEX_DTYPE)
-    counts = np.bincount(src, minlength=num_vertices)
-    np.cumsum(counts, out=row_ptr[1:])
+    row_ptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(src, minlength=n), out=row_ptr[1:])
 
     return CSRGraph(
         row_ptr=row_ptr,
-        col_idx=dst.astype(VERTEX_DTYPE),
-        weights=dw.astype(WEIGHT_DTYPE),
-        edge_ids=de.astype(EDGE_ID_DTYPE),
+        col_idx=dst,
+        weights=dw,
+        edge_ids=de,
         name=name,
     )

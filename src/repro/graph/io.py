@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 from pathlib import Path
 from typing import Callable
 
@@ -153,6 +154,11 @@ def load_ecl(path: str | os.PathLike, name: str | None = None) -> CSRGraph:
     )
 
 
+# The first line :func:`save_edge_list` writes; it carries the vertex
+# count, so trailing isolated vertices survive a round trip.
+_EDGE_LIST_HEADER = re.compile(r"#.*: ([0-9]+) vertices, [0-9]+ edges")
+
+
 def save_edge_list(graph: CSRGraph, path: str | os.PathLike) -> None:
     """Write an undirected ``u v w`` text edge list."""
     u, v, w, _ = graph.undirected_edges()
@@ -171,12 +177,18 @@ def load_edge_list(
     """Read a whitespace-separated ``u v [w]`` edge list.
 
     Lines starting with ``#`` are comments.  Missing weights default to
-    1.  ``num_vertices`` defaults to ``max endpoint + 1``, which must
-    fit the file's vertex budget (:func:`.formats.check_vertex_count`).
-    The graph is named ``name``, else the file's stem (``edge-list``
-    for a stream).
+    1.  ``num_vertices`` defaults to the ``N`` of a first line
+    ``# <name>: N vertices, M edges`` (as :func:`save_edge_list`
+    writes), else to ``max endpoint + 1``; either must fit the file's
+    vertex budget (:func:`.formats.check_vertex_count`).  The graph is
+    named ``name``, else the file's stem (``edge-list`` for a stream).
     """
     lines, where, name = read_lines(path, name, "edge-list")
+    if num_vertices is None and lines:
+        header = _EDGE_LIST_HEADER.fullmatch(lines[0].strip())
+        if header:
+            num_vertices = int(header[1])
+            check_vertex_count(num_vertices, lines, where)
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []

@@ -13,7 +13,7 @@ corrupted :class:`~repro.core.kernels.MstState` *during* the run:
 * ``minedge-reset``     — after kernel 3 every reservation slot is back
   at the +infinity sentinel (reserved keys only ever decrease within a
   round and are fully reset at its end)
-* ``minedge-monotonic`` — between kernel 1 and kernel 3 no reservation
+* ``minedge-monotonic`` — from kernel 1 through kernel 2 no reservation
   key may *increase* (per-kernel mode)
 * ``minedge-valid-key`` — every live reservation unpacks to a real edge
   whose weight matches the graph (per-kernel mode)
@@ -196,7 +196,7 @@ class InvariantChecker:
     # Per-kernel probes (forced-checking mode)
     # ------------------------------------------------------------------
     def on_kernel(self, kernel: str, round_index: int) -> None:
-        """Device-launch hook: snapshot after k1, validate k2/k3."""
+        """Device-launch hook: snapshot after k1, validate k2, drop at k3."""
         state = self._state
         if state is None:
             return
@@ -211,7 +211,11 @@ class InvariantChecker:
             self.checks_run += 1
             self._check_minedge_keys(state, round_index, kernel)
             self._minedge_snapshot = state.min_edge.copy()
-        elif kernel in ("k2_union", "k3_reset"):
+        elif kernel == "k3_reset":
+            # k3 launches after resetting its slots to +inf; the round
+            # sweep's ``minedge-reset`` checks it, so just drop the snapshot.
+            self._minedge_snapshot = None
+        elif kernel == "k2_union":
             if self._minedge_snapshot is None:
                 return
             self.checks_run += 1
@@ -226,8 +230,6 @@ class InvariantChecker:
                     round_index,
                     kernel,
                 )
-            if kernel == "k3_reset":
-                self._minedge_snapshot = None
 
     def _check_minedge_keys(self, state, round_index, kernel) -> None:
         """Every live reservation must be a real edge's packed key."""

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.graph.build import build_csr, empty_graph
+from repro.graph.build import build_csr, empty_graph, from_edge_arrays
+from repro.graph.csr import EDGE_ID_DTYPE, INDEX_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
 
 class TestCleanup:
@@ -91,3 +93,61 @@ class TestAssembly:
         w = rng.integers(1, 1000, 3000)
         g = build_csr(200, u, v, w)
         g.validate()
+
+
+def lexsort_csr(n, lo, hi, w):
+    """Oracle: CSR arrays by two lexsorts, edge IDs in ``(lo, hi)`` order."""
+    order = np.lexsort((hi, lo))
+    lo, hi, w = lo[order], hi[order], w[order]
+    eid = np.arange(lo.size)
+    src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    dw, de = np.concatenate([w, w]), np.concatenate([eid, eid])
+    slot = np.lexsort((dst, src))
+    row_ptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(src[slot], minlength=n), out=row_ptr[1:])
+    return (
+        row_ptr,
+        dst[slot].astype(VERTEX_DTYPE),
+        dw[slot].astype(WEIGHT_DTYPE),
+        de[slot].astype(EDGE_ID_DTYPE),
+    )
+
+
+@st.composite
+def clean_edges(draw):
+    """A duplicate-free ``lo < hi`` edge set on ``n`` vertices, shuffled."""
+    n = draw(st.integers(1, 60))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    w = draw(st.lists(st.integers(0, 2**31 - 1), min_size=len(chosen), max_size=len(chosen)))
+    lo = np.array([a for a, _ in chosen], dtype=np.int64)
+    hi = np.array([b for _, b in chosen], dtype=np.int64)
+    return n, lo, hi, np.array(w, dtype=np.int64)
+
+
+class TestFromEdgeArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(edges=clean_edges())
+    def test_matches_lexsort_oracle(self, edges):
+        n, lo, hi, w = edges
+        g = from_edge_arrays(n, lo, hi, w)
+        got = (g.row_ptr, g.col_idx, g.weights, g.edge_ids)
+        for a, b in zip(got, lexsort_csr(n, lo, hi, w)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "lo,hi,match",
+        [
+            ([0, 2], [1, 2], "not lo < hi"),
+            ([1, 0], [0, 1], "not lo < hi"),
+            ([0, 1, 0], [1, 2, 1], "repeated"),
+            ([0], [4], "out of range"),
+            ([-1], [2], "out of range"),
+        ],
+        ids=["self-loop", "lo-above-hi", "repeated-pair", "hi-too-big", "negative"],
+    )
+    def test_contract_violation_raises(self, lo, hi, match):
+        w = np.ones(len(lo), dtype=np.int64)
+        with pytest.raises(ValueError, match=match):
+            from_edge_arrays(4, np.array(lo), np.array(hi), w)

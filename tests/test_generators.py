@@ -1,5 +1,7 @@
 """Generator tests: every suite input must match its Table-2 profile."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from repro.generators import (
     road_network,
     suite,
 )
-from repro.graph.properties import connected_components, graph_info
+from repro.generators.roads import _delaunay_edges, _euclidean_mst_mask
+from repro.graph.properties import connected_components, graph_info, spanning_forest
 
 
 class TestGrid:
@@ -110,6 +113,18 @@ class TestRoads:
         with pytest.raises(ValueError):
             road_network(2)
 
+    def test_backbone_ties_break_by_index(self):
+        # Lattice points tie on length everywhere, so the backbone must
+        # take the stable sort's (length, index) order.
+        side = 12
+        xy = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1)
+        points = np.random.default_rng(3).permutation(xy.reshape(-1, 2)).astype(float)
+        lo, hi = _delaunay_edges(points)
+        mask, lengths = _euclidean_mst_mask(points, lo, hi)
+        assert np.unique(lengths).size < lengths.size
+        stable = np.argsort(lengths, kind="stable")
+        assert np.array_equal(mask, spanning_forest(points.shape[0], lo, hi, stable))
+
 
 class TestDelaunay:
     def test_planar_edge_bound(self):
@@ -177,6 +192,25 @@ SUITE_DIGESTS = {
     "USA-road-d.USA": "a2be8b42dbbb15df",
 }
 
+# SHA-256 prefixes over row_ptr, col_idx, weights and edge_ids (dtype
+# and bytes) of inputs large enough to reach the CSR builder's sort and
+# gather paths that the 0.05-scale digests above do not; graph_fingerprint
+# skips edge_ids.
+CSR_DIGESTS = {
+    ("USA-road-d.NY", 4, 0): "e3458a51a346a27d",
+    ("USA-road-d.NY", 4, 7): "f58a976b1b2a5015",
+    ("europe_osm", 1, 0): "e91c77f526730791",
+    ("2d-2e20.sym", 1, 0): "48150506a970d1a7",
+}
+
+
+def csr_digest(g) -> str:
+    h = hashlib.sha256()
+    for a in (g.row_ptr, g.col_idx, g.weights, g.edge_ids):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
 
 class TestSuite:
     def test_digests_cover_the_suite(self):
@@ -188,6 +222,11 @@ class TestSuite:
 
         g = suite.build(name, scale=0.05, seed=7)
         assert graph_fingerprint(g)["digest"] == SUITE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name,scale,seed", sorted(CSR_DIGESTS))
+    def test_csr_arrays_are_pinned(self, name, scale, seed):
+        g = suite.build(name, scale=scale, seed=seed)
+        assert csr_digest(g) == CSR_DIGESTS[name, scale, seed]
 
     def test_all_seventeen_inputs_present(self):
         assert len(suite.SUITE) == 17

@@ -211,6 +211,23 @@ class TestRecovery:
         res = r.extra["resilience"]
         assert res["fallbacks"] == 1 and res["phase_restarts"] >= 1
 
+    def test_phase_restart_recovers(self, graph, monkeypatch):
+        # Launches 2-4 exhaust the round's retries; the restarted phase
+        # runs fault-free under per-kernel checks and must finish on
+        # the GPU path.  k3 launches after resetting its slots, so a
+        # monotonic check there used to fail every restart.
+        monkeypatch.setattr(recovery, "BACKOFF_BASE_S", 0.0)
+        plan = FaultPlan(
+            seed=0, events=tuple(FaultEvent(kind="kernel-fail", index=i) for i in (2, 3, 4))
+        )
+        r = ecl_mst(graph, resilience=ResilienceConfig(), fault_plan=plan)
+        assert r.algorithm == "ecl-mst"
+        assert np.array_equal(r.in_mst, reference_mst_mask(graph))
+        res = r.extra["resilience"]
+        assert res["phase_restarts"] == 1
+        assert res["fallbacks"] == 0
+        assert res["invariant_violations"] == 0
+
     def test_backoff_accounted(self, graph, monkeypatch):
         monkeypatch.setattr(recovery, "BACKOFF_BASE_S", 1e-6)
         monkeypatch.setattr(recovery, "BACKOFF_MAX_S", 1e-5)
@@ -330,8 +347,10 @@ JOIN_PLANS = {
     "rollback": FaultPlan(
         seed=0, events=(FaultEvent(kind="bitflip-parent", index=4, lane=17, bit=5),)
     ),
+    # Launches 2-4 exhaust the round's retries; launch 5 fails the
+    # restarted phase too, so the ladder falls back.
     "restart-fallback": FaultPlan(
-        seed=0, events=tuple(FaultEvent(kind="kernel-fail", index=i) for i in (2, 3, 4))
+        seed=0, events=tuple(FaultEvent(kind="kernel-fail", index=i) for i in (2, 3, 4, 5))
     ),
 }
 

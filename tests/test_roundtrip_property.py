@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.eclmst import ecl_mst
 from repro.graph.build import build_csr
 from repro.graph.formats import load_dimacs, load_metis, save_dimacs, save_metis
-from repro.graph.io import load_ecl, save_ecl
+from repro.graph.io import load_ecl, load_edge_list, save_ecl, save_edge_list
 
 
 @st.composite
@@ -33,8 +33,13 @@ def random_graphs(draw):
 @given(g=random_graphs())
 @pytest.mark.parametrize(
     "save,load",
-    [(save_ecl, load_ecl), (save_dimacs, load_dimacs), (save_metis, load_metis)],
-    ids=["ecl", "dimacs", "metis"],
+    [
+        (save_ecl, load_ecl),
+        (save_dimacs, load_dimacs),
+        (save_metis, load_metis),
+        (save_edge_list, load_edge_list),
+    ],
+    ids=["ecl", "dimacs", "metis", "edge-list"],
 )
 def test_property_format_roundtrip(save, load, g, tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "g.bin"
