@@ -335,8 +335,6 @@ def _service_from_args(args):
             graph_cache_size=args.graph_cache_size,
             max_queue_depth=args.queue_depth,
             default_timeout_s=args.timeout,
-            # Admin endpoints imply profile retention (/profilez).
-            keep_profile=getattr(args, "admin_port", None) is not None,
             policy=_policy_from_args(args),
             slowdown=args.slowdown,
             postmortem_dir=None if args.no_recorder else args.postmortem_dir,

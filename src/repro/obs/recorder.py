@@ -3,7 +3,7 @@
 A serving process that dies with exit 4/5/6 — or quietly burns an SLO
 — used to take its evidence with it.  This module is the black box:
 the :class:`FlightRecorder` keeps cheap bounded ring buffers of what
-just happened (recent events, query outcomes, and each executed
+just happened (recent events, query outcomes, and each finished
 query's span tree), and on any failure signal freezes them — plus the
 offending query's full reproduction key — into a self-contained
 on-disk **postmortem bundle** that the ``repro-mst postmortem`` and
@@ -210,7 +210,7 @@ class FlightRecorder:
             )
 
     def record_spans(self, query_id: str, root) -> None:
-        """Keep one executed query's span tree: its ``query <id>``
+        """Keep one finished query's span tree: its ``query <id>``
         root span, held by reference until the read side flattens it
         (:func:`span_rows`)."""
         self._trees.append((query_id, root))
@@ -424,7 +424,7 @@ class FlightRecorder:
         Each ring is snapshotted with one ``list(deque)`` call —
         atomic under the GIL — so concurrent worker appends never
         produce a torn read.  ``spans`` holds the rows of the last
-        ``queries_tail`` executed queries' trees.
+        ``queries_tail`` finished queries' trees.
         """
         return {
             "enabled": True,

@@ -24,6 +24,14 @@ its block exits without an exception.  The null tracer does the same
 with ``span=0`` while the log listens at that level, so the event log
 and the trace share one writer per boundary.
 
+**Roots may change threads.**  A span opened while none is open is a
+*root*, held off the span stack: the spans opened under it (on any
+thread, one at a time) are its children, and closing it, from any
+thread and even while a child is open, only stamps its end.  The
+service's ticket opens a query's root on submit, a worker runs the
+children, and the waiter closes it at the outcome or at the timeout.
+A span opened after its root closed starts a root of its own.
+
 Usage::
 
     from repro import ecl_mst
@@ -39,7 +47,6 @@ Usage::
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -124,17 +131,6 @@ class _NullSpanContext:
 _NULL_SPAN = _NullSpanContext()
 
 
-@contextmanager
-def _logged_span(sp: Span, log, on_open, on_close, level):
-    """The null tracer's span while its log listens: no clock and no
-    tree, only the attrs its boundary events carry (with ``span=0``)."""
-    if on_open:
-        log.emit(on_open, level, **sp.attrs, span=0)
-    yield sp
-    if on_close:
-        log.emit(on_close, level, **sp.attrs, span=0)
-
-
 class NullTracer:
     """The disabled tracer: every operation is a cheap no-op.
 
@@ -152,7 +148,7 @@ class NullTracer:
         on_open: str | None = None, on_close: str | None = None, level: str = "info", **attrs,
     ):
         if (on_open or on_close) and log.would_emit(level):
-            return _logged_span(Span(name, kind, attrs), log, on_open, on_close, level)
+            return _Scope(None, Span(name, kind, attrs), log, on_open, on_close, level)
         return _NULL_SPAN
 
     def mark(self, name: str, kind: str = "span", /, **kw):
@@ -187,32 +183,35 @@ class Tracer:
 
     def __init__(self) -> None:
         self.roots: list[Span] = []
+        self._root: Span | None = None  # the open root, off the stack
         self._stack: list[Span] = []
         self._next_id = 0
         self.modeled_now = 0.0
         self._wall_mark = time.perf_counter()
 
-    def _add(self, sp: Span) -> None:
+    def _add(self, sp: Span) -> Span | None:  # the parent; None: a root
         self._next_id += 1
         sp.id = self._next_id
-        if self._stack:
-            self._stack[-1].children.append(sp)
+        parent = self._stack[-1] if self._stack else self._root
+        if parent is not None:
+            parent.children.append(sp)
         else:
             self.roots.append(sp)
+        return parent
 
     # ------------------------------------------------------------------
     # Span lifecycle
     # ------------------------------------------------------------------
     @property
     def current(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        """The innermost open span, if any (the open root when no
+        child is open)."""
+        return self._stack[-1] if self._stack else self._root
 
-    @contextmanager
     def span(
         self, name: str, kind: str = "span", /, *, log=NULL_EVENTS,
         on_open: str | None = None, on_close: str | None = None, level: str = "info", **attrs,
-    ):
+    ) -> "_Scope":
         """Open a nested span for the duration of the ``with`` block.
 
         ``name`` and ``kind`` are positional-only, so ``attrs`` may
@@ -220,27 +219,11 @@ class Tracer:
         receives the ``on_open`` event before the span starts and the
         ``on_close`` event after it ends without an exception, each
         carrying the span's attrs at that moment plus ``span=<id>``.
+        A root is held off the stack (module docstring).
         """
-        sp = Span(
-            name=name,
-            kind=kind,
-            attrs=dict(attrs),
-            modeled_start=self.modeled_now,
-            modeled_end=self.modeled_now,
-        )
-        self._add(sp)
-        if on_open:
-            log.emit(on_open, level, **sp.attrs, span=sp.id)
-        sp.wall_start = self._wall_mark = time.perf_counter()
-        self._stack.append(sp)
-        try:
-            yield sp
-        finally:
-            self._stack.pop()
-            sp.wall_end = self._wall_mark = time.perf_counter()
-            sp.modeled_end = self.modeled_now
-        if on_close:
-            log.emit(on_close, level, **sp.attrs, span=sp.id)
+        now = self.modeled_now
+        sp = Span(name, kind, attrs, modeled_start=now, modeled_end=now)
+        return _Scope(self, sp, log, on_open, on_close, level)
 
     def mark(self, name: str, kind: str = "span", /, **kw) -> Span:
         """A zero-length span: writes its boundary events at once."""
@@ -249,8 +232,9 @@ class Tracer:
 
     def annotate(self, **attrs) -> None:
         """Attach attributes to the innermost open span (if any)."""
-        if self._stack:
-            self._stack[-1].attrs.update(attrs)
+        sp = self.current
+        if sp is not None:
+            sp.attrs.update(attrs)
 
     def kernel(self, counters, attrs: dict | None = None) -> Span:
         """Record one simulated kernel launch as a leaf span.
@@ -300,6 +284,45 @@ class Tracer:
         if kind is not None:
             out = [sp for sp in out if sp.kind == kind]
         return out
+
+
+class _Scope:
+    """A span's context manager (a class, not a generator: a served
+    query opens a dozen spans and its solver run dozens more).  With no
+    tracer (the null tracer's span while its log listens) it keeps no
+    clock and no tree, and writes the boundary events with ``span=0``."""
+
+    __slots__ = ("tracer", "span", "log", "on_open", "on_close", "level", "root")
+
+    def __init__(self, tracer, sp: Span, log, on_open, on_close, level) -> None:
+        self.tracer, self.span, self.log = tracer, sp, log
+        self.on_open, self.on_close, self.level = on_open, on_close, level
+
+    def __enter__(self) -> Span:
+        tr, sp = self.tracer, self.span
+        self.root = tr is not None and tr._add(sp) is None
+        if self.on_open:
+            self.log.emit(self.on_open, self.level, **sp.attrs, span=sp.id)
+        if tr is not None:
+            sp.wall_start = tr._wall_mark = time.perf_counter()
+            if self.root:
+                tr._root = sp
+            else:
+                tr._stack.append(sp)
+        return sp
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        tr, sp = self.tracer, self.span
+        if tr is not None:
+            if not self.root:
+                tr._stack.pop()
+            elif tr._root is sp:
+                tr._root = None
+            sp.wall_end = tr._wall_mark = time.perf_counter()
+            sp.modeled_end = tr.modeled_now
+        if self.on_close and exc_type is None:
+            self.log.emit(self.on_close, self.level, **sp.attrs, span=sp.id)
+        return False
 
 
 def host_hotspots(tracer, top: int | None = 10) -> list[dict]:

@@ -234,13 +234,18 @@ class RoundGuard:
             self.stats.device_faults += 1
             label, kind = "device-fault", f"kernel-crash:{type(exc).__name__}"
             kernel = "?"
+        self._detected(label, kind, round_index, kernel, str(exc))
+
+    def _detected(self, label, kind, round_index: int, kernel, message: str) -> None:
+        """The one writer of a detection: its stats row, and the
+        ``detected …`` mark that writes ``recovery.detected``."""
         self.stats.detections.append(
             {
                 "round": round_index,
                 "detector": label,
                 "kind": kind,
                 "kernel": kernel,
-                "message": str(exc),
+                "message": message,
             }
         )
         self.tracer.mark(
@@ -324,25 +329,9 @@ class RoundGuard:
             ref = self._reference(graph)
             if not np.array_equal(in_mst, ref):
                 self.stats.verify_detections += 1
-                if self.events.enabled:
-                    self.events.emit(
-                        "recovery.detected",
-                        level="warning",
-                        detector="verify",
-                        kind="result-mismatch",
-                        round=-1,
-                        kernel="end-of-run",
-                        span=0,
-                    )
-                self.stats.detections.append(
-                    {
-                        "round": -1,
-                        "detector": "verify",
-                        "kind": "result-mismatch",
-                        "kernel": "end-of-run",
-                        "message": "final edge mask differs from the "
-                        "serial Kruskal reference",
-                    }
+                self._detected(
+                    "verify", "result-mismatch", -1, "end-of-run",
+                    "final edge mask differs from the serial Kruskal reference",
                 )
                 self._note_fallback("verify")
                 return ref.copy(), True

@@ -12,13 +12,14 @@ four classic operational endpoints:
   service's :class:`~repro.obs.metrics.MetricsRegistry`, plus per-SLO
   ``repro_slo_*`` gauges and — with the serving policy armed —
   per-graph ``repro_breaker_*`` gauges labeled by fingerprint.
-* ``/profilez``  — the most recent executed query's
-  :class:`~repro.obs.profile.RunProfile` as JSON (requires
-  ``ServiceConfig.keep_profile``; ``404`` until a query has executed).
+* ``/profilez``  — the last successful execution's
+  :class:`~repro.obs.profile.RunProfile` as JSON, built when read
+  (``404`` until a query has executed).
 * ``/debugz``    — the flight recorder's black box: ring-buffer tails
-  (events, outcomes, and the last executed queries' span trees as
-  rows) plus the list of recent postmortem bundles on disk (requires the recorder, which
-  ``ServiceConfig`` arms by default; ``404`` when disabled).
+  (events, outcomes, and the last queries' span trees as rows) plus
+  the list of recent postmortem bundles on disk (requires the
+  recorder, which ``ServiceConfig`` arms by default; ``404`` when
+  disabled).
 
 Metric names are sanitized for Prometheus (dots → underscores, a
 ``repro_`` namespace prefix); counters and gauges carry ``# TYPE``
@@ -188,8 +189,7 @@ class _Handler(BaseHTTPRequestHandler):
                         404,
                         {
                             "error": "no profile recorded yet",
-                            "hint": "needs ServiceConfig.keep_profile and "
-                            "at least one executed (non-cached) query",
+                            "hint": "needs one executed (non-cached) query",
                         },
                     )
                 else:

@@ -20,10 +20,13 @@ objects through a three-level pipeline:
    deduplication: concurrent queries with the same spec key attach to
    one execution (``served_by = "coalesced"``).
 
-Each query executes under its own tracer (one ``query <id>`` span
-tree, :func:`run_query`) and its own resilience scope:
-faults and the recovery ladder are per-query, and a failing query
-returns a typed error outcome instead of poisoning the pool.
+Each query owns one ``query <id>`` span tree from submit to outcome
+(:class:`Ticket`): ``admit`` (policy armed), ``queue wait``,
+``resolve graph``, ``cache lookup``, ``load input``, ``run`` and
+``encode``, and the root's wall time is the outcome's ``latency_s``.
+Each query also runs in its own resilience scope: faults and the
+recovery ladder are per-query, and a failing query returns a typed
+error outcome instead of poisoning the pool.
 
 The service exports aggregate metrics into a
 :class:`~repro.obs.metrics.MetricsRegistry` — ``service.qps``,
@@ -53,11 +56,12 @@ from __future__ import annotations
 import concurrent.futures
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 from ..errors import GraphFormatError, Overloaded
 from ..graph.io import resolve_input
-from ..obs.events import get_event_log
+from ..obs.events import NULL_EVENTS, get_event_log
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import FlightRecorder
 from ..obs.slo import SLOTracker
@@ -97,9 +101,6 @@ class ServiceConfig:
     graph_cache_size: int = 32
     max_queue_depth: int = 64  # in-flight bound; submit blocks when full
     default_timeout_s: float | None = None
-    # Whether executed queries retain their latest run profile (the
-    # admin /profilez payload).
-    keep_profile: bool = False
     # Overload-safe serving (None = off, bit-identical to a policy-free
     # build) and an exact cost-model slowdown factor for chaos-under-
     # load testing (GPUSpec.slowed, behind the --slowdown flags).
@@ -161,6 +162,11 @@ def _build_fault_plan(query: Query, config, graph, gpu):
     )
 
 
+def _query_span(tracer, query: Query, **kw):
+    """The query's ``query <id>`` root span."""
+    return tracer.span(f"query {query.id}", "service", query=query.id, **kw)
+
+
 def run_query(
     query: Query,
     tracer,
@@ -170,21 +176,31 @@ def run_query(
     deadline: float | None = None,
     events=None,
 ):
-    """The one execution path of a query, shared by the service, the
-    bench harness's cells and the ``run``/``mst``/``profile``/
-    ``dashboard`` verbs: under a ``query <id>`` span,
-    ``load input`` resolves ``graph`` (unless the build cache did) and
-    ``run`` dispatches the code.  Returns ``(graph, result)``; failures
-    propagate typed."""
-    with tracer.span(f"query {query.id}", "service", query=query.id):
-        with tracer.span("load input", "host", input=query.input):
-            if graph is None:
-                graph = _graph_source(query)[1]()
-        with tracer.span("run", "host", code=query.code):
-            result = _run_code(
-                query, graph, tracer, slowdown=slowdown, deadline=deadline, events=events
-            )
+    """The execution path of the bench harness's cells and the
+    ``run``/``mst``/``profile``/``dashboard`` verbs: the query's
+    ``load input`` and ``run`` spans under a ``query <id>`` root.
+    Returns ``(graph, result)``; failures propagate typed."""
+    with _query_span(tracer, query):
+        graph, result, _load, _run = _load_and_run(
+            query, tracer, graph, slowdown=slowdown, deadline=deadline, events=events
+        )
     return graph, result
+
+
+def _load_and_run(query: Query, tracer, graph, *, events=None, **kw):
+    """``load input`` resolves ``graph`` (unless the build cache did)
+    and ``run`` dispatches the code; returns ``(graph, result, load
+    span, run span)``.  Handed the service ticket's log as ``events``,
+    ``load input`` writes ``service.execute`` as it opens."""
+    log = events if events is not None else NULL_EVENTS
+    with tracer.span(
+        "load input", "host", log=log, on_open="service.execute", input=query.input
+    ) as load:
+        if graph is None:
+            graph = _graph_source(query)[1]()
+    with tracer.span("run", "host", code=query.code) as run:
+        result = _run_code(query, graph, tracer, events=events, **kw)
+    return graph, result, load, run
 
 
 def execute_query(
@@ -192,7 +208,6 @@ def execute_query(
     graph=None,
     *,
     tracer=None,
-    profile_sink=None,
     slowdown: float = 1.0,
     deadline: float | None = None,
     events=None,
@@ -200,66 +215,63 @@ def execute_query(
     """Run one query to completion and summarize it as an outcome.
 
     Raises nothing query-related: every typed failure becomes an error
-    outcome.  ``graph`` may be pre-resolved (build cache); ``tracer``
-    (no open span) defaults to a fresh one.  ``profile_sink``, when
-    given, receives the finished run's
-    :class:`~repro.obs.profile.RunProfile` as a plain dict (the admin
-    server's ``/profilez`` payload) — it is only called on success.
+    outcome.  ``graph`` may be pre-resolved (build cache).  The
+    ``load input``, ``run`` and ``encode`` spans go under the span open
+    on ``tracer`` (a served ticket's root, which owns the latency);
+    with no tracer, or none open, the query gets a ``query <id>`` root
+    of its own and ``latency_s`` is that root's wall time.
     ``slowdown`` uniformly slows the modeled hardware by that exact
     factor (chaos-under-load testing); ``deadline`` is a
     ``time.perf_counter`` timestamp propagated into the ECL-MST round
     loop, past which the run aborts as a timeout outcome.  ``events``
     overrides the process-global event log (the service passes its
-    recorder tee here so solver events reach the flight-recorder ring).
+    ticket's log here so solver events reach the flight-recorder ring).
+    A successful outcome carries the solver's result as ``_result``,
+    outside its fields: never serialized, compared or copied.
     """
+    tracer = tracer or Tracer()
+    kw = dict(slowdown=slowdown, deadline=deadline, events=events)
+    if tracer.current is not None:
+        return _execute(query, graph, tracer, **kw)
+    with _query_span(tracer, query) as root:
+        out = _execute(query, graph, tracer, **kw)
+    out.latency_s = root.wall_seconds
+    return out
+
+
+def _execute(query: Query, graph, tracer, **kw) -> QueryOutcome:
+    from ..obs.metrics import collect_result_metrics
     from ..obs.profile import graph_fingerprint
 
-    tracer = tracer or Tracer()
-    t0 = time.perf_counter()
     try:
-        graph, result = run_query(
-            query, tracer, graph, slowdown=slowdown, deadline=deadline, events=events
-        )
+        graph, result, load, run = _load_and_run(query, tracer, graph, **kw)
     except BaseException as exc:  # typed failures -> error outcome
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             raise
-        return QueryOutcome.failure(
-            query, exc, latency_s=time.perf_counter() - t0
+        return QueryOutcome.failure(query, exc)
+    with tracer.span("encode", "service"):
+        fingerprint = graph_fingerprint(graph)
+        out = QueryOutcome(
+            id=query.id,
+            input=query.input,
+            code=query.code,
+            system=query.system,
+            scale=query.scale,
+            algorithm=result.algorithm,
+            graph=fingerprint,
+            total_weight=int(result.total_weight),
+            num_mst_edges=int(result.num_mst_edges),
+            rounds=int(result.rounds),
+            modeled_seconds=float(result.modeled_seconds),
+            mst_digest=edges_digest(result),
+            metrics=collect_result_metrics(result),
+            resilience=dict(result.extra.get("resilience") or {}),
+            result_key=result_key(fingerprint["digest"], query),
+            load_seconds=load.wall_seconds,
+            run_seconds=run.wall_seconds,
         )
-    from ..obs.metrics import collect_result_metrics
-
-    if profile_sink is not None:
-        from ..obs.profile import RunProfile
-
-        try:
-            profile_sink(
-                RunProfile.from_result(result, tracer=tracer).to_dict()
-            )
-        except Exception:  # profiling must never fail the query
-            pass
-
-    load, run = tracer.roots[-1].children
-    fingerprint = graph_fingerprint(graph)
-    return QueryOutcome(
-        id=query.id,
-        input=query.input,
-        code=query.code,
-        system=query.system,
-        scale=query.scale,
-        algorithm=result.algorithm,
-        graph=fingerprint,
-        total_weight=int(result.total_weight),
-        num_mst_edges=int(result.num_mst_edges),
-        rounds=int(result.rounds),
-        modeled_seconds=float(result.modeled_seconds),
-        mst_digest=edges_digest(result),
-        metrics=collect_result_metrics(result),
-        resilience=dict(result.extra.get("resilience") or {}),
-        result_key=result_key(fingerprint["digest"], query),
-        load_seconds=load.wall_seconds,
-        run_seconds=run.wall_seconds,
-        latency_s=time.perf_counter() - t0,
-    )
+    out._result = result
+    return out
 
 
 def _run_code(
@@ -318,43 +330,61 @@ def _run_code(
     if query.verify:
         from ..core.verify import verify_mst
 
-        verify_mst(result)
+        with tracer.span("verify", "host"):
+            verify_mst(result)
     return result
 
 
 # ----------------------------------------------------------------------
 # The service
 # ----------------------------------------------------------------------
-@dataclass
 class Ticket:
-    """Handle for one submitted query.
+    """Handle for one submitted query, and the owner of its span tree.
 
-    ``outcome()`` waits (honoring the query's timeout, measured from
-    submission) and always returns a :class:`QueryOutcome` — timeouts
-    become ``status="timeout"`` outcomes, and a query still queued at
-    its deadline is cancelled cleanly without ever executing.
+    Submitting opens the query's ``query <id>`` root on a tracer of the
+    ticket's own.  ``outcome()`` waits (honoring the query's timeout,
+    counted from the root's start) and always returns a
+    :class:`QueryOutcome`, through the one finisher that closes the
+    root: the outcome's ``latency_s`` is the root's wall time.
+    Timeouts become ``status="timeout"`` outcomes, and a query still
+    queued at its deadline is cancelled cleanly without ever executing.
     """
 
-    query: Query
-    future: concurrent.futures.Future
-    submitted_at: float
-    primary: bool  # False when attached to an in-flight duplicate
-    service: "MSTService"
+    def __init__(self, service: "MSTService", query: Query) -> None:
+        self.query = query
+        self.service = service
+        self.primary = True  # False when attached to an in-flight duplicate
+        self.future: concurrent.futures.Future | None = None
+        self.tracer = Tracer()
+        self.log = service.events.bind(query=query.id)
+        # Closed by whichever thread finishes the ticket; the queue
+        # wait is opened on submit and closed by the worker.
+        self._root_scope = ExitStack()
+        self.root = self._root_scope.enter_context(
+            _query_span(
+                self.tracer, query, log=self.log, on_open="service.enqueue",
+                level="debug", input=query.input, code=query.code,
+            )
+        )
+        self._queue_wait = ExitStack()
+        timeout = query.timeout_s
+        self.timeout = service.config.default_timeout_s if timeout is None else timeout
+        self.deadline = None if self.timeout is None else self.root.wall_start + self.timeout
+
+    def resolve(self, outcome: QueryOutcome) -> "Ticket":
+        """Carry an outcome decided on submit (cached/shed/refused)."""
+        self.future = concurrent.futures.Future()
+        self.future.set_result(outcome)
+        return self
 
     def outcome(self) -> QueryOutcome:
-        q = self.query
-        timeout = (
-            q.timeout_s
-            if q.timeout_s is not None
-            else self.service.config.default_timeout_s
-        )
         remaining = None
-        if timeout is not None:
-            remaining = max(0.0, self.submitted_at + timeout - time.perf_counter())
+        if self.deadline is not None:
+            remaining = max(0.0, self.deadline - time.perf_counter())
         try:
             raw = self.future.result(timeout=remaining)
         except concurrent.futures.TimeoutError:
-            return self.service._on_timeout(self, timeout)
+            return self.service._on_timeout(self)
         except concurrent.futures.CancelledError:
             # The executor cancelled it before it ran (service
             # shutdown): a typed "cancelled" outcome, not a timeout —
@@ -398,7 +428,9 @@ class MSTService:
         # p50 / p95, the /statusz window block and the SLOs.
         self.slo = SLOTracker(window_s=WINDOW_S, events=self.events)
         self.started_at = time.time()
-        self.latest_profile: dict | None = None
+        # The last successful execution's (result, tracer), profiled
+        # when read (latest_profile).
+        self._last_run: tuple | None = None
         self._lock = threading.Lock()
         self._closed = False
         self._inflight: dict[str, concurrent.futures.Future] = {}
@@ -418,8 +450,6 @@ class MSTService:
         self._spec_to_rkey = LRUCache(self.config.result_cache_size)
         self._slots = threading.BoundedSemaphore(self.config.max_queue_depth)
         self._depth = 0
-        self._first_submit: float | None = None
-        self._last_done: float | None = None
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="mst-service",
@@ -436,68 +466,40 @@ class MSTService:
         breaker-broken graphs get typed outcomes (optionally degraded
         to a stale cached answer) without touching the queue.
         """
-        now = time.perf_counter()
         self.registry.counter("service.queries").inc()
+        ticket = Ticket(self, query)
         if self._closed:
-            return self._resolved_ticket(
-                query, self._shutdown_outcome(query), now
-            )
-        if self.events.enabled:
-            self.events.emit(
-                "service.enqueue",
-                level="debug",
-                query=query.id,
-                input=query.input,
-                code=query.code,
-            )
+            return ticket.resolve(self._shutdown_outcome(query))
+        tracer = ticket.tracer
         with self._lock:
-            if self._first_submit is None:
-                self._first_submit = now
             key = query.spec_key()
-            if key in self._inflight:
+            inflight = self._inflight.get(key)
+            if inflight is not None:
                 self.registry.counter("service.dedup_hits").inc()
-                if self.events.enabled:
-                    self.events.emit(
-                        "service.dedup", level="info", query=query.id
-                    )
-                return Ticket(query, self._inflight[key], now, False, self)
+                tracer.mark("coalesce", "service", log=ticket.log, on_close="service.dedup")
+                ticket.primary, ticket.future = False, inflight
+                return ticket
             rkey = self._spec_to_rkey.get(key)
         if rkey is not None:
-            entry = self.results.get(rkey)
-            if entry is not None and self._is_fresh(entry[0]):
-                self.registry.counter("service.result_cache_hits").inc()
-                if self.events.enabled:
-                    self.events.emit(
-                        "service.cache_hit",
-                        level="info",
-                        query=query.id,
-                        path="submit",
-                    )
-                return self._resolved_ticket(
-                    query, replace(entry[1], served_by=SERVED_CACHE), now
-                )
+            cached = self._cache_lookup(ticket, rkey, "submit")
+            if cached is not None:
+                return ticket.resolve(cached)
         if self.policy is not None:
-            gated = self._policy_gate(query, key, rkey, now)
-            if gated is not None:
-                return gated
+            with tracer.span("admit", "service"):
+                refused = self._policy_gate(query, key, rkey)
+            if refused is not None:
+                return ticket.resolve(refused)
+        ticket._queue_wait.enter_context(tracer.span("queue wait", "service"))
         self._slots.acquire()
-        deadline = None
-        timeout = (
-            query.timeout_s
-            if query.timeout_s is not None
-            else self.config.default_timeout_s
-        )
-        if timeout is not None:
-            deadline = now + timeout
         try:
-            future = self._executor.submit(self._thread_job, query, deadline)
+            future = self._executor.submit(self._thread_job, query, ticket)
         except RuntimeError:
             # Raced with close(): the executor refused the job after we
             # took a slot.  Give the slot back and resolve typed.
             self._slots.release()
-            return self._resolved_ticket(
-                query, self._shutdown_outcome(query), now
-            )
+            ticket._queue_wait.close()
+            return ticket.resolve(self._shutdown_outcome(query))
+        ticket.future = future
         with self._lock:
             self._depth += 1
             self.registry.gauge("service.queue_depth").set(self._depth)
@@ -506,27 +508,18 @@ class MSTService:
         # cleans up: a callback added to a finished future fires
         # immediately in this thread.
         future.add_done_callback(lambda _f: self._release(key))
-        return Ticket(query, future, now, True, self)
+        return ticket
 
     def _release(self, key: str) -> None:
         with self._lock:
             self._depth -= 1
             self.registry.gauge("service.queue_depth").set(self._depth)
-            self._last_done = time.perf_counter()
             self._inflight.pop(key, None)
         self._slots.release()
 
     # ------------------------------------------------------------------
     # Serving policy (submit side)
     # ------------------------------------------------------------------
-    def _resolved_ticket(
-        self, query: Query, outcome: QueryOutcome, now: float
-    ) -> Ticket:
-        """A ticket already carrying its outcome (shed/cached/refused)."""
-        done: concurrent.futures.Future = concurrent.futures.Future()
-        done.set_result(outcome)
-        return Ticket(query, done, now, True, self)
-
     def _shutdown_outcome(self, query: Query) -> QueryOutcome:
         return QueryOutcome.failure(
             query,
@@ -535,12 +528,12 @@ class MSTService:
         )
 
     def _policy_gate(
-        self, query: Query, key: str, rkey: str | None, now: float
-    ) -> Ticket | None:
+        self, query: Query, key: str, rkey: str | None
+    ) -> QueryOutcome | None:
         """Admission + quarantine + learned-fingerprint breaker checks.
 
-        Returns a resolved ticket when the query must not queue, or
-        ``None`` to proceed.  Runs *after* the dedup/result-cache fast
+        Returns the outcome when the query must not queue, or ``None``
+        to proceed.  Runs *after* the dedup/result-cache fast
         paths: answering from memory is nearly free, so overload
         protection only guards execution capacity.
         """
@@ -568,27 +561,27 @@ class MSTService:
                     status="quarantined",
                 )
                 out.policy = {"reason": "quarantine", **entry}
-                return self._resolved_ticket(query, out, now)
+                return out
         with self._lock:
             depth = self._depth
         decision = pol.admit(priority=query.priority, queue_depth=depth)
         if not decision.admitted:
-            return self._shed_ticket(query, rkey, now, decision.reason)
+            return self._shed_outcome(query, rkey, decision.reason)
         if rkey is not None and pol.breaker_rejects_fast(
             rkey.split(":", 1)[0]
         ):
             pol.note_shed()
-            return self._shed_ticket(query, rkey, now, "breaker-open")
+            return self._shed_outcome(query, rkey, "breaker-open")
         return None
 
-    def _shed_ticket(
-        self, query: Query, rkey: str | None, now: float, reason: str
-    ) -> Ticket:
-        """Resolve a shed query: degraded stale answer if allowed and
+    def _shed_outcome(
+        self, query: Query, rkey: str | None, reason: str
+    ) -> QueryOutcome:
+        """A shed query's answer: degraded stale answer if allowed and
         available, else a typed ``shed`` outcome (exit code 6)."""
         stale = self._stale_outcome(query, rkey, cause=reason)
         if stale is not None:
-            return self._resolved_ticket(query, stale, now)
+            return stale
         if self.events.enabled:
             self.events.emit(
                 "policy.shed",
@@ -603,7 +596,7 @@ class MSTService:
             status="shed",
         )
         out.policy = {"reason": reason, "priority": query.priority}
-        return self._resolved_ticket(query, out, now)
+        return out
 
     # ------------------------------------------------------------------
     # Staleness (read only with the policy on)
@@ -656,44 +649,31 @@ class MSTService:
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def _thread_job(self, query: Query, deadline: float | None) -> QueryOutcome:
-        if deadline is not None and time.perf_counter() > deadline:
+    def _thread_job(self, query: Query, ticket: Ticket) -> QueryOutcome:
+        ticket._queue_wait.close()
+        if ticket.deadline is not None and time.perf_counter() > ticket.deadline:
             # Spent its whole budget waiting in the queue: never run.
             return QueryOutcome.failure(
                 query,
                 TimeoutError("deadline expired while queued"),
                 status="timeout",
             )
-        tracer = Tracer()
+        from ..obs.profile import graph_fingerprint
+
+        tracer = ticket.tracer
         try:
-            graph = self._resolve_graph(query)
+            with tracer.span("resolve graph", "service", input=query.input):
+                graph = self._resolve_graph(query)
+                digest = graph_fingerprint(graph)["digest"]
         except BaseException as exc:
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self.registry.counter("service.errors").inc()
-            if self.events.enabled:
-                self.events.emit(
-                    "service.error",
-                    level="error",
-                    query=query.id,
-                    error=str(exc),
-                )
+            self._note_error(query, str(exc))
             return QueryOutcome.failure(query, exc)
-        from ..obs.profile import graph_fingerprint
-
-        digest = graph_fingerprint(graph)["digest"]
         rkey = result_key(digest, query)
-        entry = self.results.get(rkey)
-        if entry is not None and self._is_fresh(entry[0]):
-            self.registry.counter("service.result_cache_hits").inc()
-            if self.events.enabled:
-                self.events.emit(
-                    "service.cache_hit",
-                    level="info",
-                    query=query.id,
-                    path="worker",
-                )
-            return replace(entry[1], served_by=SERVED_CACHE)
+        cached = self._cache_lookup(ticket, rkey, "worker")
+        if cached is not None:
+            return cached
         pol = self.policy
         if pol is not None and not pol.breaker_allows(digest):
             # Open breaker (authoritative, post-graph-load): fail fast
@@ -723,27 +703,14 @@ class MSTService:
             out.policy = {"reason": "breaker-open", "graph": digest}
             return out
         self.registry.counter("service.executed").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.execute",
-                level="info",
-                query=query.id,
-                input=query.input,
-                code=query.code,
-            )
         outcome = execute_query(
             query,
             graph,
             tracer=tracer,
-            profile_sink=(
-                self._store_profile if self.config.keep_profile else None
-            ),
             slowdown=self.config.slowdown,
-            deadline=deadline,
-            events=self.events,
+            deadline=ticket.deadline,
+            events=ticket.log,
         )
-        if self.recorder is not None:
-            self.recorder.record_spans(query.id, tracer.roots[0])
         if pol is not None:
             pol.breaker_record(digest, ok=outcome.ok, query_id=query.id)
             if pol.cfg.quarantine_on:
@@ -753,16 +720,10 @@ class MSTService:
                     error_kind=outcome.error_kind,
                 )
         if outcome.ok:
+            self._last_run = (vars(outcome).pop("_result"), tracer)
             self.results.put(rkey, (time.monotonic(), outcome))
         else:
-            self.registry.counter("service.errors").inc()
-            if self.events.enabled:
-                self.events.emit(
-                    "service.error",
-                    level="error",
-                    query=query.id,
-                    error=outcome.error or "?",
-                )
+            self._note_error(query, outcome.error or "?")
             if pol is not None and outcome.error_kind in ("fault", "timeout"):
                 degraded = self._degraded_answer(
                     query,
@@ -777,6 +738,11 @@ class MSTService:
                     )
                     return degraded
         return outcome
+
+    def _note_error(self, query: Query, error: str) -> None:
+        self.registry.counter("service.errors").inc()
+        if self.events.enabled:
+            self.events.emit("service.error", level="error", query=query.id, error=error)
 
     def _degraded_answer(
         self, query: Query, graph, rkey: str, tracer, *, cause: str
@@ -812,11 +778,7 @@ class MSTService:
             fault_kinds=(),
         )
         fb = execute_query(
-            fallback_query,
-            graph,
-            tracer=tracer,
-            slowdown=self.config.slowdown,
-            events=self.events,
+            fallback_query, graph, tracer=tracer, slowdown=self.config.slowdown
         )
         if not fb.ok:
             return None
@@ -846,11 +808,34 @@ class MSTService:
         }
         return out
 
-    def _store_profile(self, profile: dict) -> None:
-        """Retain the most recent executed query's run profile (the
-        admin server's ``/profilez`` payload)."""
-        with self._lock:
-            self.latest_profile = profile
+    def _cache_lookup(
+        self, ticket: Ticket, rkey: str, path: str
+    ) -> QueryOutcome | None:
+        """The fresh cached answer under ``rkey``, if any.  A
+        ``cache lookup`` mark records the verdict; a hit writes
+        ``service.cache_hit``."""
+        entry = self.results.get(rkey)
+        hit = entry is not None and self._is_fresh(entry[0])
+        ticket.tracer.mark(
+            "cache lookup", "service", log=ticket.log,
+            on_close="service.cache_hit" if hit else None, path=path, hit=hit,
+        )
+        if not hit:
+            return None
+        self.registry.counter("service.result_cache_hits").inc()
+        return replace(entry[1], served_by=SERVED_CACHE)
+
+    @property
+    def latest_profile(self) -> dict | None:
+        """The last successful execution's run profile (the admin
+        ``/profilez`` payload), built when read; ``None`` before any."""
+        last = self._last_run
+        if last is None:
+            return None
+        from ..obs.profile import RunProfile
+
+        result, tracer = last
+        return RunProfile.from_result(result, tracer=tracer).to_dict()
 
     def _resolve_graph(self, query: Query):
         before = self.graphs.hits
@@ -862,28 +847,11 @@ class MSTService:
     # ------------------------------------------------------------------
     # Ticket support
     # ------------------------------------------------------------------
-    def _personalize(self, ticket: Ticket, raw: QueryOutcome) -> QueryOutcome:
-        """Each waiter gets its own copy: its id, its latency, and a
-        ``coalesced`` marker when it attached to another execution."""
-        latency = time.perf_counter() - ticket.submitted_at
-        served = raw.served_by
-        if not ticket.primary and raw.ok:
-            served = SERVED_COALESCED
-        if raw.ok and raw.result_key:
-            self._spec_to_rkey.put(ticket.query.spec_key(), raw.result_key)
-        out = replace(
-            raw, id=ticket.query.id, served_by=served, latency_s=latency
-        )
-        self._observe_done(out, latency, query=ticket.query)
-        if out.status == "timeout":
-            self.registry.counter("service.timeouts").inc()
-        return out
-
-    def _observe_done(
-        self, out: QueryOutcome, latency: float, query: Query | None = None
-    ) -> None:
-        """Feed one finished waiter into the window of finished queries
-        and the flight recorder, then evaluate the SLOs.
+    def _finish(self, ticket: Ticket, out: QueryOutcome, **changes) -> QueryOutcome:
+        """The one finisher of every ticket: close its root, whose wall
+        time is the waiter's ``latency_s``; hand the tree and the
+        outcome to the recorder and the window of finished queries;
+        then evaluate the SLOs.
 
         Availability counts *served* outcomes — a degraded answer is
         still an answer — while shed queries feed the shed-rate SLO.
@@ -894,75 +862,82 @@ class MSTService:
         without any reader; it runs after the recorder so a failed
         outcome's bundle is captured first.
         """
-        escaped = 0
+        ticket._root_scope.close()
+        out = replace(
+            out, id=ticket.query.id, latency_s=ticket.root.wall_seconds, **changes
+        )
         res = out.resilience
-        if isinstance(res, dict):
-            escaped = int(res.get("escaped", 0) or 0)
+        escaped = int(res.get("escaped", 0) or 0) if isinstance(res, dict) else 0
         self.slo.record(
             ok=out.served,
-            latency_s=latency,
+            latency_s=out.latency_s,
             escaped=escaped,
             shed=out.status == "shed",
             query_id=out.id,
         )
         if self.recorder is not None:
-            self.recorder.observe_outcome(out, query=query)
+            self.recorder.record_spans(out.id, ticket.root)
+            self.recorder.observe_outcome(out, query=ticket.query)
         self.slo.evaluate()
+        return out
 
-    def _timeout_outcome(
-        self, ticket: Ticket, timeout: float | None, why: str
-    ) -> QueryOutcome:
+    def _personalize(self, ticket: Ticket, raw: QueryOutcome) -> QueryOutcome:
+        """Each waiter gets its own copy: its id, its latency, and a
+        ``coalesced`` marker when it attached to another execution."""
+        served = raw.served_by
+        if not ticket.primary and raw.ok:
+            served = SERVED_COALESCED
+        if raw.ok and raw.result_key:
+            self._spec_to_rkey.put(ticket.query.spec_key(), raw.result_key)
+        out = self._finish(ticket, raw, served_by=served)
+        if out.status == "timeout":
+            self.registry.counter("service.timeouts").inc()
+        return out
+
+    def _timeout_outcome(self, ticket: Ticket, why: str) -> QueryOutcome:
         self.registry.counter("service.timeouts").inc()
-        latency = time.perf_counter() - ticket.submitted_at
         if self.events.enabled:
             self.events.emit(
                 "service.timeout",
                 level="warning",
                 query=ticket.query.id,
-                timeout_s=timeout,
+                timeout_s=ticket.timeout,
                 why=why,
             )
-        out = QueryOutcome.failure(
-            ticket.query,
-            TimeoutError(f"{why} (timeout {timeout}s)"),
-            status="timeout",
-            latency_s=latency,
+        return self._finish(
+            ticket,
+            QueryOutcome.failure(
+                ticket.query,
+                TimeoutError(f"{why} (timeout {ticket.timeout}s)"),
+                status="timeout",
+            ),
         )
-        self._observe_done(out, latency, query=ticket.query)
-        return out
 
-    def _on_timeout(self, ticket: Ticket, timeout: float | None) -> QueryOutcome:
+    def _on_timeout(self, ticket: Ticket) -> QueryOutcome:
         if ticket.future.cancel():
             # Still queued: cancelled cleanly, never executed.  (The
             # done callback fires on cancel and releases the dedup key
             # and slot.)
-            return self._timeout_outcome(
-                ticket, timeout, "cancelled while queued"
-            )
+            ticket._queue_wait.close()
+            return self._timeout_outcome(ticket, "cancelled while queued")
         # Already running: the computation finishes in the background
-        # (and may still warm the cache); this waiter stops waiting.
+        # (and may still warm the cache); this waiter stops waiting and
+        # its root closes now, with the worker's spans still open.
         # Drop the dedup key NOW — if the execution is wedged, later
         # identical queries must not coalesce onto a dead ticket and
         # inherit its fate (slot/depth accounting stays with the done
         # callback, which fires if the execution ever finishes).
-        self._drop_inflight(ticket)
-        return self._timeout_outcome(
-            ticket, timeout, "timed out while executing"
-        )
-
-    def _drop_inflight(self, ticket: Ticket) -> None:
-        """Release a ticket's dedup key without touching slot/depth
-        accounting (compare-and-pop: only if the map still points at
-        this ticket's future)."""
+        # Compare-and-pop: only if the map still points at this future.
         key = ticket.query.spec_key()
         with self._lock:
             if self._inflight.get(key) is ticket.future:
                 del self._inflight[key]
+        return self._timeout_outcome(ticket, "timed out while executing")
 
     def _cancelled_outcome(self, ticket: Ticket) -> QueryOutcome:
         """Typed outcome for a query cancelled before execution (the
         executor dropped it at shutdown)."""
-        latency = time.perf_counter() - ticket.submitted_at
+        ticket._queue_wait.close()
         self.registry.counter("service.cancelled").inc()
         if self.events.enabled:
             self.events.emit(
@@ -970,17 +945,17 @@ class MSTService:
                 level="warning",
                 query=ticket.query.id,
             )
-        out = QueryOutcome.failure(
-            ticket.query,
-            Overloaded(
-                "cancelled before execution (service shutdown)",
-                reason="shutdown",
+        return self._finish(
+            ticket,
+            QueryOutcome.failure(
+                ticket.query,
+                Overloaded(
+                    "cancelled before execution (service shutdown)",
+                    reason="shutdown",
+                ),
+                status="cancelled",
             ),
-            status="cancelled",
-            latency_s=latency,
         )
-        self._observe_done(out, latency, query=ticket.query)
-        return out
 
     # ------------------------------------------------------------------
     # Batch interface

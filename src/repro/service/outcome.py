@@ -192,7 +192,6 @@ class QueryOutcome:
         exc: BaseException,
         *,
         status: str = "error",
-        latency_s: float = 0.0,
     ) -> "QueryOutcome":
         kind, code = classify_error(exc)
         if status == "timeout":
@@ -213,7 +212,6 @@ class QueryOutcome:
             error_kind=kind,
             error=str(exc),
             exit_code=code,
-            latency_s=latency_s,
         )
 
     # ------------------------------------------------------------------

@@ -117,7 +117,6 @@ class TestConfigSurface:
             "graph_cache_size",
             "max_queue_depth",
             "default_timeout_s",
-            "keep_profile",
             "policy",
             "slowdown",
             "postmortem_dir",

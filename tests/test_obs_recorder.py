@@ -141,7 +141,8 @@ class TestSpanRing:
         root = boom[0]
         assert (root["name"], root["parent"]) == ("query boom", None)
         children = [r["name"] for r in boom if r["parent"] == root["id"]]
-        assert children == ["load input", "run"]
+        assert children == [
+            "queue wait", "resolve graph", "cache lookup", "load input", "run"]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +309,7 @@ class TestBundleFiles:
         assert recent_bundles(tmp_path / "absent") == []
 
     def test_render_postmortem_report(self, tmp_path):
-        with service(tmp_path, keep_profile=True) as svc:
+        with service(tmp_path) as svc:
             svc.run_batch([ok_query(), fault_query()])
         path = outcome_bundle(tmp_path)
         report = render_postmortem(load_bundle(path))
@@ -319,8 +320,8 @@ class TestBundleFiles:
         assert "fault.injected" in report
         assert "correlated spans" in report
         assert "headline metrics" in report
-        # keep_profile on: profiles are kept on success only, so the
-        # roofline is that of ok-1, the last run that succeeded.
+        # Profiles come from the last successful run only, so the
+        # roofline is that of ok-1.
         assert "roofline of the last profiled run, ecl-mst on internet" in report
         summary = bundle_summary(load_bundle(path), path)
         assert summary["reason"] == "outcome-error"
@@ -331,7 +332,7 @@ class TestBundleFiles:
         """The roofline belongs to the last successful run, not to the
         failing query, and the report says which run that was."""
         ok = Query(id="ok-rmat", input="rmat22.sym", code="ECL-MST", scale=SCALE)
-        with service(tmp_path, workers=1, keep_profile=True) as svc:
+        with service(tmp_path, workers=1) as svc:
             svc.run_batch([ok, fault_query()])
         report = render_postmortem(load_bundle(outcome_bundle(tmp_path)))
         assert "query boom" in report

@@ -422,6 +422,28 @@ class TestTelemetryJoin:
             fields = {k: v for k, v in ev.fields.items() if k not in ("span", "run")}
             assert fields.items() <= attrs.items(), ev.name
 
+    def test_verify_detection_is_a_span_its_event_names(self, graph, monkeypatch):
+        from repro.obs.trace import Tracer
+
+        # An end-of-run reference that disagrees with the clean result
+        # makes the verify detector fire.
+        real = recovery.RoundGuard._reference
+
+        def skewed(self, g):
+            ref = real(self, g).copy()
+            ref[np.flatnonzero(ref)[0]] = False
+            return ref
+
+        monkeypatch.setattr(recovery.RoundGuard, "_reference", skewed)
+        tracer = Tracer()
+        r, events = _logged_run(graph, FaultPlan(seed=0, events=()), tracer)
+        assert r.extra["resilience"]["verify_detections"] == 1
+        (span,) = [sp for sp in tracer.spans() if sp.name == "detected verify:result-mismatch"]
+        (event,) = [e for e in events if e.name == "recovery.detected"]
+        assert event.fields["span"] == span.id > 0
+        assert span.attrs == {
+            "detector": "verify", "kind": "result-mismatch", "round": -1, "kernel": "end-of-run"}
+
     def test_event_log_does_not_perturb_recovery(self, graph):
         from repro.obs.events import ListSink, configure_events, reset_events
 

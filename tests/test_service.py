@@ -271,6 +271,187 @@ class TestBoundedTelemetry:
         assert {name: after_200[name] for name in after_100} == after_100
 
 
+class TestTicketTree:
+    """Every ticket owns one ``query <id>`` tree from submit to outcome:
+    the root's wall time is the outcome's latency, and the one finisher
+    hands that root to the recorder's ring."""
+
+    @staticmethod
+    def finished(svc, ticket, out, children, open_child=None):
+        root = ticket.root
+        assert root.name == f"query {ticket.query.id}"
+        assert out.latency_s == root.wall_seconds > 0
+        assert [c.name for c in root.children] == children
+        assert [c.name for c in root.children if c.wall_end is None] == (
+            [open_child] if open_child else [])
+        assert any(r is root for _, r in svc.recorder._trees)
+        return root
+
+    @staticmethod
+    def gated(svc, blocked_id):
+        """Hold ``blocked_id``'s graph resolve until the gate opens."""
+        gate = threading.Event()
+        real = MSTService._resolve_graph
+
+        def resolve(self_, query):
+            if query.id == blocked_id:
+                gate.wait(10.0)
+            return real(self_, query)
+
+        svc._resolve_graph = resolve.__get__(svc)
+        return gate
+
+    def test_executed_and_cached(self, tmp_path):
+        from repro.generators import suite
+        from repro.graph.io import save_ecl
+
+        path = tmp_path / "copy.ecl"
+        save_ecl(suite.build("internet", scale=SCALE), path)
+        executed = ["queue wait", "resolve graph", "cache lookup", "load input", "run", "encode"]
+        with service() as svc:
+            t = svc.submit(q(id="run"))
+            out = t.outcome()
+            assert out.served_by == "execute"
+            self.finished(svc, t, out, executed)
+            t = svc.submit(q(id="at-submit"))
+            out = t.outcome()
+            assert out.served_by == "result-cache"
+            (lookup,) = self.finished(svc, t, out, ["cache lookup"]).children
+            assert lookup.attrs == {"path": "submit", "hit": True}
+            t = svc.submit(Query(input=str(path), id="at-worker"))
+            out = t.outcome()
+            assert out.served_by == "result-cache"
+            self.finished(svc, t, out, ["queue wait", "resolve graph", "cache lookup"])
+
+    def test_coalesced(self):
+        with service() as svc:
+            gate = self.gated(svc, "first")
+            first = svc.submit(q(id="first"))
+            dup = svc.submit(q(id="dup"))
+            gate.set()
+            assert first.outcome().ok
+            out = dup.outcome()
+        assert out.served_by == "coalesced"
+        self.finished(svc, dup, out, ["coalesce"])
+
+    def test_shed_and_quarantined(self):
+        from repro.resilience.policy import PolicyConfig
+
+        poison = dict(n_faults=1, fault_kinds=("kernel-fail",), check_cadence=0, fault_seed=5)
+        pol = PolicyConfig(admission_rate=0.001, admission_burst=2, quarantine_after=1)
+        with service(policy=pol) as svc:
+            assert svc.submit(q(id="fails", **poison)).outcome().status == "error"
+            t = svc.submit(q(id="refused", **poison))
+            out = t.outcome()
+            assert out.status == "quarantined"
+            self.finished(svc, t, out, ["admit"])
+            assert svc.submit(q(id="admitted", priority=2)).outcome().ok
+            t = svc.submit(q(id="shed", priority=2, config={"filtering": False}))
+            out = t.outcome()
+            assert out.status == "shed"
+            self.finished(svc, t, out, ["admit"])
+
+    def test_timeout_while_queued_and_cancelled(self):
+        svc = service(workers=1)
+        gate = self.gated(svc, "occupier")
+        try:
+            occupier = svc.submit(q(id="occupier", timeout_s=30.0))
+            late = svc.submit(q(id="late", timeout_s=0.05, config={"filtering": False}))
+            out = late.outcome()
+            assert out.status == "timeout" and "queued" in out.error
+            self.finished(svc, late, out, ["queue wait"])
+            queued = svc.submit(q(id="queued", timeout_s=30.0, config={"seed": 3}))
+            svc.close(wait=False)
+            out = queued.outcome()
+            assert out.status == "cancelled"
+            self.finished(svc, queued, out, ["queue wait"])
+        finally:
+            gate.set()
+            occupier.outcome()
+
+    def test_timeout_while_executing_keeps_the_closed_root(self):
+        with service() as svc:
+            gate = self.gated(svc, "slow")
+            t = svc.submit(q(id="slow", timeout_s=0.05))
+            out = t.outcome()
+            assert out.status == "timeout" and "executing" in out.error
+            ended = t.root.wall_end
+            # The worker's resolve is still open under the closed root.
+            self.finished(svc, t, out, ["queue wait", "resolve graph"], "resolve graph")
+            gate.set()
+            # The worker finishes without raising: past the deadline,
+            # its own answer is a timeout too.
+            assert t.future.result(timeout=30.0).error_kind == "timeout"
+        assert t.root.wall_end == ended
+        assert out.latency_s == t.root.wall_seconds
+        # Spans opened after the root closed are roots of their own;
+        # the recorded tree is the one that closed.
+        root, lookup, late = t.tracer.roots
+        assert root is t.root
+        assert (lookup.name, late.name) == ("cache lookup", "query slow")
+        assert [c.name for c in late.children] == ["load input", "run"]
+
+    def test_roots_close_once_under_racing_timeouts(self):
+        """Waiters close roots while workers still add children: with a
+        short switch interval and more workers than cores, every
+        outcome's latency is still its root's wall time, every future
+        resolves, and every tree reaches the ring once."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with service(workers=4, max_queue_depth=8) as svc:
+                tickets = [
+                    svc.submit(q(id=f"r{i}", config={"seed": i % 5},
+                                 timeout_s=0.002 * (i % 4) or None))
+                    for i in range(24)
+                ]
+                outs = [t.outcome() for t in tickets]
+                results = [t.future.result(timeout=30.0)
+                           for t in tickets if not t.future.cancelled()]
+                ring = [id(root) for _, root in svc.recorder._trees]
+        finally:
+            sys.setswitchinterval(interval)
+        assert {o.error_kind for o in outs if not o.ok} <= {"timeout"}
+        assert all(isinstance(r, QueryOutcome) for r in results)
+        for t, out in zip(tickets, outs):
+            assert out.latency_s == t.root.wall_seconds > 0
+        assert len(set(ring)) == len(ring) == 16
+        assert set(ring) <= {id(t.root) for t in tickets}
+
+    def test_service_events_name_a_span_of_their_query(self, tmp_path):
+        from repro.generators import suite
+        from repro.graph.io import save_ecl
+        from repro.obs.events import EventLog, ListSink
+
+        path = tmp_path / "copy.ecl"
+        save_ecl(suite.build("internet", scale=SCALE), path)
+        sink = ListSink()
+        log = EventLog(level="debug", sinks=[sink])
+        with MSTService(ServiceConfig(workers=2), events=log) as svc:
+            gate = self.gated(svc, "a")
+            tickets = [svc.submit(q(id="a")), svc.submit(q(id="dup"))]
+            gate.set()
+            for extra in (q(id="again"), Query(input=str(path), id="file")):
+                tickets[-1].outcome()
+                tickets.append(svc.submit(extra))
+            tickets[-1].outcome()
+        spans = {t.query.id: {sp.id: sp for sp, _, _ in t.root.walk()} for t in tickets}
+        names = ("service.enqueue", "service.dedup", "service.cache_hit", "service.execute")
+        seen = {}
+        for e in sink.events:
+            if e.name in names:
+                assert e.fields["span"] in spans[e.fields["query"]], e
+                seen.setdefault(e.name, set()).add(e.fields["query"])
+        assert seen == {
+            "service.enqueue": {"a", "dup", "again", "file"},
+            "service.dedup": {"dup"},
+            "service.cache_hit": {"again", "file"},
+            "service.execute": {"a"},
+        }
+
+
 class TestTimeout:
     def test_queued_queries_cancel_cleanly(self):
         with service(workers=1) as svc:
@@ -488,10 +669,19 @@ class TestOtherCodes:
         tracer = Tracer()
         out = execute_query(q(id="w"), tracer=tracer)
         (root,) = tracer.roots
-        load, run = root.children
-        assert (root.name, load.name, run.name) == ("query w", "load input", "run")
+        load, run, encode = root.children
+        assert [sp.name for sp in (root, load, run, encode)] == [
+            "query w", "load input", "run", "encode"]
         assert out.load_seconds == load.wall_seconds
         assert out.run_seconds == run.wall_seconds
+        # A direct call owns its root: the latency is the root's wall.
+        assert out.latency_s == root.wall_seconds > 0
+
+    def test_verified_baseline_has_a_verify_span(self):
+        tracer = Tracer()
+        assert execute_query(q(id="pbbs", code="PBBS Ser.", verify=True), tracer=tracer).ok
+        (run,) = [sp for sp in tracer.roots[0].children if sp.name == "run"]
+        assert [(c.kind, c.name) for c in run.children] == [("host", "verify")]
 
     def test_resilience_annotates_the_solver_run_span(self):
         # Under the service the tracer's root is the ``query <id>``
@@ -504,7 +694,7 @@ class TestOtherCodes:
         assert "resilience_detected" not in tracer.roots[0].attrs
 
     def test_gpu_baseline_profile_has_a_roofline(self):
-        with service(keep_profile=True) as svc:
+        with service() as svc:
             (out,) = svc.run_batch([q(id="j", code="Jucele GPU")])
         assert out.ok
         kernels = svc.latest_profile["roofline"]["kernels"]

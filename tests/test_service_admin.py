@@ -211,7 +211,7 @@ class TestWindowedServiceMetrics:
 @pytest.fixture(scope="module")
 def live():
     """One service + admin server shared by the endpoint tests."""
-    with MSTService(ServiceConfig(workers=2, keep_profile=True)) as svc:
+    with MSTService(ServiceConfig(workers=2)) as svc:
         svc.run_batch([q(id="seed")])
         with AdminServer(svc) as admin:
             yield svc, admin
@@ -329,6 +329,18 @@ class TestOneSpanTree:
             (r["id"], r["parent_id"], r["kind"], r["name"]) for r in trace
         )
         assert want[0] == "/service:query internet"
+        # Served, the same query's root also owns the service's own
+        # steps around the verb's load input and run.
+        n = sum(1 for r in trace if r["kind"] != "kernel")
+        spans, launches = want[:n], want[n:]
+        root = spans[0]
+        want = [
+            root,
+            *(f"{root}/service:{name}" for name in ("queue wait", "resolve graph", "cache lookup")),
+            *spans[1:],
+            f"{root}/service:encode",
+            *launches,
+        ]
 
         def rows_tree(rows):
             return folded_tree(
@@ -353,12 +365,15 @@ class TestOneSpanTree:
 
 class TestProfilezGating:
     def test_404_until_profile_kept(self):
-        with service() as svc:  # keep_profile defaults off
+        # The default config keeps the last successful run's profile.
+        with service() as svc, AdminServer(svc) as admin:
+            status, _, body = get(admin.url + "/profilez")
+            assert status == 404
+            assert "executed" in json.loads(body)["hint"]
             svc.run_batch([q(id="a")])
-            with AdminServer(svc) as admin:
-                status, _, body = get(admin.url + "/profilez")
-        assert status == 404
-        assert "keep_profile" in json.loads(body)["hint"]
+            status, _, body = get(admin.url + "/profilez")
+        assert status == 200
+        assert json.loads(body)["algorithm"] == "ecl-mst"
 
 
 class TestDebugzGating:
@@ -378,7 +393,7 @@ class TestConcurrentReads:
         import threading
 
         cfg = ServiceConfig(
-            workers=4, keep_profile=True, postmortem_dir=str(tmp_path / "pm")
+            workers=4, postmortem_dir=str(tmp_path / "pm")
         )
         failures: list[str] = []
         stop = threading.Event()
