@@ -4,8 +4,10 @@ The evaluation methodology (Section 4) states: *"Where needed, we
 modified the graphs to eliminate self-loops and multiple edges between
 the same two vertices. We added any missing back edges to make the
 graphs undirected."*  :func:`build_csr` implements exactly that
-pipeline, entirely with vectorized NumPy (sort + unique), so building
-multi-million-edge graphs stays fast.
+pipeline, entirely with vectorized NumPy, so building multi-million-edge
+graphs stays fast: one argsort of the packed ``lo * n + hi`` keys groups
+parallel edges, a per-group reduction picks each survivor's weight, and
+:func:`from_edge_arrays` mirrors the clean edges into CSR slots.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from .csr import CSRGraph, EDGE_ID_DTYPE, INDEX_DTYPE, VERTEX_DTYPE, WEIGHT_DTYP
 from .weights import check_weight_bound
 
 __all__ = ["build_csr", "from_edge_arrays", "empty_graph"]
+
+# How build_csr picks a merged parallel edge's weight: the group's
+# minimum, its maximum, or (None) its first-listed weight.
+_DEDUP_REDUCERS = {"min": np.minimum, "max": np.maximum, "first": None}
 
 
 def empty_graph(num_vertices: int, name: str = "empty") -> CSRGraph:
@@ -77,29 +83,35 @@ def build_csr(
         w = np.asarray(w, dtype=np.int64).ravel()
         if w.size != u.size:
             raise ValueError("w must have one entry per edge")
+    if dedup not in _DEDUP_REDUCERS:
+        raise ValueError(f"unknown dedup policy {dedup!r}")
 
     # Canonicalize to (lo, hi) and drop self-loops.
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     keep = lo != hi
     lo, hi, w = lo[keep], hi[keep], w[keep]
-
-    # Deduplicate parallel edges.
-    key = lo * num_vertices + hi
-    if dedup == "first":
-        _, first_idx = np.unique(key, return_index=True)
-        lo, hi, w = lo[first_idx], hi[first_idx], w[first_idx]
-    elif dedup in ("min", "max"):
-        order = np.lexsort((w if dedup == "min" else -w, key))
-        key_sorted = key[order]
-        firsts = np.ones(key_sorted.size, dtype=bool)
-        firsts[1:] = key_sorted[1:] != key_sorted[:-1]
-        sel = order[firsts]
-        lo, hi, w = lo[sel], hi[sel], w[sel]
-    else:
-        raise ValueError(f"unknown dedup policy {dedup!r}")
-
+    lo, hi, w = _merge_parallel(num_vertices, lo, hi, w, _DEDUP_REDUCERS[dedup])
     return from_edge_arrays(num_vertices, lo, hi, w, name=name)
+
+
+def _merge_parallel(n: int, lo, hi, w, reduce):
+    """One ``(lo, hi, w)`` per distinct pair: one argsort groups equal
+    ``lo * n + hi`` keys, each group's first slot keeps its endpoints
+    and ``reduce`` (a ufunc, or ``None`` for the first-listed weight)
+    picks its weight.  Duplicates of one ``(key, w)`` are the same
+    edge, so only the first-listed policy cares which slot sorts first:
+    it sorts stably.  The sort's intermediates die on return, before
+    the CSR assembly allocates its own."""
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable" if reduce is None else None)
+    key = key[order]
+    firsts = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=firsts[1:])
+    starts = np.flatnonzero(firsts)
+    sel = order[starts]
+    w = w[sel] if reduce is None else reduce.reduceat(w[order], starts)
+    return lo[sel], hi[sel], w
 
 
 def from_edge_arrays(

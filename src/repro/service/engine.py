@@ -218,18 +218,21 @@ def execute_query(
     outcome.  ``graph`` may be pre-resolved (build cache).  The
     ``load input``, ``run`` and ``encode`` spans go under the span open
     on ``tracer`` (a served ticket's root, which owns the latency);
-    with no tracer, or none open, the query gets a ``query <id>`` root
-    of its own and ``latency_s`` is that root's wall time.
+    with no tracer, the null tracer, or none open, the query gets a
+    ``query <id>`` root of its own and ``latency_s`` is that root's
+    wall time.
     ``slowdown`` uniformly slows the modeled hardware by that exact
     factor (chaos-under-load testing); ``deadline`` is a
     ``time.perf_counter`` timestamp propagated into the ECL-MST round
-    loop, past which the run aborts as a timeout outcome.  ``events``
-    overrides the process-global event log (the service passes its
-    ticket's log here so solver events reach the flight-recorder ring).
+    loop, past which the run aborts as a ``status="timeout"`` outcome.
+    ``events`` overrides the process-global event log (the service
+    passes its ticket's log here so solver events reach the
+    flight-recorder ring).
     A successful outcome carries the solver's result as ``_result``,
     outside its fields: never serialized, compared or copied.
     """
-    tracer = tracer or Tracer()
+    if tracer is None or not tracer.enabled:
+        tracer = Tracer()
     kw = dict(slowdown=slowdown, deadline=deadline, events=events)
     if tracer.current is not None:
         return _execute(query, graph, tracer, **kw)
@@ -723,7 +726,8 @@ class MSTService:
             self._last_run = (vars(outcome).pop("_result"), tracer)
             self.results.put(rkey, (time.monotonic(), outcome))
         else:
-            self._note_error(query, outcome.error or "?")
+            if outcome.status != "timeout":  # _finish counts timeouts
+                self._note_error(query, outcome.error or "?")
             if pol is not None and outcome.error_kind in ("fault", "timeout"):
                 degraded = self._degraded_answer(
                     query,
@@ -866,6 +870,19 @@ class MSTService:
         out = replace(
             out, id=ticket.query.id, latency_s=ticket.root.wall_seconds, **changes
         )
+        if out.status == "timeout":
+            # Whichever thread saw the deadline first (the waiter's
+            # timer, the queue check or the solver's round loop), the
+            # ticket finishes here once.
+            self.registry.counter("service.timeouts").inc()
+            if self.events.enabled:
+                self.events.emit(
+                    "service.timeout",
+                    level="warning",
+                    query=out.id,
+                    timeout_s=ticket.timeout,
+                    why=out.error,
+                )
         res = out.resilience
         escaped = int(res.get("escaped", 0) or 0) if isinstance(res, dict) else 0
         self.slo.record(
@@ -889,21 +906,9 @@ class MSTService:
             served = SERVED_COALESCED
         if raw.ok and raw.result_key:
             self._spec_to_rkey.put(ticket.query.spec_key(), raw.result_key)
-        out = self._finish(ticket, raw, served_by=served)
-        if out.status == "timeout":
-            self.registry.counter("service.timeouts").inc()
-        return out
+        return self._finish(ticket, raw, served_by=served)
 
     def _timeout_outcome(self, ticket: Ticket, why: str) -> QueryOutcome:
-        self.registry.counter("service.timeouts").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.timeout",
-                level="warning",
-                query=ticket.query.id,
-                timeout_s=ticket.timeout,
-                why=why,
-            )
         return self._finish(
             ticket,
             QueryOutcome.failure(

@@ -191,9 +191,13 @@ class QueryOutcome:
         query,
         exc: BaseException,
         *,
-        status: str = "error",
+        status: str | None = None,
     ) -> "QueryOutcome":
+        """A typed failure outcome for ``exc``.  ``status`` defaults to
+        ``"timeout"`` for a :class:`DeadlineExceeded`, else ``"error"``."""
         kind, code = classify_error(exc)
+        if status is None:
+            status = "timeout" if isinstance(exc, DeadlineExceeded) else "error"
         if status == "timeout":
             kind, code = "timeout", 1
         elif status == "cancelled":

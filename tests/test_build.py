@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.graph.build import build_csr, empty_graph, from_edge_arrays
 from repro.graph.csr import EDGE_ID_DTYPE, INDEX_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
@@ -151,3 +151,58 @@ class TestFromEdgeArrays:
         w = np.ones(len(lo), dtype=np.int64)
         with pytest.raises(ValueError, match=match):
             from_edge_arrays(4, np.array(lo), np.array(hi), w)
+
+
+def lexsort_build(n, u, v, w, dedup):
+    """Oracle: cleanup with the lexsort dedup (``np.unique`` for
+    ``"first"``), then the lexsort CSR assembly."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keep = lo != hi
+    lo, hi, w = lo[keep], hi[keep], w[keep]
+    key = lo * n + hi
+    if dedup == "first":
+        _, sel = np.unique(key, return_index=True)
+    else:
+        order = np.lexsort((w if dedup == "min" else -w, key))
+        firsts = np.ones(key.size, dtype=bool)
+        firsts[1:] = key[order][1:] != key[order][:-1]
+        sel = order[firsts]
+    return lexsort_csr(n, lo[sel], hi[sel], w[sel])
+
+
+@st.composite
+def raw_edges(draw):
+    """A raw edge list on ``n`` vertices: drawn pairs (self-loops
+    included) plus repeats of them in either orientation with their own
+    weights, endpoints below ``span`` so the last ``n - span`` vertices
+    stay isolated."""
+    n = draw(st.integers(1, 60))
+    span = draw(st.integers(1, n))
+    vertex = st.integers(0, span - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    if pairs:
+        repeats = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=40))
+        pairs += [(b, a) if flip else (a, b) for (a, b), flip in repeats]
+    weight = st.integers(0, 3) | st.integers(0, 2**31 - 1)
+    w = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    return n, u, v, np.array(w, dtype=np.int64)
+
+
+class TestBuildCsrDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(edges=raw_edges(), dedup=st.sampled_from(["min", "max", "first"]))
+    @example(edges=(3, np.array([], int), np.array([], int), np.array([], int)), dedup="min")
+    @example(edges=(4, np.array([1, 2]), np.array([1, 2]), np.array([5, 6])), dedup="max")
+    @example(
+        edges=(6, np.array([0, 1, 0, 1]), np.array([1, 0, 1, 0]), np.array([3, 1, 3, 7])),
+        dedup="first",
+    )
+    def test_matches_lexsort_oracle(self, edges, dedup):
+        n, u, v, w = edges
+        g = build_csr(n, u, v, w, dedup=dedup)
+        got = (g.row_ptr, g.col_idx, g.weights, g.edge_ids)
+        for a, b in zip(got, lexsort_build(n, u, v, w, dedup)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)

@@ -8,8 +8,9 @@ import threading
 
 import pytest
 
+from repro.errors import DeadlineExceeded
 from repro.obs.metrics import Histogram
-from repro.obs.trace import Tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.service import (
     LRUCache,
     MSTService,
@@ -472,6 +473,26 @@ class TestTimeout:
         assert after.ok
         assert m["service.timeouts"] == 3.0
 
+    def test_solver_deadline_is_a_counted_timeout(self, monkeypatch):
+        """A deadline that fires inside the solver's round loop (here
+        at once, while the waiter's own 60 s timer is far off) finishes
+        the ticket as ``status="timeout"``, counted once as a timeout
+        and not as an error."""
+        import repro.core.eclmst as eclmst
+
+        def expired(deadline, rounds):
+            if deadline is not None:
+                raise DeadlineExceeded(f"query deadline expired entering round {rounds}")
+
+        monkeypatch.setattr(eclmst, "_check_deadline", expired)
+        with service(workers=1) as svc:
+            out = svc.submit(q(id="late", timeout_s=60.0)).outcome()
+            m = svc.metrics()
+        assert (out.status, out.error_kind, out.exit_code) == ("timeout", "timeout", 1)
+        assert out.error.startswith("query deadline expired")
+        assert m["service.timeouts"] == 1.0
+        assert m.get("service.errors", 0.0) == 0.0
+
     def test_default_timeout_from_service_config(self):
         with service(workers=1, default_timeout_s=0.0001) as svc:
             # Occupy the single worker so the next query waits past its
@@ -676,6 +697,12 @@ class TestOtherCodes:
         assert out.run_seconds == run.wall_seconds
         # A direct call owns its root: the latency is the root's wall.
         assert out.latency_s == root.wall_seconds > 0
+
+    def test_null_tracer_gets_a_private_root(self):
+        out = execute_query(q(id="n"), tracer=NULL_TRACER)
+        assert out.status == "ok"
+        assert out.latency_s > 0
+        assert out.load_seconds > 0 and out.run_seconds > 0
 
     def test_verified_baseline_has_a_verify_span(self):
         tracer = Tracer()

@@ -236,7 +236,7 @@ class TestDeadlines:
         out = execute_query(
             q(id="late"), deadline=time.perf_counter() - 1.0
         )
-        assert out.status == "error" or out.error_kind == "timeout"
+        assert out.status == "timeout"
         assert out.error_kind == "timeout"
 
     def test_solver_timeout_is_never_retried_and_degrades(self, monkeypatch):
@@ -270,6 +270,7 @@ class TestDeadlines:
         assert out.status == "degraded"
         assert out.served_by == SERVED_FALLBACK
         assert out.policy["original_error"] == "timeout"
+        assert out.policy["cause"] == "failed:timeout"
 
 
 # ----------------------------------------------------------------------
