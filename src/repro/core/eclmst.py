@@ -292,12 +292,7 @@ def ecl_mst(
         if resilience is not None:
             from ..resilience.recovery import RoundGuard
 
-            guard = RoundGuard(
-                resilience,
-                tracer=tracer,
-                events=events,
-                reference_mask=getattr(resilience, "_reference_mask", None),
-            )
+            guard = RoundGuard(resilience, tracer=tracer, events=events)
             guard.bind(state, weight_of_edge)
             device.probe = guard
 

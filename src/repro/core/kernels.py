@@ -29,7 +29,6 @@ from ..dsu.vectorized import (
     link_in_order,
     resolve_roots,
 )
-from ..errors import InvariantViolation
 from ..graph.csr import CSRGraph
 from ..gpusim.atomics import (
     KEY_INFINITY,
@@ -439,60 +438,6 @@ def kernel1_reserve(state: MstState) -> int:
 # ----------------------------------------------------------------------
 # Kernel 2: winner check + union + MST marking (Lines 27-33)
 # ----------------------------------------------------------------------
-def _find_root(parent: np.ndarray, x: int) -> tuple[int, int]:
-    loads = 1
-    while parent[x] != x:
-        x = int(parent[x])
-        loads += 1
-        if loads > parent.size + 1:
-            # Only corrupted parent pointers can cycle; surface a typed
-            # violation the recovery ladder understands.
-            raise InvariantViolation(
-                "parent-pointer cycle detected during union find",
-                invariant="parent-acyclic",
-                kernel="k2_union",
-            )
-    return x, loads
-
-
-def _union_scalar(
-    state: MstState,
-    p: np.ndarray,
-    q: np.ndarray,
-    eids: np.ndarray,
-    win_idx: np.ndarray,
-) -> tuple[int, int, int, int]:
-    """Per-winner union loop in worklist order (the reference oracle).
-
-    Not called by the solver: the differential tests substitute it for
-    :func:`_union_overlay` and require bit-identical results.
-
-    Returns ``(cas_attempts, union_loads, added, mirror_dups)``.
-    """
-    parent = state.parent
-    cas_attempts = 0
-    union_loads = 0
-    added = 0
-    mirror_dups = 0
-    for i in win_idx:
-        a, la = _find_root(parent, int(p[i]))
-        b, lb = _find_root(parent, int(q[i]))
-        union_loads += la + lb
-        cas_attempts += 1
-        if a == b:
-            # Only possible for a mirrored duplicate of an edge already
-            # committed this round (the "Both Edge Directions" variant).
-            mirror_dups += 1
-            continue
-        lo, hi = (a, b) if a < b else (b, a)
-        parent[hi] = lo
-        eid = int(eids[i])
-        if not state.in_mst[eid]:
-            state.in_mst[eid] = True
-            added += 1
-    return cas_attempts, union_loads, added, mirror_dups
-
-
 # Calls with fewer winners than this walk every winner serially: the
 # peel costs ~30 NumPy calls per round whatever its size.  Measured on
 # a 2-vCPU x86-64 VM over 469 captured k2 calls of >= 32 winners (26
@@ -557,7 +502,8 @@ def _union_overlay(
     eids: np.ndarray,
     win_idx: np.ndarray,
 ) -> tuple[int, int, int, int]:
-    """Exact union engine, bit-identical to :func:`_union_scalar`.
+    """Exact union engine, bit-identical to the per-winner scalar loop
+    (the tests keep that loop as the oracle).
 
     Every link joins two *current* roots, and a vertex that is not a
     root when the call starts never changes parent during it.  So the

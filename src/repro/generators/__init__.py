@@ -3,7 +3,7 @@
 from .delaunay import delaunay_graph
 from .grid import grid2d
 from .random_graphs import erdos_renyi, random_k_out
-from .rmat import kronecker, rmat
+from .rmat import kronecker, rmat_graph
 from .roads import road_network
 from .scalefree import internet_topology, preferential_attachment
 from . import suite
@@ -16,7 +16,7 @@ __all__ = [
     "kronecker",
     "preferential_attachment",
     "random_k_out",
-    "rmat",
+    "rmat_graph",
     "road_network",
     "suite",
 ]

@@ -18,7 +18,7 @@ from ..graph.build import build_csr
 from ..graph.csr import CSRGraph
 from ..graph.weights import hash_weight
 
-__all__ = ["rmat", "kronecker"]
+__all__ = ["rmat_graph", "kronecker"]
 
 
 def _rmat_pairs(
@@ -48,7 +48,7 @@ def _rmat_pairs(
     return u, v
 
 
-def rmat(
+def rmat_graph(
     scale: int,
     edge_factor: float = 8.0,
     *,

@@ -23,7 +23,7 @@ from ..graph.csr import CSRGraph
 from .delaunay import delaunay_graph
 from .grid import grid2d
 from .random_graphs import random_k_out
-from .rmat import kronecker, rmat
+from .rmat import kronecker, rmat_graph
 from .roads import road_network
 from .scalefree import internet_topology, preferential_attachment
 
@@ -148,13 +148,13 @@ SUITE: dict[str, InputSpec] = {
     "rmat16.sym": InputSpec(
         "rmat16.sym",
         "RMAT",
-        lambda s, seed: rmat(_log2n(1024, s), edge_factor=7.4, seed=seed),
+        lambda s, seed: rmat_graph(_log2n(1024, s), edge_factor=7.4, seed=seed),
         False,
     ),
     "rmat22.sym": InputSpec(
         "rmat22.sym",
         "RMAT",
-        lambda s, seed: rmat(_log2n(8192, s), edge_factor=7.8, seed=seed),
+        lambda s, seed: rmat_graph(_log2n(8192, s), edge_factor=7.8, seed=seed),
         False,
     ),
     "soc-LiveJournal1": InputSpec(

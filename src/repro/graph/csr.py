@@ -69,6 +69,11 @@ class CSRGraph:
     _digest_cache: str | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # The unique MSF's per-edge-ID mask, filled by
+    # ``core.verify.reference_mst_mask`` (read-only once set).
+    _reference_mask_cache: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.row_ptr = np.ascontiguousarray(self.row_ptr, dtype=INDEX_DTYPE)

@@ -263,9 +263,6 @@ def collect_result_metrics(result) -> dict[str, float]:
             "detected",
         ):
             reg.counter(f"resilience.{key}").inc(res.get(key, 0))
-        reg.gauge("resilience.backoff_seconds").set(
-            res.get("backoff_seconds", 0.0)
-        )
     fi = (result.extra or {}).get("fault_injection")
     if fi:
         reg.counter("faults.planned").inc(fi.get("planned", 0))

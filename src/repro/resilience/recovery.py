@@ -5,13 +5,15 @@ The :class:`RoundGuard` wraps every Alg.-2 round:
 1. **Checkpoint** the solver state at round entry.
 2. Run the round; a :class:`~repro.errors.DeviceFault` (failed launch)
    or :class:`~repro.errors.InvariantViolation` (online check, at the
-   configured cadence) triggers **rollback-and-retry** with jittered
-   exponential backoff, up to :data:`MAX_RETRIES` attempts.
+   configured cadence) triggers **rollback-and-retry**, up to
+   :data:`MAX_RETRIES` attempts.  A retry does not wait: the device is
+   simulated, and seeded faults are keyed by launch, not by time.
 3. Retries exhausted → **phase restart**: the driver rolls back to the
    phase-entry checkpoint and reruns the whole phase with invariants
    forced on (per-kernel probes + every-round sweeps).
 4. A restarted phase failing again → **serial fallback**: the result is
-   replaced by the serial Kruskal reference (the paper's verifier),
+   replaced by the serial Kruskal reference (the paper's verifier,
+   :func:`~repro.core.verify.reference_mst_mask`, cached on the graph),
    recorded as a degraded-mode completion.
 
 An end-of-run **verify detector** (on whenever the guard is active)
@@ -27,11 +29,11 @@ metrics) and as ``recovery`` spans on the active tracer.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.verify import reference_mst_mask
 from ..errors import DeviceFault, InvariantViolation
 from ..obs.events import NULL_EVENTS
 from ..obs.trace import NULL_TRACER
@@ -46,12 +48,8 @@ __all__ = [
     "SerialFallbackRequired",
 ]
 
-# Rollback-and-retry budget per round, and its jittered exponential
-# backoff (base, ceiling, jitter RNG seed).
+# Rollback-and-retry budget per round.
 MAX_RETRIES = 2
-BACKOFF_BASE_S = 0.0005
-BACKOFF_MAX_S = 0.05
-BACKOFF_SEED = 0
 
 
 class PhaseRestartRequired(Exception):
@@ -69,8 +67,8 @@ class ResilienceConfig:
     ``check_cadence=0`` disables the per-round invariant sweeps (and
     round checkpointing with them): a fault-free run is then bit- and
     counter-identical to a plain :func:`~repro.core.eclmst.ecl_mst`
-    run with zero overhead.  The retry budget, backoff and serial
-    fallback are fixed (module constants).
+    run with zero overhead.  The retry budget and serial fallback are
+    fixed (module constants).
     """
 
     check_cadence: int = 1  # rounds between invariant sweeps; 0 = off
@@ -88,7 +86,6 @@ class ResilienceStats:
     phase_restarts: int = 0
     verify_detections: int = 0
     fallbacks: int = 0
-    backoff_seconds: float = 0.0
     detections: list = field(default_factory=list)
 
     @property
@@ -110,7 +107,6 @@ class ResilienceStats:
             "phase_restarts": self.phase_restarts,
             "verify_detections": self.verify_detections,
             "fallbacks": self.fallbacks,
-            "backoff_seconds": self.backoff_seconds,
             "detected": self.detected,
             "detections": list(self.detections),
         }
@@ -126,7 +122,6 @@ class RoundGuard:
         *,
         tracer=None,
         events=None,
-        reference_mask: np.ndarray | None = None,
     ) -> None:
         self.cfg = cfg
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -135,10 +130,8 @@ class RoundGuard:
         self.checker = InvariantChecker()
         self.checker.events = self.events
         self.forced = False
-        self._rng = np.random.default_rng(BACKOFF_SEED)
         self._round_index = 0
         self._has_faults = False
-        self._reference_mask = reference_mask
 
     def bind(self, state, weight_table: np.ndarray) -> None:
         self.checker.bind(state, weight_table)
@@ -217,7 +210,6 @@ class RoundGuard:
                     # Rung 2 is the phase wrapper's job.
                     raise PhaseRestartRequired from exc
                 self.stats.retries += 1
-                self._backoff(attempts)
 
     def _record_detection(self, exc, round_index: int) -> None:
         if isinstance(exc, DeviceFault):
@@ -260,17 +252,6 @@ class RoundGuard:
             kernel=kernel,
         )
 
-    def _backoff(self, attempt: int) -> None:
-        base = BACKOFF_BASE_S
-        if base <= 0:
-            return
-        delay = min(
-            BACKOFF_MAX_S,
-            base * (2 ** (attempt - 1)) * (1.0 + self._rng.random()),
-        )
-        self.stats.backoff_seconds += delay
-        time.sleep(delay)
-
     # ------------------------------------------------------------------
     # Rung 2/3 bookkeeping (called by the driver's phase wrapper)
     # ------------------------------------------------------------------
@@ -295,13 +276,6 @@ class RoundGuard:
     # ------------------------------------------------------------------
     # End-of-run: verify detector + fallback
     # ------------------------------------------------------------------
-    def _reference(self, graph) -> np.ndarray:
-        if self._reference_mask is None:
-            from ..core.verify import reference_mst_mask
-
-            self._reference_mask = reference_mst_mask(graph)
-        return self._reference_mask
-
     def _note_fallback(self, cause: str) -> None:
         self.stats.fallbacks += 1
         self.tracer.mark(
@@ -318,15 +292,17 @@ class RoundGuard:
     ) -> tuple[np.ndarray, bool]:
         """Apply the last ladder rungs; returns ``(edge mask, degraded)``.
 
+        A degraded mask is the graph's cached, read-only reference.
+
         ``fell_through`` means a phase restart already failed and the
         driver is asking for the serial fallback outright.
         """
         if fell_through:
             self._note_fallback("ladder-exhausted")
-            return self._reference(graph).copy(), True
+            return reference_mst_mask(graph), True
         if self.active:
             self.stats.checks_run += 1
-            ref = self._reference(graph)
+            ref = reference_mst_mask(graph)
             if not np.array_equal(in_mst, ref):
                 self.stats.verify_detections += 1
                 self._detected(
@@ -334,5 +310,5 @@ class RoundGuard:
                     "final edge mask differs from the serial Kruskal reference",
                 )
                 self._note_fallback("verify")
-                return ref.copy(), True
+                return ref, True
         return in_mst, False

@@ -43,8 +43,9 @@ counters — via :meth:`MSTService.metrics`.
 * a per-graph-fingerprint circuit breaker fails fast while a graph
   keeps failing, probing deterministically on a seeded cooldown;
 * shed/broken/failed queries optionally degrade to a stale cached
-  result (``served_by: stale-cache``) or the serial-Kruskal fallback
-  (``served_by: serial-fallback``), and poison specs are quarantined.
+  result (``served_by: stale-cache``) or the graph's cached
+  serial-Kruskal reference MSF (``served_by: serial-fallback``), and
+  poison specs are quarantined.
 
 With ``policy=None`` (the default) none of this code runs and serving
 behavior — results, counters, metrics — is bit-identical to a
@@ -79,10 +80,6 @@ from .outcome import (
 from .query import Query, QueryError, result_key
 
 __all__ = ["MSTService", "ServiceConfig", "Ticket", "execute_query", "run_query"]
-
-# The degraded-mode algorithm: the paper's serial Kruskal reference,
-# already a registered baseline runner.
-_FALLBACK_CODE = "PBBS Ser."
 
 # The sliding window (seconds) behind service.qps / p50 / p95 and the
 # SLO burn rates: recent traffic, not process lifetime.
@@ -244,7 +241,6 @@ def execute_query(
 
 def _execute(query: Query, graph, tracer, **kw) -> QueryOutcome:
     from ..obs.metrics import collect_result_metrics
-    from ..obs.profile import graph_fingerprint
 
     try:
         graph, result, load, run = _load_and_run(query, tracer, graph, **kw)
@@ -253,28 +249,39 @@ def _execute(query: Query, graph, tracer, **kw) -> QueryOutcome:
             raise
         return QueryOutcome.failure(query, exc)
     with tracer.span("encode", "service"):
-        fingerprint = graph_fingerprint(graph)
-        out = QueryOutcome(
-            id=query.id,
-            input=query.input,
-            code=query.code,
-            system=query.system,
-            scale=query.scale,
-            algorithm=result.algorithm,
-            graph=fingerprint,
-            total_weight=int(result.total_weight),
-            num_mst_edges=int(result.num_mst_edges),
-            rounds=int(result.rounds),
-            modeled_seconds=float(result.modeled_seconds),
-            mst_digest=edges_digest(result),
+        out = _encode(
+            query,
+            graph,
+            result,
             metrics=collect_result_metrics(result),
             resilience=dict(result.extra.get("resilience") or {}),
-            result_key=result_key(fingerprint["digest"], query),
             load_seconds=load.wall_seconds,
             run_seconds=run.wall_seconds,
         )
+        out.result_key = result_key(out.graph["digest"], query)
     out._result = result
     return out
+
+
+def _encode(query: Query, graph, result, **fields) -> QueryOutcome:
+    """The success payload of ``result`` on ``graph``, plus ``fields``."""
+    from ..obs.profile import graph_fingerprint
+
+    return QueryOutcome(
+        id=query.id,
+        input=query.input,
+        code=query.code,
+        system=query.system,
+        scale=query.scale,
+        algorithm=result.algorithm,
+        graph=graph_fingerprint(graph),
+        total_weight=int(result.total_weight),
+        num_mst_edges=int(result.num_mst_edges),
+        rounds=int(result.rounds),
+        modeled_seconds=float(result.modeled_seconds),
+        mst_digest=edges_digest(result),
+        **fields,
+    )
 
 
 def _run_code(
@@ -436,7 +443,8 @@ class MSTService:
         self._last_run: tuple | None = None
         self._lock = threading.Lock()
         self._closed = False
-        self._inflight: dict[str, concurrent.futures.Future] = {}
+        # Spec key -> the primary ticket of its in-flight execution.
+        self._inflight: dict[str, Ticket] = {}
         # Serving policy: constructed only when any mechanism is armed,
         # so a policy-free service runs exactly the pre-policy code.
         self.policy: ResiliencePolicy | None = None
@@ -476,11 +484,17 @@ class MSTService:
         tracer = ticket.tracer
         with self._lock:
             key = query.spec_key()
-            inflight = self._inflight.get(key)
-            if inflight is not None:
+            primary = self._inflight.get(key)
+            # Attach only to an execution whose deadline is no earlier
+            # than this ticket's (None never expires): the solver stops
+            # at the primary's deadline, which must not end this one.
+            if primary is not None and (
+                primary.deadline is None
+                or (ticket.deadline is not None and primary.deadline >= ticket.deadline)
+            ):
                 self.registry.counter("service.dedup_hits").inc()
                 tracer.mark("coalesce", "service", log=ticket.log, on_close="service.dedup")
-                ticket.primary, ticket.future = False, inflight
+                ticket.primary, ticket.future = False, primary.future
                 return ticket
             rkey = self._spec_to_rkey.get(key)
         if rkey is not None:
@@ -506,18 +520,25 @@ class MSTService:
         with self._lock:
             self._depth += 1
             self.registry.gauge("service.queue_depth").set(self._depth)
-            self._inflight[key] = future
+            self._inflight[key] = ticket
         # Registered after the in-flight map so a fast completion still
         # cleans up: a callback added to a finished future fires
         # immediately in this thread.
-        future.add_done_callback(lambda _f: self._release(key))
+        future.add_done_callback(lambda _f: self._release(key, future))
         return ticket
 
-    def _release(self, key: str) -> None:
+    def _drop_inflight(self, key: str, future) -> None:
+        """Compare-and-pop (lock held): drop ``key`` only while it still
+        names ``future``'s execution, not a later primary's."""
+        entry = self._inflight.get(key)
+        if entry is not None and entry.future is future:
+            del self._inflight[key]
+
+    def _release(self, key: str, future) -> None:
         with self._lock:
             self._depth -= 1
             self.registry.gauge("service.queue_depth").set(self._depth)
-            self._inflight.pop(key, None)
+            self._drop_inflight(key, future)
         self._slots.release()
 
     # ------------------------------------------------------------------
@@ -753,9 +774,10 @@ class MSTService:
     ) -> QueryOutcome | None:
         """Stale cached answer, else serial fallback, else ``None``.
 
-        The serial fallback runs at reduced priority: it re-enters the
-        admission bucket with the lowest-priority reserve, so degraded
-        work never crowds out admitted traffic.
+        The serial fallback is the graph's cached reference MSF (the
+        verifier's serial Kruskal).  It is granted at reduced priority:
+        it re-enters the admission bucket with the lowest-priority
+        reserve, so degraded work never crowds out admitted traffic.
         """
         pol = self.policy
         if pol is None:
@@ -763,54 +785,24 @@ class MSTService:
         stale = self._stale_outcome(query, rkey, cause=cause)
         if stale is not None:
             return stale
-        if pol.cfg.degrade_serial and pol.allow_fallback():
-            return self._serial_fallback(query, graph, tracer, cause)
-        return None
-
-    def _serial_fallback(
-        self, query: Query, graph, tracer, cause: str
-    ) -> QueryOutcome | None:
-        """Answer with the serial-Kruskal baseline, marked degraded."""
-        fallback_query = replace(
-            query,
-            code=_FALLBACK_CODE,
-            stage=None,
-            config={},
-            check_cadence=0,
-            fault_seed=None,
-            n_faults=0,
-            fault_kinds=(),
-        )
-        fb = execute_query(
-            fallback_query, graph, tracer=tracer, slowdown=self.config.slowdown
-        )
-        if not fb.ok:
+        if not (pol.cfg.degrade_serial and pol.allow_fallback()):
             return None
-        pol = self.policy
-        assert pol is not None
         pol.note_degraded()
-        if self.events.enabled:
-            self.events.emit(
-                "policy.degraded",
-                level="warning",
-                query=query.id,
-                mode="serial-fallback",
-                cause=cause,
+        from ..core.verify import reference_result
+
+        # No result key, so it is never cached as the real answer.
+        with tracer.span(
+            "serial fallback", "service", log=self.events, on_open="policy.degraded",
+            level="warning", query=query.id, mode="serial-fallback", cause=cause,
+        ):
+            return _encode(
+                query,
+                graph,
+                reference_result(graph),
+                status="degraded",
+                served_by=SERVED_FALLBACK,
+                policy={"degraded": "serial-fallback", "cause": cause},
             )
-        out = replace(
-            fb,
-            id=query.id,
-            code=query.code,
-            status="degraded",
-            served_by=SERVED_FALLBACK,
-            result_key="",  # never cached as the real answer
-        )
-        out.policy = {
-            "degraded": "serial-fallback",
-            "cause": cause,
-            "algorithm": fb.algorithm,
-        }
-        return out
 
     def _cache_lookup(
         self, ticket: Ticket, rkey: str, path: str
@@ -919,24 +911,24 @@ class MSTService:
         )
 
     def _on_timeout(self, ticket: Ticket) -> QueryOutcome:
-        if ticket.future.cancel():
+        # Only a primary may cancel its queued execution: a coalesced
+        # waiter gives up alone and leaves the shared one running.
+        if ticket.primary and ticket.future.cancel():
             # Still queued: cancelled cleanly, never executed.  (The
             # done callback fires on cancel and releases the dedup key
             # and slot.)
             ticket._queue_wait.close()
             return self._timeout_outcome(ticket, "cancelled while queued")
-        # Already running: the computation finishes in the background
-        # (and may still warm the cache); this waiter stops waiting and
+        # Already running (or shared, for a coalesced waiter): the
+        # computation finishes in the background (and may still warm
+        # the cache); this waiter stops waiting and
         # its root closes now, with the worker's spans still open.
         # Drop the dedup key NOW — if the execution is wedged, later
         # identical queries must not coalesce onto a dead ticket and
         # inherit its fate (slot/depth accounting stays with the done
         # callback, which fires if the execution ever finishes).
-        # Compare-and-pop: only if the map still points at this future.
-        key = ticket.query.spec_key()
         with self._lock:
-            if self._inflight.get(key) is ticket.future:
-                del self._inflight[key]
+            self._drop_inflight(ticket.query.spec_key(), ticket.future)
         return self._timeout_outcome(ticket, "timed out while executing")
 
     def _cancelled_outcome(self, ticket: Ticket) -> QueryOutcome:

@@ -92,7 +92,7 @@ class Query:
     config: dict = field(default_factory=dict)  # EclMstConfig overrides
     timeout_s: float | None = None
     priority: int = 0  # 0 low / 1 normal / >=2 high; sheds lowest first
-    verify: bool = False
+    verify: bool = True  # cheap: the reference MSF is cached per graph
     check_cadence: int = 0  # resilience sweeps; 0 = unguarded
     fault_seed: int | None = None  # seeded fault injection (chaos query)
     n_faults: int = 0

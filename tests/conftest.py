@@ -14,7 +14,7 @@ from repro.generators import (
     grid2d,
     preferential_attachment,
     random_k_out,
-    rmat,
+    rmat_graph,
     road_network,
 )
 
@@ -93,7 +93,7 @@ def medium_graph(request):
     if kind == "random":
         return random_k_out(300, 3, seed=3)
     if kind == "rmat":
-        return rmat(8, edge_factor=6.0, seed=3)
+        return rmat_graph(8, edge_factor=6.0, seed=3)
     if kind == "pa":
         return preferential_attachment(300, 4, num_components=3, seed=3)
     if kind == "road":

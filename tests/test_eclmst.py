@@ -65,6 +65,12 @@ class TestCorrectnessGenerators:
         r = ecl_mst(medium_graph)
         assert np.array_equal(r.in_mst, reference_mst_mask(medium_graph))
 
+    def test_reference_mask_is_cached_read_only(self, medium_graph):
+        mask = reference_mst_mask(medium_graph)
+        assert reference_mst_mask(medium_graph) is mask
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+
     @pytest.mark.parametrize("name", suite.INPUT_NAMES)
     def test_suite_inputs_verified(self, name):
         g = suite.build(name, scale=0.08)

@@ -2,7 +2,7 @@
 to the scalar reference walk.
 
 The solver always runs :func:`~repro.core.kernels._union_overlay`; the
-oracle run substitutes :func:`~repro.core.kernels._union_scalar` for
+oracle run substitutes the scalar loop ``helpers.union_scalar`` for
 it.  The contract is not "same MSF" but *same everything*: parent
 forest evolution, MST bitmap, and every modeled counter
 (``cas_attempts``, ``union_loads``, ``mirror_dups``, ...) — hence the
@@ -19,9 +19,11 @@ import pytest
 from repro.core import kernels
 from repro.core.config import EclMstConfig
 from repro.core.eclmst import ecl_mst
-from repro.generators import rmat, suite
+from repro.generators import rmat_graph, suite
 from repro.generators.suite import INPUT_NAMES
 from repro.graph.build import build_csr
+
+from helpers import union_scalar
 
 
 def _eq(a, b) -> bool:
@@ -37,7 +39,7 @@ def _eq(a, b) -> bool:
 def assert_bit_identical(graph, config=None):
     """Run both engines on ``graph`` and diff the complete results."""
     with mock.patch.object(
-        kernels, "_union_overlay", wraps=kernels._union_scalar
+        kernels, "_union_overlay", wraps=union_scalar
     ) as oracle:
         a = dataclasses.asdict(ecl_mst(graph, config))
     assert oracle.called, "the oracle run never reached the union"
@@ -96,7 +98,7 @@ def test_random_multigraphs_bit_identical(seed):
 def test_rmat_straggler_path_bit_identical():
     # Skewed RMAT at this size links many winners into one hub
     # component in a single call, so overlay walks run deep.
-    assert_bit_identical(rmat(scale=13, edge_factor=8, seed=11))
+    assert_bit_identical(rmat_graph(scale=13, edge_factor=8, seed=11))
 
 
 def test_engine_is_config_semantics_neutral():

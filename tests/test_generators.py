@@ -1,6 +1,7 @@
 """Generator tests: every suite input must match its Table-2 profile."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from repro.generators import (
     kronecker,
     preferential_attachment,
     random_k_out,
-    rmat,
+    rmat_graph,
     road_network,
     suite,
 )
@@ -65,15 +66,20 @@ class TestRandom:
 
 
 class TestRmatKron:
+    def test_rmat_module_is_not_shadowed(self):
+        import repro.generators
+
+        assert repro.generators.rmat is sys.modules["repro.generators.rmat"]
+
     def test_rmat_vertex_count(self):
-        assert rmat(8).num_vertices == 256
+        assert rmat_graph(8).num_vertices == 256
 
     def test_rmat_many_components(self):
-        g = rmat(10, edge_factor=7.4, seed=0)
+        g = rmat_graph(10, edge_factor=7.4, seed=0)
         assert connected_components(g)[0] > 5  # RMAT leaves isolated IDs
 
     def test_rmat_skewed_degrees(self):
-        g = rmat(10, seed=0)
+        g = rmat_graph(10, seed=0)
         degs = g.degrees()
         assert degs.max() > 10 * max(1.0, degs[degs > 0].mean())
 

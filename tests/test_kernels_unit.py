@@ -14,7 +14,6 @@ from repro.core.eclmst import ecl_mst
 from repro.core.kernels import (
     MstState,
     _union_overlay,
-    _union_scalar,
     kernel1_reserve,
     kernel2_union,
     kernel3_reset,
@@ -26,7 +25,7 @@ from repro.gpusim.atomics import KEY_INFINITY, unpack_edge_id
 from repro.gpusim.costmodel import Device
 from repro.gpusim.spec import RTX_3080_TI
 
-from helpers import make_graph
+from helpers import make_graph, union_scalar
 
 
 def _state(graph, **cfg_kw):
@@ -318,7 +317,7 @@ class TestUnionOverlay:
         in_mst = rng.random(2 * m + 1) < 0.2
         ref = _union_state(parent, in_mst)
         got = _union_state(parent, in_mst)
-        expected = _union_scalar(ref, p, q, eids, win_idx)
+        expected = union_scalar(ref, p, q, eids, win_idx)
         assert _union_overlay(got, p, q, eids, win_idx) == expected
         assert np.array_equal(got.parent, ref.parent)
         assert np.array_equal(got.in_mst, ref.in_mst)
@@ -335,7 +334,7 @@ class TestUnionOverlay:
         ref = _union_state(parent, in_mst)
         got = _union_state(parent, in_mst)
         with pytest.raises(InvariantViolation) as scalar:
-            _union_scalar(ref, p, q, eids, win_idx)
+            union_scalar(ref, p, q, eids, win_idx)
         with pytest.raises(InvariantViolation) as overlay:
             _union_overlay(got, p, q, eids, win_idx)
         for err in (scalar.value, overlay.value):
@@ -366,7 +365,7 @@ class TestUnionOverlay:
         in_mst = rng.random(3 * m) < 0.2
         ref = _union_state(parent, in_mst)
         got = _union_state(parent, in_mst)
-        expected = _union_scalar(ref, p, q, eids, win_idx)
+        expected = union_scalar(ref, p, q, eids, win_idx)
         assert _union_overlay(got, p, q, eids, win_idx) == expected
         assert np.array_equal(got.parent, ref.parent)
         assert np.array_equal(got.in_mst, ref.in_mst)
@@ -383,7 +382,7 @@ class TestUnionOverlay:
         ref = _union_state(parent, in_mst)
         got = _union_state(parent, in_mst)
         with pytest.raises(InvariantViolation) as scalar:
-            _union_scalar(ref, p, q, eids, win_idx)
+            union_scalar(ref, p, q, eids, win_idx)
         with pytest.raises(InvariantViolation) as overlay:
             _union_overlay(got, p, q, eids, win_idx)
         for err in (scalar.value, overlay.value):

@@ -98,8 +98,9 @@ class TestServiceSpanClocks:
     def test_service_spans_carry_the_run_modeled_time(self):
         tr, root = self._query_tree()
         load, run = root.children
-        (solve,) = run.children
-        assert (root.name, solve.name) == ("query q", "ecl-mst on internet")
+        solve, verify = run.children  # queries verify by default
+        assert (root.name, solve.name, verify.name) == (
+            "query q", "ecl-mst on internet", "verify")
         assert solve.modeled_seconds > 0
         assert root.modeled_seconds == run.modeled_seconds == solve.modeled_seconds
         assert load.modeled_seconds == 0.0

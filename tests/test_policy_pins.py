@@ -19,7 +19,7 @@ coalescing.  Each scenario drives its own one-worker
   learned spec whose cache entry is past its freshness TTL answers
   degraded from the stale entry;
 * ``serial-fallback`` — ``degrade_serial`` answers a failed poison
-  query with the serial-Kruskal baseline;
+  query with the graph's cached serial-Kruskal reference MSF;
 * ``coalesced`` — on the single worker, a duplicate pair queued behind
   another query runs once; the second waiter attaches to it;
 * ``timeout`` — the single worker is held on a :class:`threading.Event`

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import sys
 import threading
 
 import pytest
@@ -492,6 +493,76 @@ class TestTimeout:
         assert out.error.startswith("query deadline expired")
         assert m["service.timeouts"] == 1.0
         assert m.get("service.errors", 0.0) == 0.0
+
+    def _held(self, svc, release):
+        """Occupy the single worker until ``release`` is set."""
+        job = svc._thread_job
+
+        def held(*args):
+            release.wait(30.0)
+            return job(*args)
+
+        svc._thread_job = held
+        occupier = svc.submit(q(id="occupier", input="2d-2e20.sym"))
+        svc._thread_job = job
+        return occupier
+
+    def test_coalesced_ticket_keeps_its_own_deadline(self, monkeypatch):
+        """A query with no timeout does not attach to a queued twin with
+        one: the twin's solver deadline (here firing at once) ends only
+        the twin."""
+        import repro.core.eclmst as eclmst
+
+        def expired(deadline, rounds):
+            if deadline is not None:
+                raise DeadlineExceeded(f"query deadline expired entering round {rounds}")
+
+        monkeypatch.setattr(eclmst, "_check_deadline", expired)
+        release = threading.Event()
+        with service(workers=1) as svc:
+            occupier = self._held(svc, release)
+            a = svc.submit(q(id="a", timeout_s=60.0))
+            b = svc.submit(q(id="b"))
+            release.set()
+            outs = [t.outcome() for t in (occupier, a, b)]
+            m = svc.metrics()
+        assert [o.status for o in outs] == ["ok", "timeout", "ok"]
+        assert b.primary and outs[2].served_by == "execute"
+        assert m["service.timeouts"] == 1.0
+        assert svc._inflight == {}
+
+    def test_coalesced_waiter_timeout_leaves_its_primary_queued(self):
+        """A coalesced waiter that gives up does not cancel the queued
+        execution it shares with its primary."""
+        release = threading.Event()
+        with service(workers=1) as svc:
+            occupier = self._held(svc, release)
+            a = svc.submit(q(id="a"))
+            b = svc.submit(q(id="b", timeout_s=0.05))
+            assert not b.primary
+            late = b.outcome()
+            release.set()
+            outs = [t.outcome() for t in (occupier, a)]
+        assert late.status == "timeout"
+        assert [o.status for o in outs] == ["ok", "ok"]
+
+    def test_twins_with_mixed_deadlines_under_contention(self):
+        """Same-spec tickets with and without deadlines, on more workers
+        than cores with a short switch interval: every ticket is served
+        and the in-flight map drains (no entry is left or lost)."""
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with service(workers=4) as svc:
+                tickets = [
+                    svc.submit(q(id=f"t{i}", timeout_s=None if i % 3 == 0 else 30.0 + i % 2))
+                    for i in range(48)
+                ]
+                outs = [t.outcome() for t in tickets]
+        finally:
+            sys.setswitchinterval(old)
+        assert all(o.ok for o in outs)
+        assert svc._inflight == {} and svc._depth == 0
 
     def test_default_timeout_from_service_config(self):
         with service(workers=1, default_timeout_s=0.0001) as svc:

@@ -352,7 +352,8 @@ class TestOneSpanTree:
         boom = Query(input="internet", id="boom", scale=SCALE, n_faults=1,
                      check_cadence=0, fault_kinds=("kernel-fail",), fault_seed=7)
         with service(workers=1, postmortem_dir=str(tmp_path)) as svc:
-            svc.run_batch([q(), boom])
+            # The profile verb does not verify; the served twin must not.
+            svc.run_batch([q(verify=False), boom])
             with AdminServer(svc) as admin:
                 _, _, body = get(admin.url + "/debugz")
         assert rows_tree(json.loads(body)["spans"]) == want

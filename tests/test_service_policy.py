@@ -247,8 +247,7 @@ class TestDeadlines:
         executions = []
 
         def counting_execute(query, graph=None, **kw):
-            if query.code != engine._FALLBACK_CODE:
-                executions.append(query.id)
+            executions.append(query.id)  # the fallback executes nothing
             return real_execute(query, graph, **kw)
 
         def slow_resolve(self, query):
@@ -384,7 +383,29 @@ class TestSerialFallback:
             assert "kruskal" in out.algorithm  # fallback's
             assert out.total_weight == clean.total_weight
             assert out.num_mst_edges == clean.num_mst_edges
+            assert out.mst_digest == clean.mst_digest
             assert out.result_key == ""  # never cached as the real answer
+
+    def test_one_serial_kruskal_per_graph(self, monkeypatch):
+        """Verify, the ladder's end-of-run detector and the degraded
+        answer all read the graph's one cached reference MSF."""
+        import repro.core.verify as verify
+
+        calls = []
+        real = verify.spanning_forest
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(verify, "spanning_forest", counting)
+        with service(policy=PolicyConfig(degrade_serial=True), workers=1) as svc:
+            guarded = svc.submit(q(id="guarded", check_cadence=1, verify=True)).outcome()
+            assert guarded.ok and guarded.resilience["checks_run"] > 0
+            out = svc.submit(poison(id="broken")).outcome()
+        assert out.served_by == SERVED_FALLBACK
+        assert out.mst_digest == guarded.mst_digest
+        assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
@@ -507,6 +528,18 @@ class TestServiceCampaign:
         d = report.to_dict()
         assert d["passed"] is True
         assert "PASS" in report.render()
+
+    def test_a_served_answer_with_another_edge_set_escapes(self):
+        from repro.resilience.campaign import ServiceCampaignReport
+
+        reference = execute_query(q(id="reference"))
+        report = ServiceCampaignReport(graph_name="internet", seed=0)
+        report.observe(reference, reference=reference)
+        assert report.escaped == 0
+        # Same weight and edge count, other edges: still escaped.
+        twin = QueryOutcome.from_dict({**reference.to_dict(), "mst_digest": "0" * 16})
+        report.observe(twin, reference=reference)
+        assert report.escaped == 1
 
 
 # ----------------------------------------------------------------------
